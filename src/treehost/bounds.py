@@ -17,14 +17,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .model import DemandTree
+from .model import DemandTree, ParameterError
 
 TABLE_MAX_C = 127
 
 
 def _check_delta(delta: int) -> None:
     if delta < 3:
-        raise ValueError(f"maximum degree must be >= 3, got {delta}")
+        raise ParameterError(f"maximum degree must be >= 3, got {delta}")
 
 
 def best_case_height(c: int, delta: int = 3) -> int:
@@ -81,7 +81,7 @@ def lb_instance(demand: DemandTree, delta: int = 3) -> int:
     """Instance-wide lower bound: max(n-1, sum of per-vertex bounds), floored."""
     _check_delta(delta)
     n = demand.n
-    hist = np.bincount(np.diff(demand.np_views()[0]))
+    hist = np.bincount(np.diff(demand.child_off))
     total: int | Fraction = 0
     for c in range(1, hist.size):
         if hist[c]:

@@ -14,110 +14,9 @@ introduces exactly (#childless vertices - 1) steiner nodes in linear time.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import NONE, DemandTree, HostTree
-
-_VECTOR_THRESHOLD = 20_000  # below this the plain-Python builder is faster
-
-
-def leaf_slots_in_order(leaf_count: int) -> list[int]:
-    """Heap slots of the leaves in left-to-right order of the shape."""
-    if leaf_count < 1:
-        raise ValueError("bracket needs at least one leaf")
-    depth = (leaf_count - 1).bit_length()
-    first_bottom = 1 << depth
-    return (list(range(first_bottom, 2 * leaf_count))
-            + list(range(leaf_count, first_bottom)))
-
-
-@dataclass
-class BracketShape:
-    """Heap-shaped complete binary tree with assigned leaves.
-
-    ``slots`` is 1-indexed over the 2*leaf_count - 1 heap positions; inner
-    slots (1..leaf_count-1) hold None, leaf slots hold the assigned vertex.
-    """
-
-    leaf_count: int
-    slots: list[int | None]
-
-    def is_internal(self, slot: int) -> bool:
-        return 1 <= slot < self.leaf_count
-
-    def depth(self, slot: int) -> int:
-        return slot.bit_length() - 1
-
-    def children_slots(self, slot: int) -> tuple[int, int]:
-        return 2 * slot, 2 * slot + 1
-
-    def leaf_slot(self, j: int) -> int:
-        """Slot of the j-th assigned leaf (input order)."""
-        return leaf_slots_in_order(self.leaf_count)[j]
-
-    def max_leaf_depth(self) -> int:
-        return (self.leaf_count - 1).bit_length()
-
-    def min_leaf_depth(self) -> int:
-        return min(self.depth(s) for s in leaf_slots_in_order(self.leaf_count))
-
-
-def build_bracket(children: list[int]) -> BracketShape:
-    """Bracket shape for the given children, leaves assigned left to right."""
-    ell = len(children)
-    if ell == 0:
-        raise ValueError("cannot build a bracket for an empty child list")
-    slots: list[int | None] = [None] * (2 * ell)
-    for j, slot in enumerate(leaf_slots_in_order(ell)):
-        slots[slot] = children[j]
-    return BracketShape(ell, slots)
-
-
-def _build_python(demand: DemandTree) -> HostTree:
-    n = demand.n
-    off, flat = demand.child_off, demand.child_flat
-    leaves = demand.leaf_count()
-    total = n + max(leaves - 1, 0)
-    par = [NONE] * total
-    left = [NONE] * total
-    right = [NONE] * total
-    owner = [NONE] * total
-    snext = n
-    for v in range(n):
-        lo, hi = off[v], off[v + 1]
-        c = hi - lo
-        if c == 0:
-            continue
-        if c == 1:
-            w = flat[lo]
-            left[v] = w
-            par[w] = v
-            continue
-        depth = (c - 1).bit_length()
-        first_bottom = 1 << depth
-        n_bottom = 2 * c - first_bottom
-        base = snext
-        snext += c - 1
-        slot_nodes = [0] * (2 * c)
-        slot_nodes[1:c] = range(base, base + c - 1)
-        ch = flat[lo:hi]
-        slot_nodes[first_bottom:2 * c] = ch[:n_bottom]
-        slot_nodes[c:first_bottom] = ch[n_bottom:]
-        owner[base:base + c - 1] = [v] * (c - 1)
-        root_node = slot_nodes[1]
-        left[v] = root_node
-        par[root_node] = v
-        for i in range(1, c):
-            p = slot_nodes[i]
-            lnode = slot_nodes[2 * i]
-            rnode = slot_nodes[2 * i + 1]
-            left[p] = lnode
-            right[p] = rnode
-            par[lnode] = p
-            par[rnode] = p
-    return HostTree(n, demand.root, par, left, right, owner)
 
 
 def _bracket_slots(demand: DemandTree):
@@ -132,7 +31,7 @@ def _bracket_slots(demand: DemandTree):
     if cached is not None:
         return cached
     n = demand.n
-    off, flat = demand.np_views()
+    off, flat = demand.child_off, demand.child_flat
     c = np.diff(off)
     s_counts = np.where(c >= 2, c - 1, 0)
     bases = n + np.concatenate(([0], np.cumsum(s_counts)))[:-1]
@@ -160,14 +59,16 @@ def _bracket_slots(demand: DemandTree):
     return out
 
 
-def _build_numpy(demand: DemandTree) -> HostTree:
-    """Vectorized builder; array contents match ``_build_python`` exactly.
+def run_bracket_builder(demand: DemandTree) -> HostTree:
+    """Build the bracket host tree for every vertex of the demand tree.
 
-    The returned host keeps numpy int64 arrays; the vectorized tournament and
-    the evaluator consume them without conversion.
+    The result is binary, keeps the demand root as host root, gives every
+    vertex with children a single host child (its bracket root), and contains
+    exactly ``demand.leaf_count() - 1`` steiner nodes for n >= 2.  All slots
+    of all brackets are linked at once from the shared slot geometry.
     """
     n = demand.n
-    off, flat = demand.np_views()
+    off, flat = demand.child_off, demand.child_flat
     c = np.diff(off)
     verts, rep, gs_entry, slot, cc, node, bases = _bracket_slots(demand)
     total = n + int(np.where(c >= 2, c - 1, 0).sum())
@@ -199,14 +100,3 @@ def _build_numpy(demand: DemandTree) -> HostTree:
 
     return HostTree(n, demand.root, par, left, right, owner)
 
-
-def run_bracket_builder(demand: DemandTree) -> HostTree:
-    """Build the bracket host tree for every vertex of the demand tree.
-
-    The result is binary, keeps the demand root as host root, gives every
-    vertex with children a single host child (its bracket root), and contains
-    exactly ``demand.leaf_count() - 1`` steiner nodes for n >= 2.
-    """
-    if demand.n >= _VECTOR_THRESHOLD:
-        return _build_numpy(demand)
-    return _build_python(demand)

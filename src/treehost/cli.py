@@ -15,9 +15,10 @@ from .bounds import bracket_cost_bound, format_table, lb_instance, table1
 from .bracket import run_bracket_builder
 from .cost import evaluate
 from .generate import KINDS, bst_demo, gen
-from .model import (DemandTree, InvariantViolation, ResourceCapError,
-                    TreeHostError, UnknownVertexError, parse_edge_list,
-                    parse_host, root_at, serialize)
+from .model import (DemandTree, InvariantViolation, ParameterError,
+                    ResourceCapError, TreeHostError, UnknownVertexError,
+                    is_ascii_int, parse_edge_list, parse_host, root_at,
+                    serialize)
 from .oracle import MAX_N, opt_cost
 from .pipeline import solve_instance
 from .tournament import check_invariants, run_tournament
@@ -34,10 +35,14 @@ class _CliParser(argparse.ArgumentParser):
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as f:
-        return f.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise TreeHostError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                            f"{exc.start})") from None
 
 
 def _load_demand(path: str, root_label: str | None) -> DemandTree:
@@ -49,6 +54,14 @@ def _load_demand(path: str, root_label: str | None) -> DemandTree:
             raise UnknownVertexError(f"unknown root label {root_label!r}")
         root = mapping[root_label]
     return root_at(unrooted, root)
+
+
+def _int_list(text: str, flag: str) -> list[int]:
+    parts = text.split(",")
+    if not all(is_ascii_int(p.strip()) for p in parts):
+        raise ParameterError(
+            f"{flag} needs a comma list of non-negative integers, got {text!r}")
+    return [int(p) for p in parts]
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -241,9 +254,11 @@ def cmd_check(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
+    sizes = _int_list(args.sizes, "--sizes")
     if sizes != sorted(sizes):
-        raise TreeHostError("sizes must be ascending")
+        raise ParameterError("sizes must be ascending")
+    if args.reps < 1:
+        raise ParameterError(f"--reps must be >= 1, got {args.reps}")
     rows = []
     for n in sizes:
         times = []
@@ -266,11 +281,10 @@ def cmd_bench(args) -> int:
 
 
 def cmd_bst_demo(args) -> int:
-    sizes = [int(s) for s in args.n.split(",")]
+    results = [bst_demo(n) for n in _int_list(args.n, "--n")]
     print("n\tbalanced_cost\tpath_cost\tratio" +
           ("\texhaustive_min" if args.exhaustive else ""))
-    for n in sizes:
-        res = bst_demo(n)
+    for res in results:
         line = f"{res.n}\t{res.balanced_cost}\t{res.path_cost}\t{res.ratio:.4f}"
         if args.exhaustive:
             line += f"\t{res.exhaustive_min if res.exhaustive_min is not None else '-'}"

@@ -1,4 +1,4 @@
-"""Host-tree distances and demand-cost evaluation.
+"""Demand-cost evaluation of host trees.
 
 ``evaluate`` charges every demand edge (u, v) with the number of links on the
 u-v path in the host tree and groups the result by parent vertex.  It runs in
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DEAD, NONE, DemandTree, HostTree, HostTreeError, UnknownVertexError
+from .model import DEAD, DemandTree, HostTree, HostTreeError, UnknownVertexError
 
 
 @dataclass
@@ -22,37 +22,13 @@ class CostBreakdown:
     per_vertex: list[int]
 
 
-def distance(host: HostTree, u: int, v: int) -> int:
-    """Number of links on the unique u-v path in the host tree."""
-    for node in (u, v):
-        if not host.is_live(node):
-            raise UnknownVertexError(f"unknown host node {node}")
-    if u == v:
-        return 0
-    par = host.parent
-    up: dict[int, int] = {}
-    node, d = u, 0
-    while node != NONE:
-        up[node] = d
-        node = par[node]
-        d += 1
-    node, d = v, 0
-    while node != NONE:
-        if node in up:
-            return d + up[node]
-        node = par[node]
-        d += 1
-    raise HostTreeError(f"nodes {u} and {v} are not connected in the host")
-
-
-def _lifting_tables(parent) -> tuple[np.ndarray, list[np.ndarray], int]:
+def _lifting_tables(par: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], int]:
     """Depth array and binary-lifting ancestor tables (int32).
 
     Index ``N`` acts as an absorbing "no node" sink so that -1/-2 sentinels
     never appear as indices.
     """
-    n_nodes = len(parent)
-    par = np.asarray(parent, dtype=np.int64)
+    n_nodes = len(par)
     ext = np.empty(n_nodes + 1, dtype=np.int32)
     np.copyto(ext[:n_nodes], np.where(par < 0, n_nodes, par),
               casting="unsafe")
@@ -79,24 +55,18 @@ def evaluate(demand: DemandTree, host: HostTree) -> CostBreakdown:
     if host.n_vertices < n:
         raise UnknownVertexError(
             f"host covers {host.n_vertices} vertices, demand has {n}")
-    hpar = host.parent
-    if isinstance(hpar, np.ndarray):
-        missing = hpar[:n] == DEAD
-        if missing.any():
-            raise UnknownVertexError(
-                f"demand vertex {int(missing.argmax())} missing from host")
-    else:
-        for v in range(n):
-            if hpar[v] == DEAD:
-                raise UnknownVertexError(f"demand vertex {v} missing from host")
+    missing = host.parent[:n] == DEAD
+    if missing.any():
+        raise UnknownVertexError(
+            f"demand vertex {int(missing.argmax())} missing from host")
     if n <= 1:
         return CostBreakdown(0, [0] * n)
 
-    depth, up, sink = _lifting_tables(hpar)
+    depth, up, sink = _lifting_tables(host.parent)
 
     cached = demand._cache.get("edge_queries")
     if cached is None:
-        off, flat = demand.np_views()
+        off, flat = demand.child_off, demand.child_flat
         vs = flat.astype(np.int32)
         us = np.repeat(np.arange(n, dtype=np.int32),
                        np.diff(off)).astype(np.int32)

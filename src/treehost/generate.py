@@ -13,7 +13,8 @@ import random
 from dataclasses import dataclass
 
 from .cost import evaluate
-from .model import DemandTree, HostTree, UnrootedTree, root_at
+from .model import (DemandTree, HostTree, ParameterError, ResourceCapError,
+                    UnrootedTree, root_at)
 
 KINDS = ("path", "star", "caterpillar", "complete_binary", "random")
 BST_ENUM_CAP = 12
@@ -49,12 +50,14 @@ def _random_prufer_edges(n: int, rng: random.Random) -> list[tuple[int, int]]:
 def gen(kind: str, n: int, seed: int | None = None) -> DemandTree:
     """Deterministic demand-tree generator, rooted at vertex 0."""
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise ParameterError(f"n must be >= 1, got {n}")
     if kind not in KINDS:
-        raise ValueError(f"unknown kind {kind!r}; pick one of {KINDS}")
+        raise ParameterError(f"unknown kind {kind!r}; pick one of {KINDS}")
+    if kind == "random" and seed is None:
+        raise ParameterError("random generation requires a seed")
     if n == 1:
-        return root_at(UnrootedTree(1, [0, 0], [], None), 0)
-    if kind == "path":
+        edges = []
+    elif kind == "path":
         edges = [(i, i + 1) for i in range(n - 1)]
     elif kind == "star":
         edges = [(0, i) for i in range(1, n)]
@@ -65,13 +68,9 @@ def gen(kind: str, n: int, seed: int | None = None) -> DemandTree:
     elif kind == "complete_binary":
         edges = [((i - 1) // 2, i) for i in range(1, n)]
     else:
-        if seed is None:
-            raise ValueError("random generation requires a seed")
         edges = _random_prufer_edges(n, random.Random(seed))
-    if n > 50_000:
-        # generator output is a tree by construction; skip re-validation
-        return root_at(UnrootedTree.from_tree_edges_unchecked(edges, n), 0)
-    return root_at(UnrootedTree.from_edges(edges, n=n), 0)
+    # generator output is a tree by construction; skip re-validation
+    return root_at(UnrootedTree.from_tree_edges_unchecked(edges, n), 0)
 
 
 @dataclass
@@ -91,9 +90,9 @@ class KeyedPath:
 def bst_adversarial(n: int) -> KeyedPath:
     """Path on n vertices with the alternating key pattern (even n >= 4)."""
     if n % 2 != 0:
-        raise ValueError(f"the alternating key pattern needs even n, got {n}")
+        raise ParameterError(f"the alternating key pattern needs even n, got {n}")
     if n < 4:
-        raise ValueError(f"need n >= 4, got {n}")
+        raise ParameterError(f"need n >= 4, got {n}")
     keys = [0] * n
     half = n // 2
     for k in range(half):
@@ -146,7 +145,8 @@ def exhaustive_bst_min(keyed: KeyedPath) -> int:
     """Exact minimum cost over every search tree on the instance's keys."""
     n = keyed.tree.n
     if n > BST_ENUM_CAP:
-        raise ValueError(f"exhaustive search-tree scan capped at n={BST_ENUM_CAP}")
+        raise ResourceCapError(
+            f"exhaustive search-tree scan capped at n={BST_ENUM_CAP}")
     demand_key_pairs = [(keyed.keys[v], keyed.keys[v + 1]) for v in range(n - 1)]
     par = [0] * (n + 1)
     depth = [0] * (n + 1)
@@ -203,7 +203,7 @@ def bst_demo(n: int, exhaustive_cap: int = BST_ENUM_CAP) -> BstDemoResult:
     the true search-tree minimum is computed as well.
     """
     if n < 4 or n & (n - 1):
-        raise ValueError(f"n must be a power of two >= 4, got {n}")
+        raise ParameterError(f"n must be a power of two >= 4, got {n}")
     keyed = bst_adversarial(n)
     host = balanced_bst_host(keyed)
     cost = evaluate(keyed.tree, host).total

@@ -5,9 +5,10 @@ appearance in the input; the original tokens are kept as labels.  Host trees
 live on the same ids and may additionally contain synthetic *steiner* nodes
 with ids ``>= n``, rendered as ``s<id>`` in text form.
 
-Internally both tree kinds use flat integer arrays (CSR child lists for the
-demand tree, parent/left/right arrays for the host tree) so that million-node
-instances stay cheap to build and traverse.
+Every tree holds its structure in flat numpy int64 arrays (CSR adjacency or
+child lists, parent/left/right arrays for the host tree) at any size; the few
+sequential walks run over local ``tolist()`` copies, which Python indexes
+faster than numpy scalars.
 """
 from __future__ import annotations
 
@@ -50,16 +51,23 @@ class ResourceCapError(TreeHostError):
     """Instance exceeds a hard resource cap (e.g. exhaustive-search size)."""
 
 
+class ParameterError(TreeHostError):
+    """An argument outside its domain (size, seed, degree, size list)."""
+
+
+def _int64(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.int64)
+
+
 class UnrootedTree:
     """Connected acyclic graph over dense vertex ids, adjacency in input order."""
 
     __slots__ = ("n", "adj_off", "adj_flat", "labels")
 
-    def __init__(self, n: int, adj_off: list[int], adj_flat: list[int],
-                 labels: list[str] | None):
+    def __init__(self, n: int, adj_off, adj_flat, labels: list[str] | None):
         self.n = n
-        self.adj_off = adj_off
-        self.adj_flat = adj_flat
+        self.adj_off = _int64(adj_off)
+        self.adj_flat = _int64(adj_flat)
         self.labels = labels
 
     @classmethod
@@ -88,7 +96,6 @@ class UnrootedTree:
             return a
 
         seen: set[int] = set()
-        deg = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise EdgeListError(f"edge ({u}, {v}) out of range for n={n}")
@@ -103,46 +110,24 @@ class UnrootedTree:
                 raise EdgeListError(
                     f"cycle detected when adding edge '{name(u)} {name(v)}'")
             uf[ru] = rv
-            deg[u] += 1
-            deg[v] += 1
         roots = len({find(v) for v in range(n)})
         if roots != 1:
             raise EdgeListError(f"disconnected input: {roots} components")
-
-        # CSR adjacency in edge-input order
-        off = [0] * (n + 1)
-        for v in range(n):
-            off[v + 1] = off[v] + deg[v]
-        cur = off[:-1].copy()
-        flat = [0] * (2 * len(edges))
-        for u, v in edges:
-            flat[cur[u]] = v
-            cur[u] += 1
-            flat[cur[v]] = u
-            cur[v] += 1
-        return cls(n, off, flat, labels)
+        return cls.from_tree_edges_unchecked(edges, n, labels)
 
     @classmethod
     def from_tree_edges_unchecked(cls, edges: list[tuple[int, int]], n: int,
                                   labels: list[str] | None = None) -> "UnrootedTree":
-        """CSR build without validation, for edges already known to be a tree
-        (generator output).  Adjacency order matches ``from_edges``."""
-        if n <= 1 or not edges:
-            return cls(max(n, 1), [0] * (max(n, 1) + 1), [], labels)
-        e = np.asarray(edges, dtype=np.int64)
+        """CSR adjacency in edge-input order, without validation: for edges
+        already known to be a tree (validated input, generator output)."""
+        n = max(n, 1)
+        e = _int64(edges).reshape(-1, 2)
         src = e.ravel()
         dst = e[:, ::-1].ravel()
-        order = np.argsort(src, kind="stable")
-        flat = dst[order]
+        flat = dst[np.argsort(src, kind="stable")]
         off = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=off[1:])
-        return cls(n, off.tolist(), flat.tolist(), labels)
-
-    def neighbors(self, v: int) -> list[int]:
-        return self.adj_flat[self.adj_off[v]:self.adj_off[v + 1]]
-
-    def degree(self, v: int) -> int:
-        return self.adj_off[v + 1] - self.adj_off[v]
+        return cls(n, off, flat, labels)
 
     def label(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
@@ -179,7 +164,7 @@ def parse_edge_list(text: str) -> UnrootedTree:
             pair.append(ids[t])
         edges.append((pair[0], pair[1]))
     if not edges:
-        return UnrootedTree(1, [0, 0], [], ["0"])
+        return UnrootedTree.from_tree_edges_unchecked([], 1, ["0"])
     return UnrootedTree.from_edges(edges, n=len(ids), labels=labels)
 
 
@@ -194,64 +179,47 @@ class DemandTree:
     __slots__ = ("n", "root", "parent", "child_off", "child_flat", "labels",
                  "_cache")
 
-    def __init__(self, n: int, root: int, parent: list[int],
-                 child_off: list[int], child_flat: list[int],
+    def __init__(self, n: int, root: int, parent, child_off, child_flat,
                  labels: list[str] | None):
         self.n = n
         self.root = root
-        self.parent = parent
-        self.child_off = child_off
-        self.child_flat = child_flat
+        self.parent = _int64(parent)
+        self.child_off = _int64(child_off)
+        self.child_flat = _int64(child_flat)
         self.labels = labels
         self._cache: dict = {}
 
     def label(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
 
-    def np_views(self):
-        """Cached numpy copies of (child_off, child_flat) for the fast paths."""
-        views = self._cache.get("np_views")
-        if views is None:
-            views = (np.asarray(self.child_off, dtype=np.int64),
-                     np.asarray(self.child_flat, dtype=np.int64))
-            self._cache["np_views"] = views
-        return views
-
     def children(self, v: int) -> list[int]:
-        return self.child_flat[self.child_off[v]:self.child_off[v + 1]]
+        return self.child_flat[self.child_off[v]:self.child_off[v + 1]].tolist()
 
     def child_count(self, v: int) -> int:
-        return self.child_off[v + 1] - self.child_off[v]
+        return int(self.child_off[v + 1] - self.child_off[v])
 
     def child_counts(self) -> list[int]:
-        off = self.child_off
-        return [off[v + 1] - off[v] for v in range(self.n)]
+        return np.diff(self.child_off).tolist()
 
     def edges(self):
-        """Yield (parent, child) pairs in child-array order."""
-        for v in range(self.n):
-            for w in self.children(v):
-                yield v, w
+        """Iterate (parent, child) pairs in child-array order."""
+        owner = np.repeat(np.arange(self.n, dtype=np.int64),
+                          np.diff(self.child_off))
+        return zip(owner.tolist(), self.child_flat.tolist())
 
     def leaf_count(self) -> int:
         """Number of childless vertices."""
-        off = self.child_off
-        return sum(1 for v in range(self.n) if off[v + 1] == off[v])
+        return int(np.count_nonzero(np.diff(self.child_off) == 0))
 
     def bfs_order(self) -> list[int]:
         order = [self.root]
         head = 0
-        flat, off = self.child_flat, self.child_off
+        flat, off = self.child_flat.tolist(), self.child_off.tolist()
         while head < len(order):
             v = order[head]
             head += 1
             order.extend(flat[off[v]:off[v + 1]])
         return order
-
-    def as_unrooted(self) -> UnrootedTree:
-        """Adjacency view with edges in (parent -> child) discovery order."""
-        return UnrootedTree.from_edges(list(self.edges()), n=self.n,
-                                       labels=self.labels)
 
     def validate(self) -> None:
         n = self.n
@@ -259,12 +227,12 @@ class DemandTree:
             raise TreeHostError("root has a parent")
         if self.child_off[n] != n - 1 and n > 0:
             raise TreeHostError("child count sum != n-1")
-        seen = 0
-        for v, w in self.edges():
-            if self.parent[w] != v:
-                raise TreeHostError(f"parent[{w}] inconsistent with children")
-            seen += 1
-        if seen != n - 1:
+        owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.child_off))
+        bad = np.flatnonzero(self.parent[self.child_flat] != owner)
+        if bad.size:
+            w = int(self.child_flat[bad[0]])
+            raise TreeHostError(f"parent[{w}] inconsistent with children")
+        if len(self.child_flat) != n - 1:
             raise TreeHostError("edge count != n-1")
         if len(self.bfs_order()) != n:
             raise TreeHostError("tree not connected from root")
@@ -279,7 +247,7 @@ def root_at(tree: UnrootedTree, root: int) -> DemandTree:
     n = tree.n
     if not 0 <= root < n:
         raise UnknownVertexError(f"unknown root id {root}")
-    adj_off, adj_flat = tree.adj_off, tree.adj_flat
+    adj_off, adj_flat = tree.adj_off.tolist(), tree.adj_flat.tolist()
     parent = [NONE] * n
     parent[root] = root  # temporary marker so root is never re-parented
     order = [root]
@@ -293,31 +261,16 @@ def root_at(tree: UnrootedTree, root: int) -> DemandTree:
                 order.append(w)
     parent[root] = NONE
 
-    if n > 50_000:
-        # vectorized child-CSR: keep adjacency order, drop the parent entry
-        par_np = np.asarray(parent, dtype=np.int64)
-        off_np = np.asarray(adj_off, dtype=np.int64)
-        flat_np = np.asarray(adj_flat, dtype=np.int64)
-        owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(off_np))
-        keep = par_np[flat_np] == owner
-        child_flat = flat_np[keep].tolist()
-        deg = np.diff(off_np)
-        counts = np.where(np.arange(n) == root, deg, deg - 1)
-        child_off = np.concatenate(([0], np.cumsum(counts))).tolist()
-        return DemandTree(n, root, parent, child_off, child_flat, tree.labels)
-
-    child_off = [0] * (n + 1)
-    for v in range(n):
-        deg = adj_off[v + 1] - adj_off[v]
-        child_off[v + 1] = child_off[v] + (deg if v == root else deg - 1)
-    child_flat = [0] * (n - 1 if n else 0)
-    cur = child_off[:-1].copy()
-    for v in range(n):
-        for w in adj_flat[adj_off[v]:adj_off[v + 1]]:
-            if parent[w] == v:
-                child_flat[cur[v]] = w
-                cur[v] += 1
-    return DemandTree(n, root, parent, child_off, child_flat, tree.labels)
+    # child CSR: keep adjacency order, drop the parent entry
+    par = _int64(parent)
+    deg = np.diff(tree.adj_off)
+    owner = np.repeat(np.arange(n, dtype=np.int64), deg)
+    child_flat = tree.adj_flat[par[tree.adj_flat] == owner]
+    counts = deg - 1
+    counts[root] += 1
+    child_off = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=child_off[1:])
+    return DemandTree(n, root, par, child_off, child_flat, tree.labels)
 
 
 class HostTree:
@@ -332,20 +285,19 @@ class HostTree:
 
     __slots__ = ("n_vertices", "root", "parent", "left", "right", "owner")
 
-    def __init__(self, n_vertices: int, root: int, parent: list[int],
-                 left: list[int], right: list[int], owner: list[int]):
+    def __init__(self, n_vertices: int, root: int, parent, left, right, owner):
         self.n_vertices = n_vertices
         self.root = root
-        self.parent = parent
-        self.left = left
-        self.right = right
-        self.owner = owner
+        self.parent = _int64(parent)
+        self.left = _int64(left)
+        self.right = _int64(right)
+        self.owner = _int64(owner)
 
     @classmethod
     def empty(cls, n_vertices: int, root: int) -> "HostTree":
         """Host with all demand vertices present and no links yet."""
-        return cls(n_vertices, root, [NONE] * n_vertices, [NONE] * n_vertices,
-                   [NONE] * n_vertices, [NONE] * n_vertices)
+        return cls(n_vertices, root, *(np.full(n_vertices, NONE, dtype=np.int64)
+                                       for _ in range(4)))
 
     def num_nodes(self) -> int:
         return len(self.parent)
@@ -354,14 +306,14 @@ class HostTree:
         return i >= self.n_vertices
 
     def is_live(self, i: int) -> bool:
-        return 0 <= i < len(self.parent) and self.parent[i] != DEAD
+        return 0 <= i < len(self.parent) and bool(self.parent[i] != DEAD)
 
     def add_steiner(self, owner_vertex: int) -> int:
         i = len(self.parent)
-        self.parent.append(NONE)
-        self.left.append(NONE)
-        self.right.append(NONE)
-        self.owner.append(owner_vertex)
+        self.parent = np.append(self.parent, NONE)
+        self.left = np.append(self.left, NONE)
+        self.right = np.append(self.right, NONE)
+        self.owner = np.append(self.owner, owner_vertex)
         return i
 
     def link(self, parent: int, child: int) -> None:
@@ -374,29 +326,23 @@ class HostTree:
         self.parent[child] = parent
 
     def children(self, i: int) -> list[int]:
-        out = []
-        if self.left[i] != NONE:
-            out.append(self.left[i])
-        if self.right[i] != NONE:
-            out.append(self.right[i])
-        return out
+        return [int(ch) for ch in (self.left[i], self.right[i]) if ch != NONE]
 
     def live_nodes(self) -> list[int]:
-        par = self.parent
-        return [i for i in range(len(par)) if par[i] != DEAD]
+        return np.flatnonzero(self.parent != DEAD).tolist()
 
     def steiner_nodes(self) -> list[int]:
-        par = self.parent
-        return [i for i in range(self.n_vertices, len(par)) if par[i] != DEAD]
+        n = self.n_vertices
+        return (np.flatnonzero(self.parent[n:] != DEAD) + n).tolist()
 
     def steiner_count(self) -> int:
-        return len(self.steiner_nodes())
+        return int(np.count_nonzero(self.parent[self.n_vertices:] != DEAD))
 
     def depths(self) -> dict[int, int]:
         """Depth of every node reachable from the root."""
         depth = {self.root: 0}
         stack = [self.root]
-        left, right = self.left, self.right
+        left, right = self.left.tolist(), self.right.tolist()
         while stack:
             v = stack.pop()
             d = depth[v] + 1
@@ -412,7 +358,8 @@ class HostTree:
 
     def validate(self) -> None:
         """Check binary shape, link consistency, connectivity, acyclicity."""
-        par, left, right = self.parent, self.left, self.right
+        par = self.parent.tolist()
+        left, right = self.left.tolist(), self.right.tolist()
         if not self.is_live(self.root) or par[self.root] != NONE:
             raise HostTreeError("bad root")
         live = self.live_nodes()
@@ -425,7 +372,7 @@ class HostTree:
                     raise HostTreeError(f"child link {i}->{ch} not mirrored")
             if i != self.root:
                 p = par[i]
-                if p == NONE or not self.is_live(p):
+                if p == NONE or not (0 <= p < len(par) and par[p] != DEAD):
                     raise HostTreeError(f"node {i} has no live parent")
                 if left[p] != i and right[p] != i:
                     raise HostTreeError(f"parent of {i} does not list it")
@@ -440,7 +387,7 @@ def _node_name(host: HostTree, i: int) -> str:
 def _preorder(host: HostTree) -> list[int]:
     order = []
     stack = [host.root]
-    left, right = host.left, host.right
+    left, right = host.left.tolist(), host.right.tolist()
     while stack:
         v = stack.pop()
         order.append(v)
@@ -459,17 +406,18 @@ def serialize(host: HostTree, form: str = "text") -> str:
     Both round-trip through :func:`parse_host` preserving node ids.
     """
     order = _preorder(host)
+    par = host.parent.tolist()
     if form == "text":
         lines = []
         for i in order:
-            p = host.parent[i]
+            p = par[i]
             pname = _node_name(host, p if p != NONE else i)
             lines.append(f"{_node_name(host, i)}:{pname}")
         return "\n".join(lines) + "\n"
     if form == "json":
         doc = {
             "nodes": [_node_name(host, i) for i in order],
-            "parent": {_node_name(host, i): _node_name(host, host.parent[i])
+            "parent": {_node_name(host, i): _node_name(host, par[i])
                        for i in order if i != host.root},
             "steiner": [_node_name(host, i) for i in order
                         if host.is_steiner(i)],
@@ -479,11 +427,22 @@ def serialize(host: HostTree, form: str = "text") -> str:
     raise ValueError(f"unknown serialization form {form!r}")
 
 
+def is_ascii_int(s: str) -> bool:
+    """True for a non-empty run of ASCII digits: what ``int`` should read.
+
+    ``str.isdigit`` also accepts characters such as '²' (which ``int``
+    rejects) and '١' (which ``int`` reads as 1).
+    """
+    return s.isascii() and s.isdecimal()
+
+
 def _parse_node_name(tok: str) -> tuple[int, bool]:
     """Return (id, is_steiner) for a serialized node name."""
-    if tok.startswith("s") and tok[1:].isdigit():
+    if not isinstance(tok, str):
+        raise HostTreeError(f"bad node name {tok!r}")
+    if tok.startswith("s") and is_ascii_int(tok[1:]):
         return int(tok[1:]), True
-    if tok.isdigit() or (tok.startswith("-") and tok[1:].isdigit()):
+    if is_ascii_int(tok) or (tok.startswith("-") and is_ascii_int(tok[1:])):
         return int(tok), False
     raise HostTreeError(f"bad node name {tok!r}")
 
@@ -493,9 +452,16 @@ def parse_host(text: str) -> HostTree:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         doc = json.loads(text)
-        pairs = [(name, doc["parent"].get(name, name)) for name in doc["nodes"]]
-        declared_steiner = set(doc.get("steiner", []))
-        for name in declared_steiner:
+        names, parents = doc.get("nodes"), doc.get("parent")
+        steiner = doc.get("steiner", [])
+        if not (isinstance(names, list) and isinstance(parents, dict)
+                and isinstance(steiner, list)):
+            raise HostTreeError("JSON host needs 'nodes' (list), 'parent' "
+                                "(object) and optional 'steiner' (list)")
+        if not all(isinstance(name, str) for name in names + steiner):
+            raise HostTreeError("JSON host node names must be strings")
+        pairs = [(name, parents.get(name, name)) for name in names]
+        for name in steiner:
             if not name.startswith("s"):
                 raise HostTreeError(f"steiner node {name!r} lacks 's' prefix")
     else:
@@ -571,4 +537,5 @@ def parse_host(text: str) -> HostTree:
         if host.is_steiner(i):
             p = parent[i]
             owner[i] = p if p < n_vertices else owner[p]
+    host.owner = _int64(owner)
     return host

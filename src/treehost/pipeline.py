@@ -4,6 +4,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .bounds import lb_instance
 from .bracket import run_bracket_builder
 from .cost import evaluate
@@ -39,6 +41,13 @@ class SolveReport:
                     "elimination-cost",
                     f"final {self.final_cost} exceeds phase-1 "
                     f"{self.phase1_cost} + (n-1)")
+            gain, cap = self.final_cost - self.phase1_cost, max(self.n - 1, 0)
+            if (self.charge_total is not None
+                    and not gain <= self.charge_total <= cap):
+                raise InvariantViolation(
+                    "charge-total",
+                    f"charge_total {self.charge_total} outside "
+                    f"[final - phase1, n-1] = [{gain}, {cap}]")
             if self.final_cost < self.lb:
                 raise InvariantViolation(
                     "lower-bound",
@@ -65,6 +74,19 @@ class SolveReport:
             "ratio_vs_opt": self.ratio_vs_opt,
             "wall_times": self.wall_times,
         }
+
+
+def check_accounting(report: SolveReport, leaves: int,
+                     losers: list[int]) -> None:
+    """O(n) certificates of one solve: the report's bounds, the steiner
+    count leaves - 1 of phase 1, and a ledger where no vertex loses twice."""
+    if report.steiner_count != leaves - 1:
+        raise InvariantViolation(
+            "steiner-count",
+            f"{report.steiner_count} steiner nodes for {leaves} leaves")
+    if len(losers) and np.bincount(losers).max() > 1:
+        raise InvariantViolation("single-charge", "a vertex lost twice")
+    report.validate()
 
 
 @dataclass
@@ -120,5 +142,6 @@ def solve_instance(demand: DemandTree, tiebreak: str = "lex",
         if report.final_cost is not None and opt > 0:
             report.ratio_vs_opt = report.final_cost / opt
     report.wall_times["total"] = time.perf_counter() - t0
-    report.validate()
+    check_accounting(report, demand.leaf_count(),
+                     tournament.losers if tournament is not None else [])
     return SolveResult(report, host, tournament)

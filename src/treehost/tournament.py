@@ -24,50 +24,37 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (DEAD, NONE, DemandTree, HostTree, InvariantViolation,
-                    TreeHostError)
+                    TreeHostError, is_ascii_int)
 
 
-def _label_rank(demand: DemandTree, mode: str) -> list[int]:
+def _label_rank(demand: DemandTree, mode: str) -> np.ndarray:
     """Rank of each vertex under the tiebreak order.
 
-    "lex" sorts labels lexicographically with numeric awareness (all-digit
-    labels compare as integers and before non-numeric ones); "id" keeps the
-    input id order.  With default labels both coincide.
+    "lex" sorts labels lexicographically with numeric awareness (labels made
+    of ASCII digits compare as integers and before all other labels); "id"
+    keeps the input id order.  With default labels both coincide.
     """
-    n = demand.n
-    if mode == "id" or demand.labels is None:
-        return list(range(n))
-    if mode != "lex":
+    if mode not in ("id", "lex"):
         raise ValueError(f"unknown tiebreak {mode!r}")
+    n = demand.n
+    rank = np.arange(n, dtype=np.int64)
+    if mode == "id" or demand.labels is None:
+        return rank
+    labels = demand.labels
 
     def sort_key(v: int):
-        lbl = demand.labels[v]
-        return (0, int(lbl), "") if lbl.isdigit() else (1, 0, lbl)
+        lbl = labels[v]
+        return (0, int(lbl), "") if is_ascii_int(lbl) else (1, 0, lbl)
 
-    rank = [0] * n
-    for r, v in enumerate(sorted(range(n), key=sort_key)):
-        rank[v] = r
+    order = np.fromiter(sorted(range(n), key=sort_key), dtype=np.int64,
+                        count=n)
+    rank[order] = np.arange(n, dtype=np.int64)
     return rank
 
 
-def match_keys(demand: DemandTree, tiebreak: str = "lex") -> list[int]:
+def match_keys(demand: DemandTree, tiebreak: str = "lex") -> np.ndarray:
     """Single-integer match priority per vertex: child count, then tiebreak."""
-    n = demand.n
-    rank = _label_rank(demand, tiebreak)
-    off = demand.child_off
-    return [(off[v + 1] - off[v]) * n + rank[v] for v in range(n)]
-
-
-def _keys_numpy(demand: DemandTree, tiebreak: str) -> np.ndarray:
-    n = demand.n
-    c = np.diff(demand.np_views()[0])
-    if tiebreak == "id" or demand.labels is None:
-        if tiebreak not in ("id", "lex"):
-            raise ValueError(f"unknown tiebreak {tiebreak!r}")
-        rank = np.arange(n, dtype=np.int64)
-    else:
-        rank = np.asarray(_label_rank(demand, tiebreak), dtype=np.int64)
-    return c * n + rank
+    return np.diff(demand.child_off) * demand.n + _label_rank(demand, tiebreak)
 
 
 @dataclass(frozen=True)
@@ -94,9 +81,13 @@ class TournamentResult:
         return sum(self.charges)
 
 
-def _rewrite(host: HostTree, s: int, x: int, y: int) -> None:
-    """Apply one match at steiner node s with winner x, loser y."""
-    par, left, right = host.parent, host.left, host.right
+def _rewrite(par, left, right, s: int, x: int, y: int) -> tuple[int, int, int]:
+    """Apply one match at steiner node s with winner x, loser y.
+
+    Works on the host's arrays or on list copies of them.  Returns the
+    steiner node's parent q and the players' former host children a (of x)
+    and b (of y).
+    """
     q = par[s]
     a = left[x]
     b = left[y]
@@ -114,10 +105,12 @@ def _rewrite(host: HostTree, s: int, x: int, y: int) -> None:
     par[s] = DEAD
     left[s] = NONE
     right[s] = NONE
+    return q, a, b
 
 
 def match(host: HostTree, demand: DemandTree, s: int,
-          tiebreak: str = "lex", keys: list[int] | None = None) -> MatchRewrite:
+          tiebreak: str = "lex",
+          keys: np.ndarray | None = None) -> MatchRewrite:
     """Apply the single match at steiner node ``s`` in place.
 
     Requires both children of ``s`` to be demand vertices already (matches
@@ -125,7 +118,7 @@ def match(host: HostTree, demand: DemandTree, s: int,
     """
     if not host.is_live(s) or not host.is_steiner(s):
         raise TreeHostError(f"node {s} is not a live steiner node")
-    xl, yr = host.left[s], host.right[s]
+    xl, yr = int(host.left[s]), int(host.right[s])
     if xl == NONE or yr == NONE:
         raise InvariantViolation("(i) steiner-degree",
                                  f"steiner node {s} lacks two children")
@@ -138,14 +131,16 @@ def match(host: HostTree, demand: DemandTree, s: int,
         x, y = xl, yr
     else:
         x, y = yr, xl
-    _rewrite(host, s, x, y)
+    _rewrite(host.parent, host.left, host.right, s, x, y)
     return MatchRewrite(s, x, y, demand.child_count(y))
 
 
-def _check_after_match(host: HostTree, demand: DemandTree, s: int,
-                       x: int, y: int, a: int, b: int, q: int) -> None:
-    """Local invariant checks for the region touched by one rewrite."""
-    par, left, right = host.parent, host.left, host.right
+def _check_after_match(par, left, right, host: HostTree, demand: DemandTree,
+                       s: int, x: int, y: int, a: int, b: int, q: int) -> None:
+    """Local invariant checks for the region touched by one rewrite.
+
+    ``par``/``left``/``right`` are the sweep's working copies of the host.
+    """
     if par[s] != DEAD:
         raise InvariantViolation("(i) steiner-degree",
                                  f"steiner {s} still live after its match")
@@ -187,14 +182,15 @@ def _run_numpy(host: HostTree, demand: DemandTree,
     The winner of a whole bracket is simply its key-minimal player, and each
     match outcome depends only on static keys, so the final links can be
     assembled layer by layer over all brackets at once.  Produces exactly the
-    arrays of the sequential sweep (verified by tests), in O(n) numpy work.
+    arrays and the ledger of the sequential sweep (verified by tests), in
+    O(n) numpy work.
     """
     from .bracket import _bracket_slots
 
     n = demand.n
-    off, flat = demand.np_views()
+    off, flat = demand.child_off, demand.child_flat
     c = np.diff(off)
-    keys = _keys_numpy(demand, tiebreak)
+    keys = match_keys(demand, tiebreak)
     total = host.num_nodes()
     par = np.full(total, NONE, dtype=np.int64)
     left = np.full(total, NONE, dtype=np.int64)
@@ -215,7 +211,7 @@ def _run_numpy(host: HostTree, demand: DemandTree,
         left[has] = winners
         par[winners] = has
 
-    loser_parts: list[np.ndarray] = []
+    losers_arr = np.empty(0, dtype=np.int64)
     verts, rep, gs_entry, slot, cc, node, _bases = _bracket_slots(demand)
     if verts.size:
         current = node.copy()
@@ -251,18 +247,13 @@ def _run_numpy(host: HostTree, demand: DemandTree,
             par[b[got_b]] = y[got_b]
             current[pos] = x
             loser_at[pos] = y
-            loser_parts.append(y)
+        # ledger in the sweep's firing order: steiner ids grow with int_pos
+        losers_arr = loser_at[int_pos[::-1]]
 
     host.parent = par
     host.left = left
     host.right = right
-    if loser_parts:
-        losers_arr = np.concatenate(loser_parts)
-        losers = losers_arr.tolist()
-        charges = c[losers_arr].tolist()
-    else:
-        losers, charges = [], []
-    return TournamentResult(host, losers, charges)
+    return TournamentResult(host, losers_arr.tolist(), c[losers_arr].tolist())
 
 
 def run_tournament(host: HostTree, demand: DemandTree, tiebreak: str = "lex",
@@ -274,22 +265,16 @@ def run_tournament(host: HostTree, demand: DemandTree, tiebreak: str = "lex",
     already vertices.  The win rule depends only on static child counts,
     hence any valid firing order yields this same tree.
 
-    Hosts carrying numpy arrays (large instances) take a vectorized path
-    with identical results; ``debug=True`` always uses the sequential sweep
-    with per-match checks.
+    A fresh phase-1 host takes the vectorized replay.  ``debug=True``, or a
+    host on which some matches were already played, takes the sequential
+    sweep, the literal reference; with ``debug`` it checks every match.
     """
     n = host.n_vertices
-    if isinstance(host.parent, np.ndarray):
-        untouched = (host.num_nodes() == n
-                     or not (host.parent[n:] == DEAD).any())
-        if not debug and untouched:
-            return _run_numpy(host, demand, tiebreak)
-        host.parent = host.parent.tolist()
-        host.left = host.left.tolist()
-        host.right = host.right.tolist()
-        host.owner = host.owner.tolist()
-    par, left, right = host.parent, host.left, host.right
-    keys = match_keys(demand, tiebreak)
+    if not debug and not (host.parent[n:] == DEAD).any():
+        return _run_numpy(host, demand, tiebreak)
+    par = host.parent.tolist()
+    left, right = host.left.tolist(), host.right.tolist()
+    keys = match_keys(demand, tiebreak).tolist()
     counts = demand.child_counts()
     losers: list[int] = []
     charges: list[int] = []
@@ -311,88 +296,17 @@ def run_tournament(host: HostTree, demand: DemandTree, tiebreak: str = "lex",
             x, y = xl, yr
         else:
             x, y = yr, xl
-        q = par[s]
-        a = left[x]
-        b = left[y]
-        if left[q] == s:
-            left[q] = x
-        else:
-            right[q] = x
-        par[x] = q
-        left[x] = y
-        par[y] = x
-        if a != NONE:
-            left[y] = a
-            right[y] = b
-            par[a] = y
-        par[s] = DEAD
-        left[s] = NONE
-        right[s] = NONE
+        q, a, b = _rewrite(par, left, right, s, x, y)
         losers.append(y)
         charges.append(counts[y])
         if debug:
-            _check_after_match(host, demand, s, x, y, a, b, q)
+            _check_after_match(par, left, right, host, demand, s, x, y, a, b, q)
+    host.parent = np.asarray(par, dtype=np.int64)
+    host.left = np.asarray(left, dtype=np.int64)
+    host.right = np.asarray(right, dtype=np.int64)
     if debug:
         check_invariants(demand, host)
     return TournamentResult(host, losers, charges)
-
-
-def direct_build(demand: DemandTree, tiebreak: str = "lex") -> HostTree:
-    """Build the eliminated tree directly, without materializing steiner nodes.
-
-    Children of each vertex are seeded into their bracket in ascending match
-    priority (fewest children first), then the matches are replayed locally.
-    Same rewrite semantics as :func:`run_tournament`, but the seeding differs
-    from the input-order brackets of phase 1, so the resulting tree (and
-    occasionally its cost) may differ from the simulated pipeline; it obeys
-    the same per-match charge bounds.
-    """
-    n = demand.n
-    keys = match_keys(demand, tiebreak)
-    par = [NONE] * n
-    left = [NONE] * n
-    right = [NONE] * n
-    cur = [NONE] * n          # current single host child of a live player
-    eliminated = [False] * n
-    from .bracket import leaf_slots_in_order
-
-    for v in reversed(demand.bfs_order()):
-        ch = sorted(demand.children(v), key=keys.__getitem__)
-        c = len(ch)
-        if c == 0:
-            continue
-        slot_nodes = [NONE] * (2 * c)
-        for j, s in enumerate(leaf_slots_in_order(c)):
-            slot_nodes[s] = ch[j]
-        for i in range(c - 1, 0, -1):
-            wl = slot_nodes[2 * i]
-            wr = slot_nodes[2 * i + 1]
-            if keys[wl] <= keys[wr]:
-                x, y = wl, wr
-            else:
-                x, y = wr, wl
-            a = cur[x]
-            b = cur[y]
-            if a != NONE:
-                left[y] = a
-                right[y] = b
-                par[a] = y
-                if b != NONE:
-                    par[b] = y
-            else:
-                left[y] = b
-                right[y] = NONE
-            eliminated[y] = True
-            cur[x] = y
-            par[y] = x
-            slot_nodes[i] = x
-        winner = slot_nodes[1]
-        par[winner] = v
-        cur[v] = winner
-    for v in range(n):
-        if not eliminated[v]:
-            left[v] = cur[v]
-    return HostTree(n, demand.root, par, left, right, [NONE] * n)
 
 
 def _euler_intervals(host: HostTree) -> tuple[dict[int, int], dict[int, int]]:
@@ -400,7 +314,7 @@ def _euler_intervals(host: HostTree) -> tuple[dict[int, int], dict[int, int]]:
     tout: dict[int, int] = {}
     clock = 0
     stack: list[tuple[int, bool]] = [(host.root, False)]
-    left, right = host.left, host.right
+    left, right = host.left.tolist(), host.right.tolist()
     while stack:
         node, done = stack.pop()
         if done:
@@ -424,19 +338,20 @@ def check_invariants(demand: DemandTree, host: HostTree) -> None:
     """
     host.validate()
     n = demand.n
-    left, right = host.left, host.right
+    left, right = host.left.tolist(), host.right.tolist()
+    owner, dpar = host.owner.tolist(), demand.parent.tolist()
     for s in host.steiner_nodes():
         if left[s] == NONE or right[s] == NONE:
             raise InvariantViolation("(i) steiner-degree",
                                      f"steiner node {s} has < 2 children")
-        u = host.owner[s]
+        u = owner[s]
         if u == NONE:
             raise InvariantViolation("(iii) bracket-membership",
                                      f"steiner node {s} has no owner vertex")
         for ch in (left[s], right[s]):
             if host.is_steiner(ch):
                 continue
-            if demand.parent[ch] != u:
+            if dpar[ch] != u:
                 raise InvariantViolation(
                     "(iii) bracket-membership",
                     f"vertex {ch} sits in the bracket of {u}, not of its parent")
@@ -446,7 +361,7 @@ def check_invariants(demand: DemandTree, host: HostTree) -> None:
                     f"vertex {ch} under a steiner node has two children")
     tin, tout = _euler_intervals(host)
     for v in range(n):
-        u = demand.parent[v]
+        u = dpar[v]
         if u == NONE:
             continue
         if not (tin[u] < tin[v] <= tout[u]):

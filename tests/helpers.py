@@ -13,10 +13,48 @@ from treehost import DemandTree, HostTree
 NONE = -1
 
 
+def leaf_slots_in_order(leaf_count: int) -> list[int]:
+    """Heap slots of a bracket's leaves in left-to-right order of the shape.
+
+    The bracket of c children is the heap on 2c-1 slots; children fill the
+    last-level slots first, then the second-to-last-level leaf slots, both
+    in slot order.  A slot's depth below the bracket root is
+    ``slot.bit_length() - 1``.
+    """
+    if leaf_count < 1:
+        raise ValueError("bracket needs at least one leaf")
+    depth = (leaf_count - 1).bit_length()
+    first_bottom = 1 << depth
+    return (list(range(first_bottom, 2 * leaf_count))
+            + list(range(leaf_count, first_bottom)))
+
+
+def bracket_host_by_slot_rule(demand: DemandTree) -> HostTree:
+    """Phase-1 host built bracket by bracket from the written-out slot rule.
+
+    Vertices are visited in id order; vertex v's bracket takes the next c-1
+    steiner ids for its inner slots 1..c-1 in slot order, its children fill
+    the leaf slots, and inner slot i links slot 2i left and 2i+1 right.
+    """
+    host = HostTree.empty(demand.n, demand.root)
+    for v in range(demand.n):
+        ch = demand.children(v)
+        if not ch:
+            continue
+        node = dict(zip(leaf_slots_in_order(len(ch)), ch))
+        for i in range(1, len(ch)):
+            node[i] = host.add_steiner(v)
+        host.link(v, node[1])
+        for i in range(1, len(ch)):
+            host.link(node[i], node[2 * i])
+            host.link(node[i], node[2 * i + 1])
+    return host
+
+
 def host_adjacency(host: HostTree) -> dict[int, list[int]]:
     adj: dict[int, list[int]] = {i: [] for i in host.live_nodes()}
     for i in host.live_nodes():
-        p = host.parent[i]
+        p = int(host.parent[i])
         if p >= 0:
             adj[i].append(p)
             adj[p].append(i)
@@ -62,7 +100,7 @@ def host_shape(host: HostTree, node: int | None = None):
 def parent_map(host: HostTree) -> dict[int, int]:
     """Vertex-only parent map (host must be steiner-free)."""
     assert host.steiner_count() == 0
-    return {v: host.parent[v] for v in range(host.n_vertices)
+    return {v: int(host.parent[v]) for v in range(host.n_vertices)
             if v != host.root}
 
 
@@ -95,7 +133,7 @@ FIG_FINAL_PARENTS = {2: 0, 3: 2, 1: 3, 9: 3, 4: 1, 8: 1, 6: 4, 5: 6, 7: 6,
 def max_degree(host: HostTree) -> int:
     deg = {i: 0 for i in host.live_nodes()}
     for i in host.live_nodes():
-        p = host.parent[i]
+        p = int(host.parent[i])
         if p >= 0:
             deg[i] += 1
             deg[p] += 1

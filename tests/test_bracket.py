@@ -1,50 +1,53 @@
+import numpy as np
 import pytest
 
-from treehost import (build_bracket, bracket_cost_bound, ceil_log2,
-                      check_invariants, evaluate, gen, run_bracket_builder)
-from treehost.bracket import _build_numpy, _build_python, leaf_slots_in_order
+from treehost import (bracket_cost_bound, ceil_log2, check_invariants,
+                      evaluate, gen, run_bracket_builder)
 
 import helpers
+from helpers import leaf_slots_in_order
+
+
+def _child_depths(d, v):
+    """Depth of each child of v below v in the bracket host."""
+    depths = run_bracket_builder(d).depths()
+    return [depths[w] - depths[v] for w in d.children(v)]
 
 
 def test_bracket_single_child():
-    shape = build_bracket([42])
-    assert shape.leaf_count == 1
-    assert shape.slots[1] == 42
-    assert shape.max_leaf_depth() == 0
+    assert leaf_slots_in_order(1) == [1]
+    d = gen("path", 2)
+    assert _child_depths(d, 0) == [1]  # linked directly, no steiner node
+    assert run_bracket_builder(d).steiner_count() == 0
 
 
 def test_bracket_three_children():
-    shape = build_bracket([10, 11, 12])
     # first two children on the bottom level, third one level higher
-    assert shape.slots[4] == 10 and shape.slots[5] == 11 and shape.slots[3] == 12
-    assert shape.depth(4) == 2 and shape.depth(3) == 1
-    assert shape.slots[1] is None and shape.slots[2] is None
+    assert leaf_slots_in_order(3) == [4, 5, 3]
+    assert _child_depths(gen("star", 4), 0) == [3, 3, 2]
 
 
 def test_bracket_four_children_perfect():
-    shape = build_bracket([1, 2, 3, 4])
-    assert [shape.slots[s] for s in (4, 5, 6, 7)] == [1, 2, 3, 4]
-    assert all(shape.depth(s) == 2 for s in (4, 5, 6, 7))
+    assert leaf_slots_in_order(4) == [4, 5, 6, 7]
+    assert _child_depths(gen("star", 5), 0) == [3, 3, 3, 3]
 
 
 def test_bracket_rejects_empty():
     with pytest.raises(ValueError):
-        build_bracket([])
+        leaf_slots_in_order(0)
 
 
 @pytest.mark.parametrize("ell", list(range(1, 40)) + [63, 64, 65, 200])
 def test_bracket_shape_invariants(ell):
     order = leaf_slots_in_order(ell)
     assert sorted(order) == list(range(ell, 2 * ell))
-    shape = build_bracket(list(range(ell)))
-    assert [shape.slots[s] for s in order] == list(range(ell))
-    assert shape.max_leaf_depth() == ceil_log2(ell)
-    if ell > 1:
-        assert shape.min_leaf_depth() >= ceil_log2(ell) - 1
-        for i in range(1, ell):
-            a, b = shape.children_slots(i)
-            assert a < 2 * ell and b < 2 * ell  # every inner slot has two kids
+    leaf_depths = [s.bit_length() - 1 for s in order]
+    assert max(leaf_depths) == ceil_log2(ell)
+    assert min(leaf_depths) >= ceil_log2(ell) - 1
+    for i in range(1, ell):
+        assert 2 * i + 1 < 2 * ell  # every inner slot has two child slots
+    # the builder hangs child j at 1 + the depth of the j-th leaf slot
+    assert _child_depths(gen("star", ell + 1), 0) == [1 + d for d in leaf_depths]
 
 
 def test_fig_phase1_structure(fig_demand):
@@ -97,10 +100,8 @@ def test_child_distance_is_one_plus_slot_depth(rng):
             ch = d.children(v)
             if len(ch) < 2:
                 continue
-            shape = build_bracket(ch)
-            for j, w in enumerate(ch):
-                slot = shape.leaf_slot(j)
-                assert depths[w] - depths[v] == 1 + shape.depth(slot)
+            for w, slot in zip(ch, leaf_slots_in_order(len(ch))):
+                assert depths[w] - depths[v] == slot.bit_length()  # 1 + depth
 
 
 def test_per_vertex_bound_and_steiner_count(rng):
@@ -127,7 +128,7 @@ def test_phase1_invariants_hold(rng):
         check_invariants(d, h)
 
 
-def test_numpy_builder_matches_python(rng):
+def test_builder_matches_slot_rule(rng):
     cases = [gen("path", 1), gen("path", 2), gen("star", 3)]
     for _ in range(60):
         n = rng.randint(2, 400)
@@ -135,10 +136,8 @@ def test_numpy_builder_matches_python(rng):
                            "complete_binary"))
         cases.append(gen(kind, n, seed=rng.randrange(2 ** 30)))
     for d in cases:
-        a = _build_python(d)
-        b = _build_numpy(d)
-        assert a.parent == b.parent.tolist()
-        assert a.left == b.left.tolist()
-        assert a.right == b.right.tolist()
-        assert a.owner == b.owner.tolist()
+        a = run_bracket_builder(d)
+        b = helpers.bracket_host_by_slot_rule(d)
+        for name in ("parent", "left", "right", "owner"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
         assert a.root == b.root and a.n_vertices == b.n_vertices

@@ -3,43 +3,11 @@ import random
 import pytest
 
 from treehost import (HostTree, UnknownVertexError, balanced_bst_host,
-                      bst_adversarial, distance, evaluate, gen, opt_cost,
+                      bst_adversarial, evaluate, gen, opt_cost,
                       parse_edge_list, root_at, run_bracket_builder,
                       run_tournament)
 
 import helpers
-
-
-def test_distance_self_is_zero(fig_demand):
-    h = run_bracket_builder(fig_demand)
-    for v in (0, 5, 13):
-        assert distance(h, v, v) == 0
-
-
-def test_distance_fig_phase1(fig_demand):
-    h = run_bracket_builder(fig_demand)
-    # r to u crosses the two steiner slots of r's bracket
-    assert distance(h, 0, 1) == 3
-    assert distance(h, 0, 2) == 3
-    assert distance(h, 0, 3) == 2
-
-
-def test_distance_unknown_node(fig_demand):
-    h = run_bracket_builder(fig_demand)
-    with pytest.raises(UnknownVertexError):
-        distance(h, 0, 10_000)
-
-
-def test_distance_matches_bfs_random(rng):
-    for _ in range(20):
-        n = rng.randint(2, 48)
-        d = gen("random", n, seed=rng.randrange(2 ** 30))
-        h = run_bracket_builder(d)
-        adj = helpers.host_adjacency(h)
-        nodes = h.live_nodes()
-        for _ in range(30):
-            u, v = rng.choice(nodes), rng.choice(nodes)
-            assert distance(h, u, v) == helpers.bfs_distance(adj, u, v)
 
 
 def test_evaluate_path_identity():

@@ -133,6 +133,25 @@ def test_parse_host_rejects_garbage():
         parse_host("")
 
 
+@pytest.mark.parametrize("name", ["²", "١", "s²", "-١"])
+def test_parse_host_rejects_unicode_digits(name):
+    # '²' and '١' pass str.isdigit; int() rejects the first and reads the
+    # second as 1, which would silently name vertex 1
+    with pytest.raises(HostTreeError, match="bad node name"):
+        parse_host(f"0:0\n{name}:0\n")
+    with pytest.raises(HostTreeError, match="bad node name"):
+        parse_host(f'{{"nodes": ["0", "{name}"], "parent": {{"{name}": "0"}}}}')
+
+
+def test_parse_host_json_shape_errors():
+    with pytest.raises(HostTreeError):
+        parse_host('{"nodes": ["0", "1"], "root": "0"}')        # no parent
+    with pytest.raises(HostTreeError):
+        parse_host('{"nodes": ["0", "1"], "parent": {"1": "0"}, "steiner": 5}')
+    with pytest.raises(HostTreeError):
+        parse_host('{"nodes": ["0", [1]], "parent": {}}')        # bad name
+
+
 def test_fig_final_host_parent_text(fig_demand):
     h = run_bracket_builder(fig_demand)
     run_tournament(h, fig_demand)

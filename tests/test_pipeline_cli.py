@@ -5,9 +5,9 @@ import sys
 
 import pytest
 
-from treehost import solve_instance
+from treehost import InvariantViolation, solve_instance
 from treehost.cli import main
-from treehost.pipeline import REPORT_SCHEMA
+from treehost.pipeline import REPORT_SCHEMA, check_accounting
 
 
 def test_solve_instance_fig_report(fig_demand):
@@ -307,3 +307,92 @@ def test_console_entry_point(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip().splitlines()[64] == "64\t242\t448\t1.85"
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "{edges}", "--host", "{no_parent}"],
+    ["eval", "{edges}", "--host", "{int_steiner}"],
+    ["eval", "{edges}", "--host", "{superscript_host}"],
+    ["gen", "--kind", "path", "--n", "0"],
+    ["gen", "--kind", "random", "--n", "5"],
+    ["lb", "{edges}", "--delta", "2"],
+    ["bench", "--sizes", ""],
+    ["bench", "--sizes", "64", "--reps", "0"],
+    ["bst-demo", "--n", "6"],
+    ["solve", "{not_utf8}"],
+])
+def test_cli_bad_arguments_are_typed_errors(argv, tmp_path, capsys):
+    files = {
+        "edges": "0 1\n",
+        "no_parent": '{"nodes": ["0", "1"], "root": "0"}',
+        "int_steiner": '{"nodes": ["0", "1"], "parent": {"1": "0"}, '
+                       '"steiner": 5, "root": "0"}',
+        "superscript_host": "0:0\n²:0\n",
+        "not_utf8": "\udcff 1\n",
+    }
+    paths = {}
+    for name, text in files.items():
+        paths[name] = tmp_path / name
+        paths[name].write_bytes(text.encode("utf-8", "surrogateescape"))
+    code, out, err = _run([a.format(**paths) for a in argv], capsys=capsys)
+    assert code == 1
+    assert err.startswith("error:")
+    assert out == ""
+
+
+@pytest.mark.parametrize("label", ["²", "١"])
+def test_cli_solve_unicode_digit_labels(label, tmp_path, capsys):
+    """'²' passes str.isdigit but int() rejects it; int() reads '١' as 1.
+    Both are plain non-numeric labels, ranked after the numeric '3'."""
+    f = tmp_path / "digits.edges"
+    f.write_text(f"r {label}\nr 3\n", encoding="utf-8")
+    code, out, _ = _run(["solve", str(f), "--json"], capsys=capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["charge_ledger"] == [[label, 0]]  # tie on child count: 3 wins
+    assert doc["host"]["parent"] == {"2": "0", "1": "2"}
+
+
+def _tampered(fig_demand, monkeypatch, tamper):
+    import treehost.pipeline as pipeline
+    real = pipeline.run_tournament
+
+    def run(*args, **kwargs):
+        result = real(*args, **kwargs)
+        tamper(result)
+        return result
+
+    monkeypatch.setattr(pipeline, "run_tournament", run)
+    return solve_instance(fig_demand)
+
+
+def test_solve_rejects_a_vertex_that_loses_twice(fig_demand, monkeypatch):
+    def lose_twice(result):
+        result.losers[1] = result.losers[0]
+
+    with pytest.raises(InvariantViolation, match="lost twice"):
+        _tampered(fig_demand, monkeypatch, lose_twice)
+
+
+def test_solve_rejects_a_charge_total_above_n_minus_one(fig_demand,
+                                                       monkeypatch):
+    def overcharge(result):
+        result.charges[0] += fig_demand.n  # total 9 + 14 > n - 1
+
+    with pytest.raises(InvariantViolation, match="charge_total"):
+        _tampered(fig_demand, monkeypatch, overcharge)
+
+
+def test_report_rejects_a_charge_total_below_the_cost_increase(fig_demand):
+    rep = solve_instance(fig_demand).report
+    rep.charge_total = rep.final_cost - rep.phase1_cost - 1
+    with pytest.raises(InvariantViolation, match="charge_total"):
+        rep.validate()
+
+
+def test_solve_rejects_a_wrong_steiner_count(fig_demand):
+    rep = solve_instance(fig_demand).report
+    check_accounting(rep, fig_demand.leaf_count(), [])
+    rep.steiner_count += 1
+    with pytest.raises(InvariantViolation, match="steiner"):
+        check_accounting(rep, fig_demand.leaf_count(), [])
