@@ -103,6 +103,19 @@ def bracket_cost_bound(c: int) -> int:
     return c * (ceil_log2(c) + 1)
 
 
+def bracket_cost(counts: np.ndarray) -> np.ndarray:
+    """Exact phase-1 cost per vertex from its child count c.
+
+    A bracket over c children has depth D = ceil(log2 c); 2^D - c children
+    sit one level higher than the rest, so the vertex pays
+    c*(D+1) - (2^D - c), and 0 when c = 0.
+    """
+    c = np.asarray(counts, dtype=np.int64)
+    # frexp's exponent of c - 1 is its bit length, i.e. ceil(log2 c) for c >= 1
+    d = np.frexp(np.maximum(c - 1, 0))[1].astype(np.int64)
+    return np.where(c > 0, c * (d + 2) - np.left_shift(1, d), 0)
+
+
 @dataclass(frozen=True)
 class BoundRow:
     """One bound-table row: child count, lower/upper bound, truncated ratio."""

@@ -11,17 +11,16 @@ import random
 import sys
 import time
 
-from .bounds import bracket_cost_bound, format_table, lb_instance, table1
-from .bracket import run_bracket_builder
+from .bounds import format_table, lb_instance, table1
 from .cost import evaluate
 from .generate import KINDS, bst_demo, gen
 from .model import (DemandTree, InvariantViolation, ParameterError,
                     ResourceCapError, TreeHostError, UnknownVertexError,
                     is_ascii_int, parse_edge_list, parse_host, root_at,
                     serialize)
-from .oracle import MAX_N, opt_cost
+from .oracle import BANK_MAX_N, MAX_N, opt_cost
 from .pipeline import solve_instance
-from .tournament import check_invariants, run_tournament
+from .tournament import check_invariants
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -181,44 +180,6 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _check_one(demand: DemandTree, use_oracle: bool) -> float | None:
-    """All structural checks for one instance; returns ALG/OPT when known."""
-    host = run_bracket_builder(demand)
-    phase1 = evaluate(demand, host)
-    n = demand.n
-    counts = demand.child_counts()
-    for v in range(n):
-        if phase1.per_vertex[v] > bracket_cost_bound(counts[v]):
-            raise InvariantViolation(
-                "bracket-cost",
-                f"vertex {v} pays {phase1.per_vertex[v]} > bound")
-    expected_steiner = max(demand.leaf_count() - 1, 0) if n >= 2 else 0
-    if host.steiner_count() != expected_steiner:
-        raise InvariantViolation(
-            "steiner-count",
-            f"{host.steiner_count()} steiner nodes, expected {expected_steiner}")
-    check_invariants(demand, host)
-    result = run_tournament(host, demand, debug=True)
-    final = evaluate(demand, host)
-    if final.total - phase1.total > n - 1:
-        raise InvariantViolation(
-            "elimination-cost",
-            f"tournament added {final.total - phase1.total} > n-1")
-    if len(set(result.losers)) != len(result.losers):
-        raise InvariantViolation("single-charge", "a vertex lost twice")
-    lb = lb_instance(demand, 3)
-    if final.total < lb:
-        raise InvariantViolation("lower-bound",
-                                 f"final {final.total} below bound {lb}")
-    if use_oracle and 2 <= n <= 9:
-        opt, _ = opt_cost(demand)
-        if final.total > 4 * opt:
-            raise InvariantViolation(
-                "4x-optimum", f"final {final.total} > 4*OPT = {4 * opt}")
-        return final.total / opt if opt else None
-    return None
-
-
 def cmd_check(args) -> int:
     if args.host is not None:
         if args.input is None:
@@ -232,6 +193,8 @@ def cmd_check(args) -> int:
     instances: list[DemandTree] = []
     if args.random is not None:
         max_n, seed, count = args.random
+        if count < 1:
+            raise ParameterError(f"--random COUNT must be >= 1, got {count}")
         rng = random.Random(seed)
         for _ in range(count):
             n = rng.randint(3, max(3, max_n))
@@ -244,7 +207,10 @@ def cmd_check(args) -> int:
     max_ratio = 0.0
     with_oracle = not args.no_oracle
     for demand in instances:
-        ratio = _check_one(demand, with_oracle)
+        result = solve_instance(
+            demand, debug=True,
+            with_oracle=with_oracle and demand.n <= BANK_MAX_N)
+        ratio = result.report.ratio_vs_opt
         if ratio is not None:
             max_ratio = max(max_ratio, ratio)
     print(f"checked {len(instances)} instance(s): all invariants hold")

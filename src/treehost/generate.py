@@ -20,9 +20,9 @@ KINDS = ("path", "star", "caterpillar", "complete_binary", "random")
 BST_ENUM_CAP = 12
 
 
-def _random_prufer_edges(n: int, rng: random.Random) -> list[tuple[int, int]]:
-    """Uniform labeled tree; linear-time smallest-leaf-first decode."""
-    seq = [rng.randrange(n) for _ in range(n - 2)]
+def prufer_edges(seq: list[int], n: int) -> list[tuple[int, int]]:
+    """Edges of the tree on 0..n-1 (n >= 2) that the Prüfer sequence
+    ``seq`` of length n-2 encodes; linear-time smallest-leaf-first decode."""
     deg = [1] * n
     for x in seq:
         deg[x] += 1
@@ -68,7 +68,8 @@ def gen(kind: str, n: int, seed: int | None = None) -> DemandTree:
     elif kind == "complete_binary":
         edges = [((i - 1) // 2, i) for i in range(1, n)]
     else:
-        edges = _random_prufer_edges(n, random.Random(seed))
+        rng = random.Random(seed)
+        edges = prufer_edges([rng.randrange(n) for _ in range(n - 2)], n)
     # generator output is a tree by construction; skip re-validation
     return root_at(UnrootedTree.from_tree_edges_unchecked(edges, n), 0)
 
@@ -196,7 +197,7 @@ class BstDemoResult:
     exhaustive_min: int | None
 
 
-def bst_demo(n: int, exhaustive_cap: int = BST_ENUM_CAP) -> BstDemoResult:
+def bst_demo(n: int) -> BstDemoResult:
     """Cost of the balanced search-tree host on the adversarial keyed path.
 
     Requires n to be a power of two >= 4.  For n within the enumeration cap
@@ -207,5 +208,5 @@ def bst_demo(n: int, exhaustive_cap: int = BST_ENUM_CAP) -> BstDemoResult:
     keyed = bst_adversarial(n)
     host = balanced_bst_host(keyed)
     cost = evaluate(keyed.tree, host).total
-    exh = exhaustive_bst_min(keyed) if n <= exhaustive_cap else None
+    exh = exhaustive_bst_min(keyed) if n <= BST_ENUM_CAP else None
     return BstDemoResult(n, cost, n - 1, cost / (n - 1), exh)

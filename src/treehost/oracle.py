@@ -19,28 +19,13 @@ from typing import Iterator
 import numpy as np
 
 from .cost import evaluate
+from .generate import prufer_edges
 from .model import DemandTree, HostTree, ResourceCapError, UnrootedTree, root_at
 
 MAX_N = 10
 BANK_MAX_N = 9
 _CHUNK = 1 << 18
 _INF = 100
-
-
-def _decode_prufer(seq: list[int], n: int) -> list[tuple[int, int]]:
-    """Edges of the tree encoded by a Prüfer sequence (smallest-leaf rule)."""
-    deg = [1] * n
-    for x in seq:
-        deg[x] += 1
-    edges = []
-    for x in seq:
-        leaf = min(v for v in range(n) if deg[v] == 1)
-        edges.append((leaf, x))
-        deg[leaf] -= 1
-        deg[x] -= 1
-    u, v = (v for v in range(n) if deg[v] == 1)
-    edges.append((u, v))
-    return edges
 
 
 def enumerate_hosts(n: int) -> Iterator[list[tuple[int, int]]]:
@@ -53,15 +38,12 @@ def enumerate_hosts(n: int) -> Iterator[list[tuple[int, int]]]:
         raise ResourceCapError(f"host enumeration capped at n={MAX_N}, got {n}")
     if n < 2:
         raise ValueError("host enumeration needs n >= 2")
-    if n == 2:
-        yield [(0, 1)]
-        return
     seq = [0] * (n - 2)
     counts = [0] * n
 
     def rec(pos: int) -> Iterator[list[tuple[int, int]]]:
         if pos == n - 2:
-            yield _decode_prufer(seq, n)
+            yield prufer_edges(seq, n)
             return
         for label in range(n):
             if counts[label] == 2:
@@ -126,6 +108,20 @@ def _decode_chunk(seqs: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
     return edges
 
 
+def _host_chunks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every qualifying Prüfer sequence in lexicographic order, chunk by
+    chunk, with the (m, n, n) distance matrices of the hosts they encode."""
+    total = n ** (n - 2)
+    for start in range(0, total, _CHUNK):
+        seqs = _seq_chunk(start, min(start + _CHUNK, total), n)
+        counts = _label_counts(seqs, n)
+        keep = (counts <= 2).all(axis=1)
+        if keep.any():
+            seqs = seqs[keep]
+            yield seqs, _all_pairs_dist(
+                _decode_chunk(seqs, counts[keep], n), n)
+
+
 def _all_pairs_dist(edges: np.ndarray, n: int) -> np.ndarray:
     """Per-host distance matrices via batched Floyd-Warshall (int16)."""
     m = edges.shape[0]
@@ -157,19 +153,9 @@ class _HostBank:
 @lru_cache(maxsize=None)
 def _bank(n: int) -> _HostBank:
     iu, iv = _pair_columns(n)
-    total = n ** (n - 2)
     seq_blocks = []
     dist_blocks = []
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        seqs = _seq_chunk(start, stop, n)
-        counts = _label_counts(seqs, n)
-        keep = (counts <= 2).all(axis=1)
-        seqs = seqs[keep]
-        if not seqs.shape[0]:
-            continue
-        edges = _decode_chunk(seqs, counts[keep], n)
-        dist = _all_pairs_dist(edges, n)
+    for seqs, dist in _host_chunks(n):
         seq_blocks.append(seqs)
         dist_blocks.append(dist[:, iu, iv].astype(np.int8))
     return _HostBank(n, np.concatenate(seq_blocks),
@@ -217,28 +203,19 @@ def opt_cost(demand: DemandTree) -> tuple[int, HostTree]:
         costs = bank.pair_dists[:, cols].sum(axis=1, dtype=np.int32)
         best = int(costs.argmin())
         opt = int(costs[best])
-        edges = _decode_prufer(bank.seqs[best].tolist(), n)
+        edges = prufer_edges(bank.seqs[best].tolist(), n)
     else:
         cols = np.asarray(list(demand.edges()), dtype=np.int64)
-        total = n ** (n - 2)
         opt = None
         best_seq = None
-        for start in range(0, total, _CHUNK):
-            stop = min(start + _CHUNK, total)
-            seqs = _seq_chunk(start, stop, n)
-            counts = _label_counts(seqs, n)
-            keep = (counts <= 2).all(axis=1)
-            seqs = seqs[keep]
-            if not seqs.shape[0]:
-                continue
-            dist = _all_pairs_dist(_decode_chunk(seqs, counts[keep], n), n)
+        for seqs, dist in _host_chunks(n):
             costs = dist[:, cols[:, 0], cols[:, 1]].sum(axis=1, dtype=np.int32)
             i = int(costs.argmin())
             if opt is None or costs[i] < opt:
                 opt = int(costs[i])
                 best_seq = seqs[i].tolist()
         assert opt is not None and best_seq is not None
-        edges = _decode_prufer(best_seq, n)
+        edges = prufer_edges(best_seq, n)
 
     host = _host_from_edges(edges, n, demand.labels)
     breakdown = evaluate(demand, host)

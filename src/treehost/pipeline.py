@@ -6,12 +6,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import lb_instance
+from .bounds import bracket_cost, lb_instance
 from .bracket import run_bracket_builder
 from .cost import evaluate
 from .model import DemandTree, HostTree, InvariantViolation
 from .oracle import MAX_N, opt_cost
-from .tournament import TournamentResult, run_tournament
+from .tournament import TournamentResult, check_invariants, run_tournament
 
 REPORT_SCHEMA = "treehost.solve_report.v1"
 
@@ -89,6 +89,22 @@ def check_accounting(report: SolveReport, leaves: int,
     report.validate()
 
 
+def _check_bracket_cost(demand: DemandTree, per_vertex: list[int]) -> None:
+    """O(n) certificate of phase 1: every vertex pays its closed-form cost.
+
+    A function of its own so that its n-sized arrays are freed before the
+    rest of the solve, which is where its memory peaks.
+    """
+    closed = bracket_cost(np.diff(demand.child_off))
+    wrong = np.flatnonzero(np.asarray(per_vertex) != closed)
+    if wrong.size:
+        v = int(wrong[0])
+        raise InvariantViolation(
+            "bracket-cost",
+            f"vertex {v} pays {per_vertex[v]} in phase 1, closed form "
+            f"{int(closed[v])}")
+
+
 @dataclass
 class SolveResult:
     report: SolveReport
@@ -103,11 +119,17 @@ def solve_instance(demand: DemandTree, tiebreak: str = "lex",
 
     The host tree is built in place: with ``phase1_only`` the returned host
     still contains steiner nodes, otherwise it is the eliminated final tree.
+    Every solve certifies the phase-1 cost of each vertex against its closed
+    form and the accounting of ``check_accounting``; ``debug`` adds the full
+    invariant checks of the phase-1 host and of every match.
     """
     t0 = time.perf_counter()
     host = run_bracket_builder(demand)
+    if debug:
+        check_invariants(demand, host)
     t1 = time.perf_counter()
     phase1 = evaluate(demand, host)
+    _check_bracket_cost(demand, phase1.per_vertex)
     steiner_count = host.num_nodes() - demand.n
     lb = lb_instance(demand, 3)
     trivial = max(demand.n - 1, 0)

@@ -109,8 +109,7 @@ def _rewrite(par, left, right, s: int, x: int, y: int) -> tuple[int, int, int]:
 
 
 def match(host: HostTree, demand: DemandTree, s: int,
-          tiebreak: str = "lex",
-          keys: np.ndarray | None = None) -> MatchRewrite:
+          tiebreak: str = "lex") -> MatchRewrite:
     """Apply the single match at steiner node ``s`` in place.
 
     Requires both children of ``s`` to be demand vertices already (matches
@@ -125,8 +124,7 @@ def match(host: HostTree, demand: DemandTree, s: int,
     if host.is_steiner(xl) or host.is_steiner(yr):
         raise TreeHostError(
             f"match at {s} not ready: a child is still a steiner node")
-    if keys is None:
-        keys = match_keys(demand, tiebreak)
+    keys = match_keys(demand, tiebreak)
     if keys[xl] <= keys[yr]:
         x, y = xl, yr
     else:

@@ -3,6 +3,8 @@ import pytest
 
 from treehost import (bracket_cost_bound, ceil_log2, check_invariants,
                       evaluate, gen, run_bracket_builder)
+from treehost.bounds import bracket_cost
+from treehost.generate import KINDS
 
 import helpers
 from helpers import leaf_slots_in_order
@@ -117,6 +119,21 @@ def test_per_vertex_bound_and_steiner_count(rng):
             assert got.per_vertex[v] <= bracket_cost_bound(counts[v])
         assert h.steiner_count() == d.leaf_count() - 1
         assert got.total <= 3 * lb_instance(d)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 1000])
+def test_bracket_cost_is_the_phase1_cost_of_every_vertex(kind, n):
+    d = gen(kind, n, seed=n)
+    got = bracket_cost(np.diff(d.child_off))
+    assert got.tolist() == evaluate(d, run_bracket_builder(d)).per_vertex
+
+
+def test_bracket_cost_of_the_worked_example(fig_demand):
+    got = bracket_cost(np.diff(fig_demand.child_off))
+    phase1 = evaluate(fig_demand, run_bracket_builder(fig_demand))
+    assert got.tolist() == phase1.per_vertex
+    assert int(got.sum()) == phase1.total == 33
 
 
 def test_phase1_invariants_hold(rng):

@@ -320,6 +320,8 @@ def test_console_entry_point(tmp_path):
     ["bench", "--sizes", "64", "--reps", "0"],
     ["bst-demo", "--n", "6"],
     ["solve", "{not_utf8}"],
+    ["check", "--random", "5", "1", "0"],
+    ["check", "--random", "5", "1", "-1"],
 ])
 def test_cli_bad_arguments_are_typed_errors(argv, tmp_path, capsys):
     files = {
@@ -396,3 +398,26 @@ def test_solve_rejects_a_wrong_steiner_count(fig_demand):
     rep.steiner_count += 1
     with pytest.raises(InvariantViolation, match="steiner"):
         check_accounting(rep, fig_demand.leaf_count(), [])
+
+
+def test_solve_and_check_certify_each_phase1_cost(fig_demand, fig_text,
+                                                  tmp_path, monkeypatch,
+                                                  capsys):
+    import treehost.pipeline as pipeline
+    real = pipeline.evaluate
+
+    def off_by_one(demand, host):
+        breakdown = real(demand, host)
+        breakdown.per_vertex[0] += 1
+        return breakdown
+
+    monkeypatch.setattr(pipeline, "evaluate", off_by_one)
+    with pytest.raises(InvariantViolation, match="bracket-cost") as exc:
+        solve_instance(fig_demand)
+    assert exc.value.code == "bracket-cost"
+    f = tmp_path / "fig.edges"
+    f.write_text(fig_text)
+    code, out, err = _run(["check", str(f)], capsys=capsys)
+    assert code == 2
+    assert "bracket-cost" in err
+    assert out == ""

@@ -1,0 +1,43 @@
+"""Static checks over the package source (no linter is a dependency)."""
+import ast
+from pathlib import Path
+
+import pytest
+
+import treehost
+
+SRC = Path(treehost.__file__).parent
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Module-level imports that the module never names and does not
+    list in ``__all__``."""
+    bound: dict[str, int] = {}
+    exported: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"{name} (line {line})" for name, line in bound.items()
+            if name not in used and name not in exported]
+
+
+def test_unused_import_scan_finds_a_dead_import():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import os.path\nimport sys as system\n"
+                     "from a import b, c\n__all__ = ['c']\nsystem.exit(0)\n")
+    assert _unused_imports(tree) == ["os (line 2)", "b (line 4)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_unused_module_level_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert _unused_imports(tree) == []
