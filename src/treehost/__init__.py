@@ -20,21 +20,21 @@ from .model import (DemandTree, EdgeListError, HostTree, HostTreeError,
                     parse_edge_list, parse_host, root_at, serialize)
 from .oracle import enumerate_hosts, opt_cost
 from .pipeline import SolveReport, SolveResult, solve_instance
-from .tournament import (MatchRewrite, TournamentResult, check_invariants,
-                         match, match_keys, run_tournament)
+from .tournament import (TournamentResult, check_invariants, match_keys,
+                         run_tournament)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoundRow", "BstDemoResult", "CostBreakdown",
     "DemandTree", "EdgeListError", "HostTree", "HostTreeError",
-    "InvariantViolation", "KeyedPath", "MatchRewrite", "ParameterError",
+    "InvariantViolation", "KeyedPath", "ParameterError",
     "ResourceCapError", "SolveReport", "SolveResult", "TournamentResult",
     "TreeHostError", "UnknownVertexError", "UnrootedTree", "balanced_bst_host",
     "best_case_height", "bracket_cost_bound", "bst_adversarial", "bst_demo",
     "ceil_log2", "check_invariants",
     "enumerate_hosts", "evaluate", "exhaustive_bst_min",
-    "format_table", "gen", "lb_exact", "lb_instance", "lb_simple", "match",
+    "format_table", "gen", "lb_exact", "lb_instance", "lb_simple",
     "match_keys", "opt_cost", "parse_edge_list", "parse_host",
     "root_at", "run_bracket_builder", "run_tournament", "serialize",
     "solve_instance", "table1",

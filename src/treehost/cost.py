@@ -52,7 +52,7 @@ def _lifting_tables(par: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], int]
 def evaluate(demand: DemandTree, host: HostTree) -> CostBreakdown:
     """Exact cost of the host tree against every demand edge."""
     n = demand.n
-    if host.n_vertices < n:
+    if host.n_vertices != n:
         raise UnknownVertexError(
             f"host covers {host.n_vertices} vertices, demand has {n}")
     missing = host.parent[:n] == DEAD

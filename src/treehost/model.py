@@ -305,9 +305,6 @@ class HostTree:
     def is_steiner(self, i: int) -> bool:
         return i >= self.n_vertices
 
-    def is_live(self, i: int) -> bool:
-        return 0 <= i < len(self.parent) and bool(self.parent[i] != DEAD)
-
     def add_steiner(self, owner_vertex: int) -> int:
         i = len(self.parent)
         self.parent = np.append(self.parent, NONE)
@@ -360,7 +357,7 @@ class HostTree:
         """Check binary shape, link consistency, connectivity, acyclicity."""
         par = self.parent.tolist()
         left, right = self.left.tolist(), self.right.tolist()
-        if not self.is_live(self.root) or par[self.root] != NONE:
+        if not 0 <= self.root < len(par) or par[self.root] != NONE:
             raise HostTreeError("bad root")
         live = self.live_nodes()
         for v in range(self.n_vertices):

@@ -25,7 +25,6 @@ from .model import DemandTree, HostTree, ResourceCapError, UnrootedTree, root_at
 MAX_N = 10
 BANK_MAX_N = 9
 _CHUNK = 1 << 18
-_INF = 100
 
 
 def enumerate_hosts(n: int) -> Iterator[list[tuple[int, int]]]:
@@ -123,19 +122,27 @@ def _host_chunks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 
 
 def _all_pairs_dist(edges: np.ndarray, n: int) -> np.ndarray:
-    """Per-host distance matrices via batched Floyd-Warshall (int16)."""
+    """Per-host distance matrices (int8), by undoing the Prüfer decode.
+
+    The decode's last edge joins the final two vertices, and edge t removed
+    leaf ``edges[:, t, 0]`` from neighbour ``edges[:, t, 1]``.  Re-attaching
+    the leaves in reverse gives each one its neighbour's row and column
+    plus one, in O(n^2) per host.  Entries of not yet attached vertices are
+    overwritten when those vertices attach.
+    """
     m = edges.shape[0]
     rows = np.arange(m)
-    dist = np.full((m, n, n), _INF, dtype=np.int16)
-    diag = np.arange(n)
-    dist[:, diag, diag] = 0
-    for t in range(n - 1):
-        u = edges[:, t, 0].astype(np.int64)
-        v = edges[:, t, 1].astype(np.int64)
-        dist[rows, u, v] = 1
-        dist[rows, v, u] = 1
-    for k in range(n):
-        np.minimum(dist, dist[:, :, k, None] + dist[:, None, k, :], out=dist)
+    dist = np.zeros((m, n, n), dtype=np.int8)
+    u = edges[:, n - 2, 0].astype(np.int64)
+    v = edges[:, n - 2, 1].astype(np.int64)
+    dist[rows, u, v] = 1
+    dist[rows, v, u] = 1
+    for t in range(n - 3, -1, -1):
+        leaf = edges[:, t, 0].astype(np.int64)
+        row = dist[rows, edges[:, t, 1].astype(np.int64)] + 1
+        row[rows, leaf] = 0
+        dist[rows, leaf] = row
+        dist[rows, :, leaf] = row
     return dist
 
 

@@ -14,8 +14,8 @@ Three structural facts hold after phase 1 and survive every rewrite:
   (iii) a vertex that is the child of a steiner node belongs to the bracket
         of its demand parent and has at most one host child.
 
-``check_invariants`` verifies all three on a full tree; ``debug=True`` adds
-local checks after every single rewrite.
+``check_invariants`` verifies all three on a full tree; ``debug=True`` runs
+the sequential sweep, which adds local checks after every single rewrite.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (DEAD, NONE, DemandTree, HostTree, InvariantViolation,
-                    TreeHostError, is_ascii_int)
+                    TreeHostError, UnknownVertexError, is_ascii_int)
 
 
 def _label_rank(demand: DemandTree, mode: str) -> np.ndarray:
@@ -57,17 +57,6 @@ def match_keys(demand: DemandTree, tiebreak: str = "lex") -> np.ndarray:
     return np.diff(demand.child_off) * demand.n + _label_rank(demand, tiebreak)
 
 
-@dataclass(frozen=True)
-class MatchRewrite:
-    """Record of one applied match: the removed steiner node, the player
-    that advanced, the eliminated player, and the charge c_loser."""
-
-    steiner: int
-    winner: int
-    loser: int
-    charge: int
-
-
 @dataclass
 class TournamentResult:
     """Steiner-free host plus the charge ledger (one entry per match)."""
@@ -79,58 +68,6 @@ class TournamentResult:
     @property
     def total_charge(self) -> int:
         return sum(self.charges)
-
-
-def _rewrite(par, left, right, s: int, x: int, y: int) -> tuple[int, int, int]:
-    """Apply one match at steiner node s with winner x, loser y.
-
-    Works on the host's arrays or on list copies of them.  Returns the
-    steiner node's parent q and the players' former host children a (of x)
-    and b (of y).
-    """
-    q = par[s]
-    a = left[x]
-    b = left[y]
-    if left[q] == s:
-        left[q] = x
-    else:
-        right[q] = x
-    par[x] = q
-    left[x] = y
-    par[y] = x
-    if a != NONE:
-        left[y] = a
-        right[y] = b
-        par[a] = y
-    par[s] = DEAD
-    left[s] = NONE
-    right[s] = NONE
-    return q, a, b
-
-
-def match(host: HostTree, demand: DemandTree, s: int,
-          tiebreak: str = "lex") -> MatchRewrite:
-    """Apply the single match at steiner node ``s`` in place.
-
-    Requires both children of ``s`` to be demand vertices already (matches
-    fire bottom-up within a bracket).
-    """
-    if not host.is_live(s) or not host.is_steiner(s):
-        raise TreeHostError(f"node {s} is not a live steiner node")
-    xl, yr = int(host.left[s]), int(host.right[s])
-    if xl == NONE or yr == NONE:
-        raise InvariantViolation("(i) steiner-degree",
-                                 f"steiner node {s} lacks two children")
-    if host.is_steiner(xl) or host.is_steiner(yr):
-        raise TreeHostError(
-            f"match at {s} not ready: a child is still a steiner node")
-    keys = match_keys(demand, tiebreak)
-    if keys[xl] <= keys[yr]:
-        x, y = xl, yr
-    else:
-        x, y = yr, xl
-    _rewrite(host.parent, host.left, host.right, s, x, y)
-    return MatchRewrite(s, x, y, demand.child_count(y))
 
 
 def _check_after_match(par, left, right, host: HostTree, demand: DemandTree,
@@ -173,8 +110,8 @@ def _check_after_match(par, left, right, host: HostTree, demand: DemandTree,
                 "(ii) ancestry", f"demand parent of {v} is no longer above it")
 
 
-def _run_numpy(host: HostTree, demand: DemandTree,
-               tiebreak: str) -> TournamentResult:
+def _replay(host: HostTree, demand: DemandTree,
+            tiebreak: str) -> TournamentResult:
     """Vectorized elimination: replay every bracket analytically.
 
     The winner of a whole bracket is simply its key-minimal player, and each
@@ -256,20 +193,23 @@ def _run_numpy(host: HostTree, demand: DemandTree,
 
 def run_tournament(host: HostTree, demand: DemandTree, tiebreak: str = "lex",
                    debug: bool = False) -> TournamentResult:
-    """Eliminate every steiner node of a phase-1 host tree, in place.
+    """Eliminate every steiner node of a fresh phase-1 host tree, in place.
 
+    By default this is the vectorized replay.  ``debug=True`` runs the
+    sequential sweep instead, the literal reference, and checks every match.
     Steiner ids are allocated bracket-by-bracket in heap order, so sweeping
     them in reverse id order fires every match only when both children are
     already vertices.  The win rule depends only on static child counts,
     hence any valid firing order yields this same tree.
-
-    A fresh phase-1 host takes the vectorized replay.  ``debug=True``, or a
-    host on which some matches were already played, takes the sequential
-    sweep, the literal reference; with ``debug`` it checks every match.
     """
     n = host.n_vertices
-    if not debug and not (host.parent[n:] == DEAD).any():
-        return _run_numpy(host, demand, tiebreak)
+    # the replay reads nothing of the host's links, so a played host would
+    # silently get a second ledger
+    if (host.parent[n:] == DEAD).any():
+        raise TreeHostError("tournament needs a fresh phase-1 host; "
+                            "some matches were already played")
+    if not debug:
+        return _replay(host, demand, tiebreak)
     par = host.parent.tolist()
     left, right = host.left.tolist(), host.right.tolist()
     keys = match_keys(demand, tiebreak).tolist()
@@ -277,33 +217,46 @@ def run_tournament(host: HostTree, demand: DemandTree, tiebreak: str = "lex",
     losers: list[int] = []
     charges: list[int] = []
     for s in range(len(par) - 1, n - 1, -1):
-        if par[s] == DEAD:
-            continue
         xl = left[s]
         yr = right[s]
-        if debug:
-            if xl == NONE or yr == NONE:
-                raise InvariantViolation("(i) steiner-degree",
-                                         f"steiner {s} lacks two children")
-            if host.is_steiner(xl) or host.is_steiner(yr):
-                raise TreeHostError(f"match at {s} fired before its children")
-            if right[xl] != NONE or right[yr] != NONE:
-                raise InvariantViolation("(iii) single-child",
-                                         f"player below {s} has two children")
+        if xl == NONE or yr == NONE:
+            raise InvariantViolation("(i) steiner-degree",
+                                     f"steiner {s} lacks two children")
+        if xl >= n or yr >= n:
+            raise TreeHostError(f"match at {s} fired before its children")
+        if right[xl] != NONE or right[yr] != NONE:
+            raise InvariantViolation("(iii) single-child",
+                                     f"player below {s} has two children")
         if keys[xl] <= keys[yr]:
             x, y = xl, yr
         else:
             x, y = yr, xl
-        q, a, b = _rewrite(par, left, right, s, x, y)
+        # the winner x takes s's place and keeps the loser y as its one
+        # child; y inherits x's former child a next to its own b
+        q = par[s]
+        a = left[x]
+        b = left[y]
+        if left[q] == s:
+            left[q] = x
+        else:
+            right[q] = x
+        par[x] = q
+        left[x] = y
+        par[y] = x
+        if a != NONE:
+            left[y] = a
+            right[y] = b
+            par[a] = y
+        par[s] = DEAD
+        left[s] = NONE
+        right[s] = NONE
         losers.append(y)
         charges.append(counts[y])
-        if debug:
-            _check_after_match(par, left, right, host, demand, s, x, y, a, b, q)
+        _check_after_match(par, left, right, host, demand, s, x, y, a, b, q)
     host.parent = np.asarray(par, dtype=np.int64)
     host.left = np.asarray(left, dtype=np.int64)
     host.right = np.asarray(right, dtype=np.int64)
-    if debug:
-        check_invariants(demand, host)
+    check_invariants(demand, host)
     return TournamentResult(host, losers, charges)
 
 
@@ -332,10 +285,14 @@ def check_invariants(demand: DemandTree, host: HostTree) -> None:
 
     Works on phase-1 output, any mid-tournament state, and the final tree
     (where the steiner clauses are vacuous).  Raises
-    :class:`InvariantViolation` naming the violated invariant.
+    :class:`InvariantViolation` naming the violated invariant, and
+    :class:`UnknownVertexError` if the host's vertex set is not the demand's.
     """
-    host.validate()
     n = demand.n
+    if host.n_vertices != n:
+        raise UnknownVertexError(
+            f"host covers {host.n_vertices} vertices, demand has {n}")
+    host.validate()
     left, right = host.left.tolist(), host.right.tolist()
     owner, dpar = host.owner.tolist(), demand.parent.tolist()
     for s in host.steiner_nodes():

@@ -1,8 +1,15 @@
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from treehost import parse_edge_list, root_at
+
+# Hypothesis caches what it scans of local source even without an example
+# database; keep that out of the working tree.
+set_hypothesis_home_dir(Path(tempfile.gettempdir(), "treehost-hypothesis"))
 
 FIG_EDGES = """\
 r u

@@ -11,6 +11,7 @@ from collections import deque
 from treehost import DemandTree, HostTree
 
 NONE = -1
+DEAD = -2
 
 
 def leaf_slots_in_order(leaf_count: int) -> list[int]:
@@ -49,6 +50,35 @@ def bracket_host_by_slot_rule(demand: DemandTree) -> HostTree:
             host.link(node[i], node[2 * i])
             host.link(node[i], node[2 * i + 1])
     return host
+
+
+def play_match(host: HostTree, demand: DemandTree, s: int,
+               keys) -> tuple[int, int, int]:
+    """Play the knockout match at steiner node s in place, by the rule.
+
+    Both children of s must be vertices.  The one with fewer demand children
+    wins, ties going to the smaller key.  The winner takes s's place below
+    s's parent and keeps the loser as its only child; the loser adopts the
+    winner's former child, then keeps its own; s is removed.  Returns
+    (winner, loser, charge), the charge being the loser's child count.
+    """
+    players = host.children(s)
+    assert len(players) == 2 and not any(map(host.is_steiner, players))
+    x, y = sorted(players, key=lambda v: (demand.child_count(v), keys[v]))
+    adopted = host.children(x) + host.children(y)
+    q = int(host.parent[s])
+    if host.left[q] == s:
+        host.left[q] = x
+    else:
+        host.right[q] = x
+    host.parent[x] = q
+    host.left[x], host.right[x] = y, NONE
+    host.parent[y] = x
+    host.left[y], host.right[y] = (adopted + [NONE, NONE])[:2]
+    for ch in adopted:
+        host.parent[ch] = y
+    host.parent[s], host.left[s], host.right[s] = DEAD, NONE, NONE
+    return x, y, demand.child_count(y)
 
 
 def host_adjacency(host: HostTree) -> dict[int, list[int]]:

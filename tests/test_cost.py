@@ -90,6 +90,9 @@ def test_evaluate_missing_vertex():
     small = run_bracket_builder(root_at(parse_edge_list("0 1"), 0))
     with pytest.raises(UnknownVertexError):
         evaluate(d, small)
+    big = run_bracket_builder(root_at(parse_edge_list("0 1\n1 2\n2 3"), 0))
+    with pytest.raises(UnknownVertexError):
+        evaluate(d, big)
 
 
 def test_evaluate_single_vertex():

@@ -322,6 +322,8 @@ def test_console_entry_point(tmp_path):
     ["solve", "{not_utf8}"],
     ["check", "--random", "5", "1", "0"],
     ["check", "--random", "5", "1", "-1"],
+    ["eval", "{edges}", "--host", "{three_vertex_host}"],
+    ["check", "{edges}", "--host", "{three_vertex_host}"],
 ])
 def test_cli_bad_arguments_are_typed_errors(argv, tmp_path, capsys):
     files = {
@@ -330,6 +332,7 @@ def test_cli_bad_arguments_are_typed_errors(argv, tmp_path, capsys):
         "int_steiner": '{"nodes": ["0", "1"], "parent": {"1": "0"}, '
                        '"steiner": 5, "root": "0"}',
         "superscript_host": "0:0\n²:0\n",
+        "three_vertex_host": "0:0\n1:0\n2:1\n",
         "not_utf8": "\udcff 1\n",
     }
     paths = {}

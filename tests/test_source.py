@@ -41,3 +41,24 @@ def test_unused_import_scan_finds_a_dead_import():
 def test_no_unused_module_level_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert _unused_imports(tree) == []
+
+
+# The public API.  A name joins or leaves it only through an edit here.
+PUBLIC = [
+    "BoundRow", "BstDemoResult", "CostBreakdown", "DemandTree",
+    "EdgeListError", "HostTree", "HostTreeError", "InvariantViolation",
+    "KeyedPath", "ParameterError", "ResourceCapError", "SolveReport",
+    "SolveResult", "TournamentResult", "TreeHostError", "UnknownVertexError",
+    "UnrootedTree", "balanced_bst_host", "best_case_height",
+    "bracket_cost_bound", "bst_adversarial", "bst_demo", "ceil_log2",
+    "check_invariants", "enumerate_hosts", "evaluate", "exhaustive_bst_min",
+    "format_table", "gen", "lb_exact", "lb_instance", "lb_simple",
+    "match_keys", "opt_cost", "parse_edge_list", "parse_host", "root_at",
+    "run_bracket_builder", "run_tournament", "serialize", "solve_instance",
+    "table1",
+]
+
+
+def test_public_surface_is_pinned():
+    assert sorted(treehost.__all__) == PUBLIC
+    assert all(hasattr(treehost, name) for name in PUBLIC)

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treehost import (InvariantViolation, TreeHostError, check_invariants,
-                      evaluate, gen, lb_instance, match, parse_edge_list,
+                      evaluate, gen, lb_instance, match_keys, parse_edge_list,
                       root_at, run_bracket_builder, run_tournament)
+from treehost.generate import prufer_edges
 
 import helpers
 from helpers import FIG_FINAL_PARENTS
@@ -29,53 +32,91 @@ def test_match_single_rewrite_semantics():
     h = run_bracket_builder(d)
     s = h.left[0]
     assert h.is_steiner(s)
-    rec = match(h, d, s)
-    assert (rec.winner, rec.loser, rec.charge) == (1, 2, 0)
+    res = run_tournament(h, d, debug=True)
+    assert (res.losers, res.charges) == ([2], [0])
     assert h.left[0] == 1 and h.parent[1] == 0
     assert h.left[1] == 2 and h.right[1] == -1
     assert h.left[2] == -1 and h.right[2] == -1
-    assert not h.is_live(s)
+    assert h.parent[s] == -2 and h.left[s] == h.right[s] == -1
 
 
 def test_match_loser_inherits_winner_subtree():
-    # u with children a (1 child) and b (3 children): a wins, b inherits
+    # u with children a (1 child) and b (3 children): a wins, b inherits a's
+    # child p next to the winner q of its own bracket (q < r < s)
     text = "u a\nu b\na p\nb q\nb r\nb s"
     d = root_at(parse_edge_list(text), 0)
     ids = {d.label(v): v for v in range(d.n)}
     h = run_bracket_builder(d)
-    s = h.left[ids["u"]]
-    a_child = h.left[ids["a"]]
-    b_child = h.left[ids["b"]]
-    rec = match(h, d, s)
-    assert rec.winner == ids["a"] and rec.loser == ids["b"]
-    assert rec.charge == 3
-    assert h.left[ids["a"]] == ids["b"]
-    assert set(h.children(ids["b"])) == {a_child, b_child}
-    assert h.parent[a_child] == ids["b"]
+    assert h.left[ids["a"]] == ids["p"]
+    res = run_tournament(h, d, debug=True)
+    ledger = dict(zip(res.losers, res.charges))
+    assert ledger[ids["b"]] == 3
+    assert h.left[ids["u"]] == ids["a"] and h.right[ids["u"]] == -1
+    assert h.left[ids["a"]] == ids["b"] and h.right[ids["a"]] == -1
+    assert h.children(ids["b"]) == [ids["p"], ids["q"]]
+    assert h.parent[ids["p"]] == ids["b"]
 
 
-def test_match_errors():
-    d = root_at(parse_edge_list("u 1\nu 2\nu 3\nu 4"), 0)
-    h = run_bracket_builder(d)
-    with pytest.raises(TreeHostError, match="not a live steiner"):
-        match(h, d, 0)
-    top = h.left[0]
-    with pytest.raises(TreeHostError, match="not ready"):
-        match(h, d, top)  # both children still steiner
+def _play_all(h, d, tiebreak="lex"):
+    """Step the reference rule through every match in sweep order."""
+    keys = match_keys(d, tiebreak)
+    return [helpers.play_match(h, d, s, keys)
+            for s in range(h.num_nodes() - 1, d.n - 1, -1)]
 
 
 def test_run_tournament_equals_stepwise_match(rng):
     for _ in range(25):
         n = rng.randint(2, 60)
         d = gen("random", n, seed=rng.randrange(2 ** 30))
-        h_fast = run_bracket_builder(d)
-        run_tournament(h_fast, d)
         h_step = run_bracket_builder(d)
-        for s in range(h_step.num_nodes() - 1, n - 1, -1):
-            match(h_step, d, s)
-        assert np.array_equal(h_step.parent, h_fast.parent)
-        assert np.array_equal(h_step.left, h_fast.left)
-        assert np.array_equal(h_step.right, h_fast.right)
+        played = _play_all(h_step, d)
+        for debug in (False, True):
+            h = run_bracket_builder(d)
+            res = run_tournament(h, d, debug=debug)
+            assert np.array_equal(h_step.parent, h.parent)
+            assert np.array_equal(h_step.left, h.left)
+            assert np.array_equal(h_step.right, h.right)
+            assert [(y, c) for _, y, c in played] == list(
+                zip(res.losers, res.charges))
+
+
+# Label forms: numeric, leading-zero ("01" ties "1" as an integer),
+# alphanumeric, and with non-ASCII digits ("²", "١"), which rank as text.
+_LABEL_FORMS = (str, "0{}".format, "v{}".format, "{}²".format, "١{}".format)
+
+
+@st.composite
+def _labelled_edge_lists(draw):
+    """Edge-list text of a tree drawn from its Prüfer sequence, with
+    distinct labels of mixed forms, shuffled edges and flipped pairs."""
+    n = draw(st.integers(2, 200))
+    seq = draw(st.lists(st.integers(0, n - 1), min_size=n - 2,
+                        max_size=n - 2))
+    rnd = draw(st.randoms(use_true_random=False))
+    # (form, number) pairs are distinct, and so are the labels they spell
+    names = [_LABEL_FORMS[c // n](c % n)
+             for c in rnd.sample(range(len(_LABEL_FORMS) * n), n)]
+    edges = prufer_edges(seq, n)
+    rnd.shuffle(edges)
+    return "".join(f"{names[u]} {names[v]}\n"
+                   for u, v in (e if rnd.random() < 0.5 else e[::-1]
+                                for e in edges))
+
+
+@settings(database=None, derandomize=True, deadline=None)
+@given(_labelled_edge_lists())
+def test_replay_sweep_and_stepped_rule_agree(text):
+    d = root_at(parse_edge_list(text), 0)
+    for tiebreak in ("lex", "id"):
+        h_step = run_bracket_builder(d)
+        played = [(y, c) for _, y, c in _play_all(h_step, d, tiebreak)]
+        for debug in (False, True):
+            h = run_bracket_builder(d)
+            res = run_tournament(h, d, tiebreak, debug=debug)
+            assert np.array_equal(h.parent, h_step.parent)
+            assert np.array_equal(h.left, h_step.left)
+            assert np.array_equal(h.right, h_step.right)
+            assert list(zip(res.losers, res.charges)) == played
 
 
 def test_vectorized_tournament_equals_sweep(rng):
@@ -106,8 +147,9 @@ def test_invariants_hold_after_every_match(rng):
         n = rng.randint(3, 40)
         d = gen("random", n, seed=rng.randrange(2 ** 30))
         h = run_bracket_builder(d)
+        keys = match_keys(d)
         for s in range(h.num_nodes() - 1, n - 1, -1):
-            match(h, d, s)
+            helpers.play_match(h, d, s, keys)
             check_invariants(d, h)
 
 
@@ -116,12 +158,13 @@ def test_per_match_cost_delta_bounded(rng):
         n = rng.randint(3, 28)
         d = gen("random", n, seed=rng.randrange(2 ** 30))
         h = run_bracket_builder(d)
+        keys = match_keys(d)
         cost = helpers.bfs_cost(d, h)[0]
         for s in range(h.num_nodes() - 1, n - 1, -1):
-            rec = match(h, d, s)
+            winner, _, charge = helpers.play_match(h, d, s, keys)
             new_cost = helpers.bfs_cost(d, h)[0]
             delta = new_cost - cost
-            assert delta <= d.child_count(rec.winner) <= rec.charge
+            assert delta <= d.child_count(winner) <= charge
             cost = new_cost
 
 
@@ -147,13 +190,14 @@ def test_individual_matches_can_raise_cost():
     against each other; the winner's advance costs +1, within its charge."""
     d = gen("complete_binary", 15)
     h = run_bracket_builder(d)
+    keys = match_keys(d)
     cost = helpers.bfs_cost(d, h)[0]
     deltas = []
     for s in range(h.num_nodes() - 1, d.n - 1, -1):
-        rec = match(h, d, s)
+        winner, _, charge = helpers.play_match(h, d, s, keys)
         new_cost = helpers.bfs_cost(d, h)[0]
         deltas.append(new_cost - cost)
-        assert new_cost - cost <= d.child_count(rec.winner) <= rec.charge
+        assert new_cost - cost <= d.child_count(winner) <= charge
         cost = new_cost
     assert max(deltas) == 1
     assert sum(deltas) <= d.n - 1
@@ -172,6 +216,15 @@ def test_final_tree_shape_properties(rng):
         assert len(h.children(h.root)) <= 1
         check_invariants(d, h)  # ancestry still holds; steiner clauses vacuous
         assert evaluate(d, h).total <= 3 * lb_instance(d) + (n - 1)
+
+
+@pytest.mark.parametrize("debug", [False, True])
+def test_played_host_is_refused(debug):
+    d = gen("random", 30, seed=3)
+    h = run_bracket_builder(d)
+    run_tournament(h, d)
+    with pytest.raises(TreeHostError, match="already played"):
+        run_tournament(h, d, debug=debug)
 
 
 def test_path_tournament_is_noop():
