@@ -10,14 +10,15 @@ import json
 import random
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from .bounds import format_table, lb_instance, table1
 from .cost import evaluate
 from .generate import KINDS, bst_demo, gen
 from .model import (DemandTree, InvariantViolation, ParameterError,
                     ResourceCapError, TreeHostError, UnknownVertexError,
-                    is_ascii_int, parse_edge_list, parse_host, root_at,
-                    serialize)
+                    is_ascii_int, json_block, parse_edge_list, parse_host,
+                    root_at, serialize)
 from .oracle import BANK_MAX_N, MAX_N, opt_cost
 from .pipeline import solve_instance
 from .tournament import check_invariants
@@ -90,17 +91,25 @@ def cmd_solve(args) -> int:
     if args.out:
         _write_out(host_text, args.out)
     if args.json:
-        doc = rep.to_json_dict()
+        # the report in json.dumps(indent=2) layout, its big members
+        # written directly: the ledger, and the host text indented in place
+        parts = [json.dumps(rep.to_json_dict(), indent=2)[:-2]]
         if result.tournament is not None:
-            doc["charge_ledger"] = [
-                [demand.label(v), c]
-                for v, c in zip(result.tournament.losers,
-                                result.tournament.charges)]
+            names = (map(demand.labels.__getitem__, result.tournament.losers)
+                     if demand.labels is not None
+                     else map(str, result.tournament.losers))
+            ledger = json_block("".join(map(
+                "    [\n      {},\n      {}\n    ],\n".format,
+                map(encode_basestring_ascii, names),
+                result.tournament.charges)), "[", "]")
+            parts.append(f',\n  "charge_ledger": {ledger}')
         if args.out:
-            doc["host_file"] = args.out
+            parts.append(f',\n  "host_file": {json.dumps(args.out)}')
         else:
-            doc["host"] = json.loads(host_text)
-        print(json.dumps(doc, indent=2))
+            host = host_text[:-1].replace("\n", "\n  ")
+            parts.append(f',\n  "host": {host}')
+        parts.append("\n}\n")
+        sys.stdout.writelines(parts)
     else:
         print(f"n              {rep.n}")
         print(f"root           {rep.root}")

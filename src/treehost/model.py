@@ -9,10 +9,23 @@ Every tree holds its structure in flat numpy int64 arrays (CSR adjacency or
 child lists, parent/left/right arrays for the host tree) at any size; the few
 sequential walks run over local ``tolist()`` copies, which Python indexes
 faster than numpy scalars.
+
+Ingest and egress work on whole arrays and whole strings.  The edge-list
+parser checks the line shape of the entire text in one numpy pass, numbers
+the labels through one dictionary, and proves the n - 1 edges connected
+with one Euler tour from vertex 0, ranked in numpy (``_list_ranks``);
+``root_at`` reuses the parent array of that tour.
+``serialize`` ranks an Euler tour of the host for its preorder and writes
+every node name's digits at once, the JSON form directly in the layout of
+``json.dumps(indent=2)``.
 """
 from __future__ import annotations
 
 import json
+import math
+import re
+from collections import defaultdict
+from itertools import count
 
 import numpy as np
 
@@ -59,16 +72,100 @@ def _int64(values) -> np.ndarray:
     return np.asarray(values, dtype=np.int64)
 
 
+_RULER_HASH = np.uint64(0x9E3779B97F4A7C15)  # 2^64 / golden ratio
+
+
+def _list_ranks(succ: np.ndarray, head: int) -> np.ndarray | None:
+    """Position of every element on the list head -> succ[head] -> ... -> -1,
+    or None if some element is not on it.  ``succ`` must be a permutation
+    apart from the one -1, so that every walk below ends.
+
+    Ruling-set list ranking: the head and about one element in k, picked
+    by a multiplicative hash of the index so that the input's order does
+    not bunch them, are rulers.  All rulers walk their segments at once,
+    one numpy step per element of the longest segment (about k ln(size / k)
+    steps); one Python pass over the segments then chains them from the
+    head's.  k grows with the size up to 32, which balances the two loops.
+    """
+    size = len(succ)
+    k = min(32, math.isqrt(size // 512) + 1)
+    ruler = (np.arange(size, dtype=np.uint64) * _RULER_HASH
+             >> np.uint64(58)) < 64 // k
+    ruler[head] = True
+    rulers = np.flatnonzero(ruler)
+    seg = np.full(size, -1, dtype=np.int64)  # the ruler each element follows
+    seg[rulers] = np.arange(len(rulers))
+    dist = np.zeros(size, dtype=np.int64)    # and its distance from it
+    seg_len = np.zeros(len(rulers), dtype=np.int64)
+    seg_next = np.full(len(rulers), -1, dtype=np.int64)
+    walker, cur, step = np.arange(len(rulers)), succ[rulers], 1
+    while cur.size:
+        stop = cur < 0
+        stop[~stop] = ruler[cur[~stop]]
+        seg_len[walker[stop]] = step
+        seg_next[walker[stop]] = np.where(cur[stop] < 0, -1, seg[cur[stop]])
+        walker, cur = walker[~stop], cur[~stop]
+        seg[cur] = walker
+        dist[cur] = step
+        cur = succ[cur]
+        step += 1
+    base = [-1] * len(rulers)
+    nxt, lengths = seg_next.tolist(), seg_len.tolist()
+    r, pos = int(seg[head]), 0
+    while r >= 0 and base[r] < 0:
+        base[r] = pos
+        pos += lengths[r]
+        r = nxt[r]
+    if pos != size:
+        return None
+    return _int64(base)[seg] + dist
+
+
+def _tour_parent(off: np.ndarray, flat: np.ndarray,
+                 perm: np.ndarray) -> np.ndarray | None:
+    """Parent of every vertex with the tree hung from vertex 0 (-1 there),
+    or None if the edges do not connect the vertices.
+
+    The CSR position p holds arc ``perm[p]`` of the edge list, whose arcs
+    2i and 2i + 1 are edge i both ways.  One Euler tour from vertex 0 leaves
+    each vertex by the arc after the one it came in by; an arc ranked
+    before its twin points away from vertex 0.
+    """
+    n = len(off) - 1
+    parent = np.full(n, NONE, dtype=np.int64)
+    if off[1] == 0:  # vertex 0 has no edge
+        return parent if n == 1 else None
+    twin = np.empty_like(perm)
+    twin[perm] = np.arange(len(perm))
+    twin = twin[perm ^ 1]
+    succ = twin + 1
+    wrap = succ == off[flat + 1]
+    succ[wrap] = off[flat[wrap]]
+    succ[twin[off[1] - 1]] = -1  # the tour ends where it would restart
+    ranks = _list_ranks(succ, 0)
+    if ranks is None:
+        return None
+    away = ranks < ranks[twin]
+    parent[flat[away]] = flat[twin[away]]
+    if np.count_nonzero(parent == NONE) != 1:  # a vertex without edges
+        return None
+    return parent
+
+
 class UnrootedTree:
     """Connected acyclic graph over dense vertex ids, adjacency in input order."""
 
-    __slots__ = ("n", "adj_off", "adj_flat", "labels")
+    __slots__ = ("n", "adj_off", "adj_flat", "labels", "parent0")
 
-    def __init__(self, n: int, adj_off, adj_flat, labels: list[str] | None):
+    def __init__(self, n: int, adj_off, adj_flat, labels: list[str] | None,
+                 parent0=None):
         self.n = n
         self.adj_off = _int64(adj_off)
         self.adj_flat = _int64(adj_flat)
         self.labels = labels
+        # parent of each vertex with the tree hung from vertex 0 (-1 there);
+        # None when the edges are not known to connect the vertices
+        self.parent0 = None if parent0 is None else _int64(parent0)
 
     @classmethod
     def from_edges(cls, edges: list[tuple[int, int]], n: int | None = None,
@@ -116,18 +213,20 @@ class UnrootedTree:
         return cls.from_tree_edges_unchecked(edges, n, labels)
 
     @classmethod
-    def from_tree_edges_unchecked(cls, edges: list[tuple[int, int]], n: int,
+    def from_tree_edges_unchecked(cls, edges, n: int,
                                   labels: list[str] | None = None) -> "UnrootedTree":
         """CSR adjacency in edge-input order, without validation: for edges
-        already known to be a tree (validated input, generator output)."""
+        already known to be a tree (validated input, generator output).
+        Also hangs the tree from vertex 0; ``parent0`` is None if the edges
+        do not connect the vertices."""
         n = max(n, 1)
         e = _int64(edges).reshape(-1, 2)
         src = e.ravel()
-        dst = e[:, ::-1].ravel()
-        flat = dst[np.argsort(src, kind="stable")]
+        perm = np.argsort(src, kind="stable")
+        flat = e[:, ::-1].ravel()[perm]
         off = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=off[1:])
-        return cls(n, off, flat, labels)
+        return cls(n, off, flat, labels, _tour_parent(off, flat, perm))
 
     def label(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
@@ -138,34 +237,71 @@ class UnrootedTree:
         return {lbl: v for v, lbl in enumerate(self.labels)}
 
 
+# What ``str.split`` treats as whitespace, and the part of it at which
+# ``str.splitlines`` ends a line ("\r\n" ends one line).
+_SPACE_CHARS = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
+                "\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008"
+                "\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
+_BREAK_CHARS = "\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029"
+_COMMENT = re.compile(f"#[^{_BREAK_CHARS}]*")
+# code point -> 0 token character, 1 space, 2 line break; np.take clips
+# every code point above U+3000 to the last entry, a token character
+_CHAR_KIND = np.zeros(0x3002, dtype=np.uint8)
+_CHAR_KIND[[ord(c) for c in _SPACE_CHARS]] = 1
+_CHAR_KIND[[ord(c) for c in _BREAK_CHARS]] = 2
+
+
+def _check_line_shape(text: str) -> None:
+    """Raise for the first line that is neither blank nor two tokens, found
+    by classifying every character of the text at once."""
+    codes = (np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+             if text.isascii() else
+             np.frombuffer(text.encode("utf-32-le", "surrogatepass"),
+                           dtype=np.uint32))
+    kind = np.take(_CHAR_KIND, codes, mode="clip")
+    ends = kind == 2
+    ends[1:] &= (codes[1:] != 10) | (codes[:-1] != 13)  # "\r\n" ends once
+    starts = kind == 0
+    starts[1:] &= kind[:-1] != 0
+    per_line = np.bincount(np.searchsorted(np.flatnonzero(ends),
+                                           np.flatnonzero(starts)))
+    bad = np.flatnonzero((per_line != 0) & (per_line != 2))
+    if bad.size:
+        line = int(bad[0])
+        raise EdgeListError(f"line {line + 1}: expected two tokens 'u v', "
+                            f"got {per_line[line]}")
+
+
 def parse_edge_list(text: str) -> UnrootedTree:
     """Parse whitespace-separated edge pairs into an unrooted tree.
 
     One edge per line, two tokens; ``#`` starts a comment.  Tokens become
     vertex labels; ids are assigned densely by first appearance.  Empty input
     yields the single-vertex tree (the only tree the format cannot spell).
+    Edges that are not a tree go to :meth:`UnrootedTree.from_edges`, which
+    words the diagnostic.
     """
-    ids: dict[str, int] = {}
-    labels: list[str] = []
-    edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
-        if len(toks) != 2:
-            raise EdgeListError(
-                f"line {lineno}: expected two tokens 'u v', got {len(toks)}")
-        pair = []
-        for t in toks:
-            if t not in ids:
-                ids[t] = len(ids)
-                labels.append(t)
-            pair.append(ids[t])
-        edges.append((pair[0], pair[1]))
-    if not edges:
+    if "#" in text:
+        text = _COMMENT.sub("", text)
+    _check_line_shape(text)
+    tokens = text.split()
+    if not tokens:
         return UnrootedTree.from_tree_edges_unchecked([], 1, ["0"])
-    return UnrootedTree.from_edges(edges, n=len(ids), labels=labels)
+    ids = defaultdict(count().__next__)
+    edges = np.fromiter(map(ids.__getitem__, tokens), dtype=np.int64,
+                        count=len(tokens)).reshape(-1, 2)
+    del tokens  # the labels keep the first copies; free the rest now
+    labels = list(ids)
+    n = len(labels)
+    # n - 1 edges that connect n vertices are a tree: no cycle, no self-loop
+    # and no duplicate is left to find
+    if len(edges) == n - 1:
+        tree = UnrootedTree.from_tree_edges_unchecked(edges, n, labels)
+        if tree.parent0 is not None:
+            return tree
+    UnrootedTree.from_edges(edges.tolist(), n=n, labels=labels)
+    raise InvariantViolation(
+        "edge-checks", "from_edges accepts an edge list the parser refused")
 
 
 class DemandTree:
@@ -242,27 +378,23 @@ def root_at(tree: UnrootedTree, root: int) -> DemandTree:
     """Orient an unrooted tree away from ``root``.
 
     Children of each vertex keep the adjacency (input) order, minus the
-    parent, which makes repeated runs byte-for-byte reproducible.
+    parent, which makes repeated runs byte-for-byte reproducible.  The
+    orientation is the tree's ``parent0`` with the path from ``root`` to
+    vertex 0 reversed.
     """
     n = tree.n
     if not 0 <= root < n:
         raise UnknownVertexError(f"unknown root id {root}")
-    adj_off, adj_flat = tree.adj_off.tolist(), tree.adj_flat.tolist()
-    parent = [NONE] * n
-    parent[root] = root  # temporary marker so root is never re-parented
-    order = [root]
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
-        for w in adj_flat[adj_off[v]:adj_off[v + 1]]:
-            if parent[w] == NONE:
-                parent[w] = v
-                order.append(w)
-    parent[root] = NONE
+    if tree.parent0 is None:
+        raise EdgeListError("the edges do not connect the vertices")
+    par = tree.parent0.copy()
+    v, above = root, NONE
+    while v != NONE:
+        up = int(par[v])
+        par[v] = above
+        v, above = up, v
 
     # child CSR: keep adjacency order, drop the parent entry
-    par = _int64(parent)
     deg = np.diff(tree.adj_off)
     owner = np.repeat(np.arange(n, dtype=np.int64), deg)
     child_flat = tree.adj_flat[par[tree.adj_flat] == owner]
@@ -377,51 +509,102 @@ class HostTree:
             raise HostTreeError("host not connected from root")
 
 
-def _node_name(host: HostTree, i: int) -> str:
-    return str(i) if i < host.n_vertices else f"s{i}"
+def _preorder(host: HostTree) -> np.ndarray:
+    """The host's nodes in preorder, left child first: the order in which
+    one Euler tour from the root enters them, ranked by _list_ranks."""
+    live = np.flatnonzero(host.parent != DEAD)
+    m = len(live)
+    slot = np.full(len(host.parent) + 1, NONE, dtype=np.int64)
+    slot[live] = np.arange(m)  # and slot[NONE] stays NONE
+    left, right = slot[host.left[live]], slot[host.right[live]]
+    node = np.arange(m)
+    up = np.full(m, NONE, dtype=np.int64)  # parent by the child links
+    up[left[left >= 0]] = node[left >= 0]
+    up[right[right >= 0]] = node[right >= 0]
+    # element e < m enters node e, element m + e leaves it
+    first = np.where(left >= 0, left, right)
+    succ = np.empty(2 * m, dtype=np.int64)
+    succ[:m] = np.where(first >= 0, first, node + m)
+    to_right = (up >= 0) & (left[up] == node) & (right[up] >= 0)
+    succ[m:] = np.where(to_right, right[up], np.where(up >= 0, up + m, -1))
+    ranks = _list_ranks(succ, int(slot[host.root]))
+    if ranks is None:
+        raise HostTreeError("host not connected from root")
+    tour = np.empty(2 * m, dtype=np.int64)
+    tour[ranks] = np.arange(2 * m)
+    return live[tour[tour < m]]
 
 
-def _preorder(host: HostTree) -> list[int]:
-    order = []
-    stack = [host.root]
-    left, right = host.left.tolist(), host.right.tolist()
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        if right[v] != NONE:
-            stack.append(right[v])
-        if left[v] != NONE:
-            stack.append(left[v])
-    return order
+def _ascii_rows(*columns) -> str:
+    """One text row per node, the concatenation of the columns, with every
+    digit written at once: a str is written on every row, a pair
+    (ids, n_vertices) as the nodes' names (the id, after an "s" for a
+    steiner node)."""
+    widths, digits = [], []
+    for col in columns:
+        if isinstance(col, str):
+            widths.append(len(col))
+            digits.append(None)
+            continue
+        ids, n = col
+        count = np.ones(len(ids), dtype=np.int64)
+        power = 10
+        while power <= ids.max(initial=0):
+            count += ids >= power
+            power *= 10
+        widths.append(count + (ids >= n))
+        digits.append(count)
+    row_len = sum(widths)
+    pos = np.cumsum(row_len) - row_len
+    buf = np.empty(int(row_len.sum()), dtype=np.uint8)
+    for col, width, count in zip(columns, widths, digits):
+        if count is None:
+            for j, byte in enumerate(col.encode("ascii")):
+                buf[pos + j] = byte
+        else:
+            ids, n = col
+            buf[pos[ids >= n]] = ord("s")
+            last, value = pos + width - 1, ids.copy()
+            for k in range(int(count.max(initial=0))):
+                more = count > k
+                buf[last[more] - k] = ord("0") + value[more] % 10
+                value //= 10
+        pos = pos + width
+    return buf.tobytes().decode("ascii")
+
+
+def json_block(rows: str, open_: str, close: str) -> str:
+    """A JSON list or object one level below the top, laid out as
+    ``json.dumps(indent=2)`` lays it out, from its rows: each item after
+    four spaces and before ",\\n"."""
+    return f"{open_}\n{rows[:-2]}\n  {close}" if rows else open_ + close
 
 
 def serialize(host: HostTree, form: str = "text") -> str:
     """Render a host tree as parent-array text or JSON.
 
     Text form: one ``node:parent`` line per node in preorder, the root
-    pointing at itself.  JSON form: ``{nodes, parent, steiner, root}``.
-    Both round-trip through :func:`parse_host` preserving node ids.
+    pointing at itself.  JSON form: ``{nodes, parent, steiner, root}``, in
+    the layout of ``json.dumps(indent=2)``.  Both round-trip through
+    :func:`parse_host` preserving node ids.
     """
+    if form not in ("text", "json"):
+        raise ValueError(f"unknown serialization form {form!r}")
+    n = host.n_vertices
     order = _preorder(host)
-    par = host.parent.tolist()
+    par = host.parent[order]
+    par[0] = order[0]  # the root comes first and names itself as parent
     if form == "text":
-        lines = []
-        for i in order:
-            p = par[i]
-            pname = _node_name(host, p if p != NONE else i)
-            lines.append(f"{_node_name(host, i)}:{pname}")
-        return "\n".join(lines) + "\n"
-    if form == "json":
-        doc = {
-            "nodes": [_node_name(host, i) for i in order],
-            "parent": {_node_name(host, i): _node_name(host, par[i])
-                       for i in order if i != host.root},
-            "steiner": [_node_name(host, i) for i in order
-                        if host.is_steiner(i)],
-            "root": _node_name(host, host.root),
-        }
-        return json.dumps(doc, indent=2) + "\n"
-    raise ValueError(f"unknown serialization form {form!r}")
+        return _ascii_rows((order, n), ":", (par, n), "\n")
+    nodes = _ascii_rows('    "', (order, n), '",\n')
+    parents = _ascii_rows('    "', (order[1:], n), '": "', (par[1:], n),
+                          '",\n')
+    steiners = _ascii_rows('    "', (order[order >= n], n), '",\n')
+    root = _ascii_rows('"', (order[:1], n), '"')
+    return (f'{{\n  "nodes": {json_block(nodes, "[", "]")},\n'
+            f'  "parent": {json_block(parents, "{", "}")},\n'
+            f'  "steiner": {json_block(steiners, "[", "]")},\n'
+            f'  "root": {root}\n}}\n')
 
 
 def is_ascii_int(s: str) -> bool:
@@ -530,7 +713,7 @@ def parse_host(text: str) -> HostTree:
     host = HostTree(n_vertices, root, parent, left, right, owner)
     host.validate()
     # Recover steiner owners: nearest non-steiner ancestor.
-    for i in _preorder(host):
+    for i in _preorder(host).tolist():
         if host.is_steiner(i):
             p = parent[i]
             owner[i] = p if p < n_vertices else owner[p]

@@ -20,7 +20,8 @@ import numpy as np
 
 from .cost import evaluate
 from .generate import prufer_edges
-from .model import DemandTree, HostTree, ResourceCapError, UnrootedTree, root_at
+from .model import (DemandTree, HostTree, InvariantViolation, ResourceCapError,
+                    UnrootedTree, root_at)
 
 MAX_N = 10
 BANK_MAX_N = 9
@@ -213,18 +214,22 @@ def opt_cost(demand: DemandTree) -> tuple[int, HostTree]:
         edges = prufer_edges(bank.seqs[best].tolist(), n)
     else:
         cols = np.asarray(list(demand.edges()), dtype=np.int64)
-        opt = None
-        best_seq = None
-        for seqs, dist in _host_chunks(n):
-            costs = dist[:, cols[:, 0], cols[:, 1]].sum(axis=1, dtype=np.int32)
-            i = int(costs.argmin())
-            if opt is None or costs[i] < opt:
-                opt = int(costs[i])
-                best_seq = seqs[i].tolist()
-        assert opt is not None and best_seq is not None
+
+        def chunk_minima():
+            for seqs, dist in _host_chunks(n):
+                costs = dist[:, cols[:, 0], cols[:, 1]].sum(axis=1,
+                                                            dtype=np.int32)
+                i = int(costs.argmin())
+                yield int(costs[i]), seqs[i].tolist()
+
+        # min keeps the first of equal costs, as the enumeration order asks
+        opt, best_seq = min(chunk_minima(), key=lambda pair: pair[0])
         edges = prufer_edges(best_seq, n)
 
     host = _host_from_edges(edges, n, demand.labels)
     breakdown = evaluate(demand, host)
-    assert breakdown.total == opt, "argmin host disagrees with scanned cost"
+    if breakdown.total != opt:
+        raise InvariantViolation(
+            "oracle-argmin",
+            f"argmin host costs {breakdown.total}, the scan found {opt}")
     return opt, host

@@ -24,15 +24,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (DEAD, NONE, DemandTree, HostTree, InvariantViolation,
-                    TreeHostError, UnknownVertexError, is_ascii_int)
+                    TreeHostError, UnknownVertexError)
 
 
 def _label_rank(demand: DemandTree, mode: str) -> np.ndarray:
     """Rank of each vertex under the tiebreak order.
 
     "lex" sorts labels lexicographically with numeric awareness (labels made
-    of ASCII digits compare as integers and before all other labels); "id"
-    keeps the input id order.  With default labels both coincide.
+    of ASCII digits compare as integers, ties by id, and before all other
+    labels); "id" keeps the input id order.  With default labels both
+    coincide.
     """
     if mode not in ("id", "lex"):
         raise ValueError(f"unknown tiebreak {mode!r}")
@@ -41,13 +42,18 @@ def _label_rank(demand: DemandTree, mode: str) -> np.ndarray:
     if mode == "id" or demand.labels is None:
         return rank
     labels = demand.labels
-
-    def sort_key(v: int):
-        lbl = labels[v]
-        return (0, int(lbl), "") if is_ascii_int(lbl) else (1, 0, lbl)
-
-    order = np.fromiter(sorted(range(n), key=sort_key), dtype=np.int64,
-                        count=n)
+    numeric = (np.fromiter(map(str.isdecimal, labels), dtype=bool, count=n)
+               & np.fromiter(map(str.isascii, labels), dtype=bool, count=n))
+    num_ids = np.flatnonzero(numeric)
+    # a numeral's value orders as its digits without leading zeros: by
+    # length, then as a string; the stable sorts keep ties in id order
+    digits = [labels[v].lstrip("0") for v in num_ids.tolist()]
+    by_digits = np.fromiter(sorted(range(len(digits)), key=digits.__getitem__),
+                            dtype=np.int64, count=len(digits))
+    lengths = np.fromiter(map(len, digits), dtype=np.int64, count=len(digits))
+    by_value = by_digits[np.argsort(lengths[by_digits], kind="stable")]
+    others = sorted(np.flatnonzero(~numeric).tolist(), key=labels.__getitem__)
+    order = np.concatenate([num_ids[by_value], np.asarray(others, np.int64)])
     rank[order] = np.arange(n, dtype=np.int64)
     return rank
 

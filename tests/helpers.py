@@ -2,13 +2,20 @@
 
 The BFS evaluator here is written against the host-tree arrays only and
 knows nothing about the library's LCA-based evaluator; it is the second
-route for every cost assertion.
+route for every cost assertion.  ``reference_parse_edge_list``,
+``reference_root_at`` and ``reference_label_rank`` are the line-by-line
+parser, the BFS orientation and the key-function label sort as the library
+had them before ingest was vectorized; the property tests hold the library
+to them.
 """
 from __future__ import annotations
 
 from collections import deque
 
-from treehost import DemandTree, HostTree
+import numpy as np
+
+from treehost import (DemandTree, EdgeListError, HostTree, UnknownVertexError,
+                      UnrootedTree)
 
 NONE = -1
 DEAD = -2
@@ -168,3 +175,126 @@ def max_degree(host: HostTree) -> int:
             deg[i] += 1
             deg[p] += 1
     return max(deg.values())
+
+
+def reference_parse_edge_list(text: str) -> UnrootedTree:
+    """One edge per line, two tokens; ``#`` starts a comment; ids by first
+    appearance; empty input is the single-vertex tree."""
+    ids: dict[str, int] = {}
+    labels: list[str] = []
+    edges: list[tuple[int, int]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        toks = line.split()
+        if len(toks) != 2:
+            raise EdgeListError(
+                f"line {lineno}: expected two tokens 'u v', got {len(toks)}")
+        pair = []
+        for t in toks:
+            if t not in ids:
+                ids[t] = len(ids)
+                labels.append(t)
+            pair.append(ids[t])
+        edges.append((pair[0], pair[1]))
+    if not edges:
+        return _reference_csr([], 1, ["0"])
+    return reference_from_edges(edges, n=len(ids), labels=labels)
+
+
+def reference_from_edges(edges: list[tuple[int, int]], n: int | None = None,
+                         labels: list[str] | None = None) -> UnrootedTree:
+    """Validate with union-find, then build the CSR in edge-input order."""
+    if n is None:
+        n = max((max(u, v) for u, v in edges), default=-1) + 1
+        n = max(n, 1)
+    if labels is not None and len(labels) != n:
+        raise EdgeListError(f"expected {n} labels, got {len(labels)}")
+
+    def name(v: int) -> str:
+        return labels[v] if labels is not None else str(v)
+
+    uf = list(range(n))
+
+    def find(a: int) -> int:
+        while uf[a] != a:
+            uf[a] = uf[uf[a]]
+            a = uf[a]
+        return a
+
+    seen: set[int] = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise EdgeListError(f"edge ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise EdgeListError(f"self-loop edge '{name(u)} {name(v)}'")
+        key = (u * n + v) if u < v else (v * n + u)
+        if key in seen:
+            raise EdgeListError(f"duplicate edge '{name(u)} {name(v)}'")
+        seen.add(key)
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            raise EdgeListError(
+                f"cycle detected when adding edge '{name(u)} {name(v)}'")
+        uf[ru] = rv
+    roots = len({find(v) for v in range(n)})
+    if roots != 1:
+        raise EdgeListError(f"disconnected input: {roots} components")
+    return _reference_csr(edges, n, labels)
+
+
+def _reference_csr(edges, n: int, labels) -> UnrootedTree:
+    n = max(n, 1)
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    src = e.ravel()
+    dst = e[:, ::-1].ravel()
+    flat = dst[np.argsort(src, kind="stable")]
+    off = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=off[1:])
+    return UnrootedTree(n, off, flat, labels)
+
+
+def reference_root_at(tree: UnrootedTree, root: int) -> DemandTree:
+    """BFS from ``root``; children keep adjacency order minus the parent."""
+    n = tree.n
+    if not 0 <= root < n:
+        raise UnknownVertexError(f"unknown root id {root}")
+    adj_off, adj_flat = tree.adj_off.tolist(), tree.adj_flat.tolist()
+    parent = [NONE] * n
+    parent[root] = root
+    order = [root]
+    head = 0
+    while head < len(order):
+        v = order[head]
+        head += 1
+        for w in adj_flat[adj_off[v]:adj_off[v + 1]]:
+            if parent[w] == NONE:
+                parent[w] = v
+                order.append(w)
+    parent[root] = NONE
+    par = np.asarray(parent, dtype=np.int64)
+    deg = np.diff(tree.adj_off)
+    owner = np.repeat(np.arange(n, dtype=np.int64), deg)
+    child_flat = tree.adj_flat[par[tree.adj_flat] == owner]
+    counts = deg - 1
+    counts[root] += 1
+    child_off = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=child_off[1:])
+    return DemandTree(n, root, par, child_off, child_flat, tree.labels)
+
+
+def reference_label_rank(labels: list[str]) -> np.ndarray:
+    """"lex" rank: ASCII-digit labels by integer value (ties by id) before
+    all other labels in string order."""
+    n = len(labels)
+
+    def sort_key(v: int):
+        lbl = labels[v]
+        if lbl.isascii() and lbl.isdecimal():
+            return (0, int(lbl), "")
+        return (1, 0, lbl)
+
+    rank = np.empty(n, dtype=np.int64)
+    rank[sorted(range(n), key=sort_key)] = np.arange(n, dtype=np.int64)
+    return rank

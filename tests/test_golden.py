@@ -15,6 +15,13 @@ in the order the sequential sweep fires them; older code printed them in
 the vectorized replay's layer order from n = 20 000 up, so only the small
 cases (``json-raw``) pin the printed order byte for byte, and
 ``test_ledger_order_is_the_sweep_order`` pins it at the larger sizes.
+
+``test_json_bytes`` pins the JSON writers byte for byte on the same corpus:
+the ``solve --json`` report as printed (only the numbers inside
+``wall_times`` masked) with and without ``--out``, the JSON host file, and
+the ``--phase1-only`` report, whose host still lists steiner nodes.  Its
+digests were recorded from the code as it was before the JSON writers
+stopped going through ``json.dumps``.
 """
 from __future__ import annotations
 
@@ -23,6 +30,7 @@ import hashlib
 import io
 import json
 import random
+import re
 
 import pytest
 
@@ -385,3 +393,220 @@ def test_ledger_order_is_the_sweep_order(name, tmp_path):
                 == _untimed_doc(_run(base + ["--debug-checks"])))
 
 
+
+
+def _masked(report: str) -> str:
+    """A printed ``--json`` report, the numbers in ``wall_times`` zeroed."""
+    head, sep, tail = report.partition('"wall_times": {')
+    block, close, rest = tail.partition("}")
+    assert sep and close
+    return head + sep + re.sub(r": [-+.0-9e]+", ": 0", block) + close + rest
+
+
+def json_bytes_digests(text: str) -> dict[str, str]:
+    """Raw digests of the JSON outputs; runs in the case's own directory so
+    that the ``host_file`` the report names is the same on every run."""
+    with open("in.edges", "w", encoding="utf-8") as f:
+        f.write(text)
+    out: dict[str, str] = {}
+    for tiebreak in ("lex", "id"):
+        base = ["solve", "in.edges", "--json", "--tiebreak", tiebreak]
+        out[f"{tiebreak}/report-out"] = _sha(
+            _masked(_run(base + ["--out", "host.json"])))
+        with open("host.json", encoding="utf-8") as f:
+            out[f"{tiebreak}/host-json"] = _sha(f.read())
+        out[f"{tiebreak}/report"] = _sha(_masked(_run(base)))
+        out[f"{tiebreak}/phase1-report"] = _sha(
+            _masked(_run(base + ["--phase1-only"])))
+    return out
+
+
+GOLDEN_JSON: dict[str, dict[str, str]] = {
+    'fig': {
+        'lex/report-out':
+            '4a2cd79612f1c2da93f7a335b03b891e0d435d6127364c4c98b34fa99152051a',
+        'lex/host-json':
+            'e9aaeaa710559c6c08bc9bc3a452df9d4686c798c789e34d4e50220fd9832098',
+        'lex/report':
+            '00e7c240c5f157458218557ea01da5887a2076ae91f1dad8be1942ece31372e1',
+        'lex/phase1-report':
+            '630ddc18baa2aee8014f25a3e56ec3c6bc9fb4f2c7ea859f46428cc5e4b90d95',
+        'id/report-out':
+            '16f5ea7cd1ac7f04b16f74d8ecd287a4046adcb1a422280644b9cf842d0f85f2',
+        'id/host-json':
+            'e9aaeaa710559c6c08bc9bc3a452df9d4686c798c789e34d4e50220fd9832098',
+        'id/report':
+            '1e9a90a56f2bb96511c88c6ed42ec764da89797aad7c9efb39b8ac534248ddef',
+        'id/phase1-report':
+            '547f549325813db29b6ebb7bf43fcfb0996ae45f333dac60b8ff5ce8cb6bc90d',
+    },
+    'random-2': {
+        'lex/report-out':
+            'd0a7547e221e1af8938751f0a4b3eda77d6dcad159f0a005289d676073e83134',
+        'lex/host-json':
+            '99e5e60bd7eb60594ed5017aa620addffccf445e0d9e268f88a633dafbef002e',
+        'lex/report':
+            '70ec38b99f66e2022c141dcd023ca4ed89b822a9270c9dcdc2e1d1770b12940c',
+        'lex/phase1-report':
+            '3afb5e88a1b26688d114e9a016a70962b5d6a1ab368a97cddf7d4f13af4ec622',
+        'id/report-out':
+            'ef0b10ef81c46eaa77a9786e72d62ef18e9566389fecf9460ecb0d54b360ea3f',
+        'id/host-json':
+            '99e5e60bd7eb60594ed5017aa620addffccf445e0d9e268f88a633dafbef002e',
+        'id/report':
+            'd054bbe069fa331d9e58df3dd37a90fc40e44a5c311d577799017328f30a9733',
+        'id/phase1-report':
+            '50b96d55b4521dc50e77608615e6b3dd90daf15d6deca81888829e4ac569c22a',
+    },
+    'random-9': {
+        'lex/report-out':
+            'bdeb4dcad21f96c9337fd19fe8eb3ff71e1c2f0649678342f63dcb237c5d7361',
+        'lex/host-json':
+            '9a0e87d72362e780df3677e0da1bbbabc5bca284bc762e8cc831ad7b206e5486',
+        'lex/report':
+            'd0e12cf4e27411f1bb34474e5baa325811cc29223431000e38bfe6a54efd93f7',
+        'lex/phase1-report':
+            'b2a9c3404615bc48d940499ed71582a46fc2cfd8ba677f60a0c50d9f130f533f',
+        'id/report-out':
+            'fc6d30572845626bfc47da4c27a3b8704b03145181c8bd9d1d157a0bb39f5b0b',
+        'id/host-json':
+            'a6269dad5ff6418d1c0162c65db507db9db14b1f3fc61e35906039fcb7021862',
+        'id/report':
+            'f895bde8440d9680a83245167c9aa32cfce55dc219abd9d85e40c403c09525d5',
+        'id/phase1-report':
+            '8bcc27526beb879abf93117be8cf8a3ec40783d628b9568304eedb0cc4cf431b',
+    },
+    'random-1000': {
+        'lex/report-out':
+            '4b075a49dbd37550e1e463cbc62dde1ed69ae4af7135c2b6bed4e1493ded9081',
+        'lex/host-json':
+            '5a3d895f2a344ae81bb716704b2a8f7bfe1a5f030f7ce2ec3b69a354676e7d52',
+        'lex/report':
+            '885f47a953189ae103669c595d7a1c6e9bae96d72b2760b82919bd67a130a20f',
+        'lex/phase1-report':
+            '38e281f2248603abc7fef5a59cb4569386bb6b917a8103fa17344505dfb63b12',
+        'id/report-out':
+            'e309c71f2674cda5713dc563e5adb39825499007bbb7fa4a2e9d69faf2484867',
+        'id/host-json':
+            '902f3c71a097c718b832538636c3277914dbf06cadb1e94277f4c8c49d82a865',
+        'id/report':
+            'fe119ddaba282151010ae46cd3317327880da6e15f39cf000811ea83c3580e3e',
+        'id/phase1-report':
+            '31111aa3e207b6c4930f89cf927781e1221005357da0d29ac8fd368aed26e055',
+    },
+    'random-19999': {
+        'lex/report-out':
+            '008ee6fa0c6a21b5c8792931ae813f779f8d913a2f6175297384fbf45443af10',
+        'lex/host-json':
+            '7e7e42472bf7ed6dfd636c12fda13918ae38b31b11a7c85bab5372939de8756b',
+        'lex/report':
+            'c44549d3455a9f73ec8a3c6c58a0027ca36bd816f5e2fd3e2e651b3201ddd5c6',
+        'lex/phase1-report':
+            'a86c4a14d05fcc835da3cf75163b9848eec6b1c2631169275e01c733cf1581bd',
+        'id/report-out':
+            'b5806e3eb00db9ed245c197ae80a15f82b2fb347bc042ee906c649a029ba1c3a',
+        'id/host-json':
+            'a4d04163dec28e0881c53419249211f68143b7a044e7b0f1779cca79a478157c',
+        'id/report':
+            '50fc1fa77fabbce8c43c8314c9d89f096b97084212ce725f823c4722b7e9b986',
+        'id/phase1-report':
+            '7dacb9871de6872a1b91ff1514e42c8546c97d660efbd1c135f6641dbb408aaa',
+    },
+    'random-20001': {
+        'lex/report-out':
+            'adf26883a38bc528ea7f8ae154666b1e3a68a8a1b9a3148da9e3bd2892439038',
+        'lex/host-json':
+            '3741febac0686390ff229dad035caa37aef3e784bb065e1dab0f86a648a42a08',
+        'lex/report':
+            '74940a3e3354f1131c60725f42ad795521d2b0825c8bcf36c5061f6dc1069fba',
+        'lex/phase1-report':
+            '4b380824d1a0440838d1dc5eca78f629a198685a89a7a5bdc9cdbb1d9a5d7d01',
+        'id/report-out':
+            '1903a073a20087c2d0851f35a92e01ac9d7132522dbe25651ea4b84898d4da40',
+        'id/host-json':
+            '394196bd7ff286fc4e42080e6772c4b7a11e9a78710244fc82a0ee6cdf4d8f35',
+        'id/report':
+            '5d22fc03e7eb4d5a2f8e37f1cd94328134569d9ad579a271289f7d648adcf0d3',
+        'id/phase1-report':
+            '050c3bdb9fd6811333e30b1bd2da81171b3abe04b6cd2486bd55abe0a6deea63',
+    },
+    'star-20001': {
+        'lex/report-out':
+            'de61ed0737aa75011e6313f4be5142860938b3cb97c0534c66a1262b8d343adf',
+        'lex/host-json':
+            '13bfab130716cbbce5d2574d37d410685ea45bc4a17ed5c8ce9d034abaebc9da',
+        'lex/report':
+            '0f0a22e1ba66421dda1ced061b74bd371181b59bb9889f0f5b5a040d5a7c89d3',
+        'lex/phase1-report':
+            '2d4a8e810df242ec7539c686cc9f1135b48327b20042df4f480cf949c0563dc7',
+        'id/report-out':
+            'b86c5627878a26c2a25b44811cd6a4ae7b6e4ce2ac91953fe8d9f45d91ffef08',
+        'id/host-json':
+            '215ec1ea6cdfdfaa3098ffabb56fbf62e9c7b1e4a2a3dcc791704176ec360cc5',
+        'id/report':
+            '924f8c956eee289b7b73fb5c0a980477513a4516a4223559bb230cdcd518ac55',
+        'id/phase1-report':
+            '58689a11dd0b97ad7d38556261f5286b199eb1beca907715678c97607c651187',
+    },
+    'random-50001': {
+        'lex/report-out':
+            '5a482245fcaa739e222bb164854d1ad104e7e55c2fc1bace87550566e5d9a7ff',
+        'lex/host-json':
+            'c2956c6f0ec8ca628dce6dc65784c23d65675dca6077dbe7aed2ee9bfde72ce8',
+        'lex/report':
+            'a6d4da50be98637e12035350b40f7aed87fd4c422ade27a32c8afcdd31c77f36',
+        'lex/phase1-report':
+            '7b524271d578149add4e51517cd3a31b670b3b65704e12f86cf58ca8bb301863',
+        'id/report-out':
+            '72b0f6842e651552765ca39d606cd8e6ed589418a751cb8e15881bb7743b0aa5',
+        'id/host-json':
+            '558402a9e17c6be9f69361298dcc8838d2288d13164a48f072f92ce394abf314',
+        'id/report':
+            '2980d270507b5b203accbc3276f0ead431a2ab5e6b1e24564a47fa4dd1ea80de',
+        'id/phase1-report':
+            '3fc4f49f9d459c509fca5288679161efa65893942e15f9fc73195988007770b8',
+    },
+    'caterpillar-50001': {
+        'lex/report-out':
+            'a4b037392548b624e1f343211c3fc035840367dae52a2928d21501118f8f3e90',
+        'lex/host-json':
+            '9ee41a2d5ae1009fe482c7470c40969fa12f70afaf17c131c24b28081b4185cd',
+        'lex/report':
+            '28d7975fb8c2f7d6f79d6bbe9e65916840b17fc546ee03d23995882a9af3b268',
+        'lex/phase1-report':
+            '92e0376019c3156969a99e5734c57206fc6010a17278aaa89529dd8ac8310389',
+        'id/report-out':
+            '93631b5023b5a93eb31ec3cfe26b2d067878251191f5ed9d365b54bfa4263604',
+        'id/host-json':
+            '9ee41a2d5ae1009fe482c7470c40969fa12f70afaf17c131c24b28081b4185cd',
+        'id/report':
+            'f070e2f5a791cd6821da5249a08d94de634ac099882c2a36f31ddfba1e6e3e8e',
+        'id/phase1-report':
+            'ac0e1a2315ddd9df81a7c74f73893d6f27bc81b19cf3b79b84b3b0d5b6a6b0f2',
+    },
+    'random-120000': {
+        'lex/report-out':
+            '252bb981836de305000c68f0a07475b3331d6cf4f3307ae03c52f1a03fce8c0d',
+        'lex/host-json':
+            '4ecf0c66f1d0dc85585e23cce9b69ba7decab284c30ab957161194e65922d421',
+        'lex/report':
+            'fbed6dd67608d52a91838585206d8371976a46753b167c4acf7511d3d6b3b075',
+        'lex/phase1-report':
+            'd26651c0536017fb9be79854d97ae5b3c479a107d9f2a10a6c32fe442bda2017',
+        'id/report-out':
+            '19ef3678b99655ba8684b7ceabee4a460915303134b52599b72d156e1f31b670',
+        'id/host-json':
+            '516ada170db4286bde79a62809f454ce9d2156f499cc39cb9a3f392ff381f828',
+        'id/report':
+            '60b1632f08c48230796532e603212c7f8a3d7c244f9c89f86dab38ee0cfd5470',
+        'id/phase1-report':
+            '0ce2d8239934d0f249486d5e727d6a36c6e734836e7a9e4daffed370d320f836',
+    },
+}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_json_bytes(name, fig_text, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    text = fig_text if name == "fig" else _case_text(name)[0]
+    assert json_bytes_digests(text) == GOLDEN_JSON[name]

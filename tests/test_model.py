@@ -1,9 +1,18 @@
+import json
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treehost import (EdgeListError, HostTreeError, UnknownVertexError,
                       UnrootedTree, gen, opt_cost, parse_edge_list,
                       parse_host, root_at, run_bracket_builder,
                       run_tournament, serialize)
+from treehost.generate import prufer_edges
+from treehost.model import _BREAK_CHARS, _SPACE_CHARS
+
+import helpers
 
 
 def test_parse_path():
@@ -165,3 +174,177 @@ def test_fig_final_host_parent_text(fig_demand):
     assert lines[ids["w"]] == ids["v"]
     assert lines[ids["u"]] == ids["w"]
     assert lines[ids["9"]] == ids["8"]
+
+
+def test_character_classes_match_the_str_methods():
+    space = [c for c in range(0x110000) if chr(c).isspace()]
+    breaks = [c for c in range(0x110000)
+              if len(f"a{chr(c)}b".splitlines()) == 2]
+    assert sorted(map(ord, _SPACE_CHARS)) == space
+    assert sorted(map(ord, _BREAK_CHARS)) == breaks
+
+
+# Labels that numpy string arrays or int64 would get wrong: a trailing NUL
+# (dropped by the U dtype), non-ASCII digits, leading zeros next to the
+# same value, and non-ASCII text.
+_TRICKY_LABELS = ["7", "007", "²", "١", "a", "a\x00", "a\x00\x00", "\x00",
+                  "é", "0", "s1", "18446744073709551617"]
+_INNER_SPACE = [" ", "\t", " \t ", "\x1f", "\xa0", "\u3000"]
+_LINE_ENDS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+              "\x85", "\u2028", "\u2029"]
+_DAMAGE = ("none", "none", "none", "duplicate", "reversed-duplicate",
+           "self-loop", "drop", "extra", "one-token", "three-tokens")
+
+
+@st.composite
+def _edge_list_texts(draw):
+    """A tree's edge list, maybe damaged, spelled with tricky labels,
+    separators, line ends, blank lines and comments."""
+    n = draw(st.integers(1, 24))
+    seq = draw(st.lists(st.integers(0, n - 1), min_size=max(n - 2, 0),
+                        max_size=max(n - 2, 0)))
+    rnd = draw(st.randoms(use_true_random=False))
+    names = rnd.sample(_TRICKY_LABELS + [f"v{i}" for i in range(n)], n)
+    lines = [[names[u], names[v]] for u, v in
+             (prufer_edges(seq, n) if n > 1 else [])]
+    rnd.shuffle(lines)
+    damage = draw(st.sampled_from(_DAMAGE))
+    if lines and damage in ("duplicate", "reversed-duplicate"):
+        pair = rnd.choice(lines)
+        lines.insert(rnd.randrange(len(lines) + 1),
+                     pair if damage == "duplicate" else pair[::-1])
+    elif damage == "self-loop":
+        lines.insert(rnd.randrange(len(lines) + 1), [names[0]] * 2)
+    elif lines and damage == "drop":
+        lines.pop(rnd.randrange(len(lines)))
+    elif damage == "extra":
+        lines.append([rnd.choice(names), rnd.choice(names + ["new"])])
+    elif lines and damage in ("one-token", "three-tokens"):
+        line = rnd.choice(lines)
+        if damage == "one-token":
+            line.pop()
+        else:
+            line.append(rnd.choice(names))
+    out = []
+    for line in lines:
+        while rnd.random() < 0.2:
+            out.append(rnd.choice(["", " ", "\t", "# only a comment",
+                                   "  #", "#a b c"]))
+        text = rnd.choice(_INNER_SPACE).join(line)
+        if rnd.random() < 0.3:
+            text = rnd.choice(["", " ", "\t"]) + text + rnd.choice(["", " "])
+        if rnd.random() < 0.2:
+            text += rnd.choice(["#", " # x y z", "#\t1 2"])
+        out.append(text)
+    ends = [rnd.choice(_LINE_ENDS) for _ in out]
+    text = "".join(line + end for line, end in zip(out, ends))
+    return text if rnd.random() < 0.8 else text.rstrip("".join(_LINE_ENDS))
+
+
+def _parsed(parse, text):
+    try:
+        t = parse(text)
+    except EdgeListError as exc:
+        return str(exc)
+    return t.n, t.labels, t.adj_off.tolist(), t.adj_flat.tolist()
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=300)
+@given(_edge_list_texts())
+def test_parser_matches_the_line_by_line_reference(text):
+    got = _parsed(parse_edge_list, text)
+    assert got == _parsed(helpers.reference_parse_edge_list, text)
+    if isinstance(got, str):
+        return
+    tree = parse_edge_list(text)
+    for r in range(tree.n):
+        new, ref = root_at(tree, r), helpers.reference_root_at(tree, r)
+        assert new.root == ref.root == r
+        for name in ("parent", "child_off", "child_flat"):
+            assert np.array_equal(getattr(new, name), getattr(ref, name))
+
+
+@pytest.mark.parametrize("text,message", [
+    ("a b\r\nb c x\r\n", "line 2: expected two tokens 'u v', got 3"),
+    ("a b\n\n  # c d e\nc\n", "line 4: expected two tokens 'u v', got 1"),
+    ("a b\x85b c d", "line 2: expected two tokens 'u v', got 3"),
+    ("a\x00 a\x00\x00\na\x00 a\x00\x00", "duplicate edge 'a\x00 a\x00\x00'"),
+])
+def test_parse_error_messages(text, message):
+    with pytest.raises(EdgeListError) as err:
+        parse_edge_list(text)
+    assert str(err.value) == message
+
+
+def test_labels_differing_by_a_trailing_nul_stay_distinct():
+    t = parse_edge_list("a a\x00\na\x00 7\n7 007\n")
+    assert t.labels == ["a", "a\x00", "7", "007"]
+
+
+def test_root_at_reverses_the_path_to_vertex_0():
+    t = parse_edge_list("a b\nb c\nc d\n")
+    assert t.parent0.tolist() == [-1, 0, 1, 2]
+    assert root_at(t, 3).parent.tolist() == [1, 2, 3, -1]
+    assert t.parent0.tolist() == [-1, 0, 1, 2]
+
+
+def test_unchecked_edges_that_do_not_connect_cannot_be_rooted():
+    for edges, n in (([(0, 1), (2, 3)], 4), ([(0, 1)], 3), ([(1, 2)], 3),
+                     ([], 2)):
+        t = UnrootedTree.from_tree_edges_unchecked(edges, n)
+        assert t.parent0 is None
+        with pytest.raises(EdgeListError):
+            root_at(t, 0)
+
+
+@pytest.mark.parametrize("kind", ["path", "star", "caterpillar",
+                                  "complete_binary", "random"])
+def test_tour_orientation_matches_bfs_at_scale(kind):
+    d = gen(kind, 30_001, seed=5)
+    edges = list(d.edges())
+    random_order = np.random.default_rng(1).permutation(len(edges))
+    t = UnrootedTree.from_tree_edges_unchecked(
+        [edges[i][::-1] if i % 3 else edges[i] for i in random_order.tolist()],
+        d.n)
+    for r in (0, 1, d.n - 1):
+        new, ref = root_at(t, r), helpers.reference_root_at(t, r)
+        assert np.array_equal(new.parent, ref.parent)
+        assert np.array_equal(new.child_flat, ref.child_flat)
+
+
+def _reference_serialize(host, form: str) -> str:
+    """The host as a preorder walk and ``json.dumps`` write it."""
+    def name(i):
+        return str(i) if i < host.n_vertices else f"s{i}"
+    order, stack = [], [host.root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack.extend(reversed(host.children(v)))
+    if form == "text":
+        up = [i if i == host.root else int(host.parent[i]) for i in order]
+        return "".join(f"{name(i)}:{name(p)}\n" for i, p in zip(order, up))
+    doc = {
+        "nodes": [name(i) for i in order],
+        "parent": {name(i): name(int(host.parent[i]))
+                   for i in order if i != host.root},
+        "steiner": [name(i) for i in order if host.is_steiner(i)],
+        "root": name(host.root),
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("kind,n", [("path", 1), ("path", 2), ("star", 9),
+                                    ("random", 40), ("caterpillar", 31),
+                                    ("path", 3000), ("random", 5000)])
+def test_serialize_writes_the_preorder_walk(kind, n):
+    d = gen(kind, n, seed=n)
+    host = run_bracket_builder(d)
+    for phase in (1, 2):
+        if phase == 2:
+            run_tournament(host, d)
+        for form in ("text", "json"):
+            assert serialize(host, form) == _reference_serialize(host, form)
+    if n == 1:
+        assert '"parent": {}' in serialize(host, "json")
+        assert '"steiner": []' in serialize(host, "json")

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 
 from treehost import (ResourceCapError, enumerate_hosts, evaluate, gen,
@@ -133,3 +136,28 @@ def test_opt_tiny_instances():
     opt, host = opt_cost(gen("path", 2))
     assert opt == 1
     assert sorted(host.live_nodes()) == [0, 1]
+
+
+@pytest.mark.parametrize("command", [["oracle"], ["check"]])
+def test_argmin_cross_check_survives_python_O(command, tmp_path):
+    """The oracle re-scores its argmin host; a scorer that disagrees with
+    the scan is an invariant violation (exit 2), also under ``python -O``,
+    which strips assert statements."""
+    edges = tmp_path / "in.edges"
+    edges.write_text("a b\nb c\nc d\nc e\n")
+    script = (
+        "import dataclasses, sys\n"
+        "assert False, 'this run must strip asserts'\n"
+        "import treehost.oracle as oracle\n"
+        "from treehost.cli import main\n"
+        "real = oracle.evaluate\n"
+        "def off_by_one(demand, host):\n"
+        "    breakdown = real(demand, host)\n"
+        "    return dataclasses.replace(breakdown,\n"
+        "                               total=breakdown.total + 1)\n"
+        "oracle.evaluate = off_by_one\n"
+        f"sys.exit(main({command + [str(edges)]!r}))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "oracle-argmin" in proc.stderr

@@ -358,6 +358,18 @@ def test_cli_solve_unicode_digit_labels(label, tmp_path, capsys):
     assert doc["host"]["parent"] == {"2": "0", "1": "2"}
 
 
+def test_cli_solve_ranks_numerals_beyond_int_conversion_limit(tmp_path,
+                                                              capsys):
+    """int() refuses numerals above 4300 digits; the lex rank orders them by
+    value all the same, so the 5001-digit label loses to '7'."""
+    big = "1" + "0" * 5000
+    f = tmp_path / "big.edges"
+    f.write_text(f"r {big}\nr 7\n", encoding="utf-8")
+    code, out, _ = _run(["solve", str(f), "--json"], capsys=capsys)
+    assert code == 0
+    assert json.loads(out)["charge_ledger"] == [[big, 0]]
+
+
 def _tampered(fig_demand, monkeypatch, tamper):
     import treehost.pipeline as pipeline
     real = pipeline.run_tournament
@@ -424,3 +436,45 @@ def test_solve_and_check_certify_each_phase1_cost(fig_demand, fig_text,
     assert code == 2
     assert "bracket-cost" in err
     assert out == ""
+
+
+# Labels json.dumps escapes: quote, backslash, control characters (none of
+# them whitespace, which would split the token), DEL, and non-ASCII text,
+# one of it outside the BMP (written as a surrogate pair).
+_ESCAPED_LABELS = ['"', "\\", 'a"b\\c', "\x00", "\x01", "\x1b[0m", "\x7f",
+                   "é", "中文", "😀", "a\x00"]
+
+
+@pytest.mark.parametrize("extra", [[], ["--out", "host.json"],
+                                   ["--phase1-only"], ["--tiebreak", "id"]])
+def test_cli_json_report_is_the_json_dumps_layout(extra, tmp_path, capsys,
+                                                  monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    leaves = _ESCAPED_LABELS + [f"x{i}" for i in range(6)]
+    with open("in.edges", "w", encoding="utf-8") as f:
+        f.write("".join(f"hub {leaf}\n" for leaf in leaves))
+    code, out, _ = _run(["solve", "in.edges", "--json"] + extra,
+                        capsys=capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert out == json.dumps(doc, indent=2) + "\n"
+    if "--phase1-only" not in extra:
+        losers = {label for label, _ in doc["charge_ledger"]}
+        assert len(set(_ESCAPED_LABELS) - losers) <= 1  # the hub's heir
+    if "--out" in extra:
+        with open("host.json", encoding="utf-8") as f:
+            host = f.read()
+        assert host == json.dumps(json.loads(host), indent=2) + "\n"
+
+
+def test_cli_json_report_of_a_single_vertex(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with open("in.edges", "w", encoding="utf-8") as f:
+        f.write("# no edges\n")
+    code, out, _ = _run(["solve", "in.edges", "--json"], capsys=capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert out == json.dumps(doc, indent=2) + "\n"
+    assert doc["charge_ledger"] == []
+    assert doc["host"] == {"nodes": ["0"], "parent": {}, "steiner": [],
+                           "root": "0"}

@@ -7,6 +7,7 @@ from treehost import (InvariantViolation, TreeHostError, check_invariants,
                       evaluate, gen, lb_instance, match_keys, parse_edge_list,
                       root_at, run_bracket_builder, run_tournament)
 from treehost.generate import prufer_edges
+from treehost.tournament import _label_rank
 
 import helpers
 from helpers import FIG_FINAL_PARENTS
@@ -286,3 +287,25 @@ def test_checker_names_violated_invariant(fig_demand):
         with pytest.raises(InvariantViolation) as err:
             check_invariants(fig_demand, host)
         assert err.value.code.startswith(code)
+
+
+_RANK_LABELS = st.one_of(
+    st.integers(0, 10 ** 30).map(str),
+    # leading zeros: "007" has the value of "7" and ties break by id
+    st.tuples(st.integers(1, 3), st.integers(0, 999)).map(
+        lambda t: "0" * t[0] + str(t[1])),
+    # around 2**63 and 2**64, where int64 would overflow
+    st.integers(2 ** 63 - 3, 2 ** 64 + 3).map(str),
+    st.sampled_from(["7", "007", "0", "00", "7\x00", "\x00", "a", "a\x00",
+                     "²", "١", "١٢", "7²", "k7"]),
+    st.text(min_size=1, max_size=4),
+)
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(_RANK_LABELS, min_size=1, max_size=60, unique=True))
+def test_lex_rank_matches_the_key_function_sort(labels):
+    d = gen("path", len(labels))
+    d.labels = labels
+    assert np.array_equal(_label_rank(d, "lex"),
+                          helpers.reference_label_rank(labels))
