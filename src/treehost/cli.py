@@ -49,10 +49,9 @@ def _load_demand(path: str, root_label: str | None) -> DemandTree:
     unrooted = parse_edge_list(_read_input(path))
     root = 0
     if root_label is not None:
-        mapping = unrooted.label_to_id()
-        if root_label not in mapping:
+        root = unrooted.labels.find(root_label)
+        if root < 0:
             raise UnknownVertexError(f"unknown root label {root_label!r}")
-        root = mapping[root_label]
     return root_at(unrooted, root)
 
 
@@ -95,9 +94,7 @@ def cmd_solve(args) -> int:
         # written directly: the ledger, and the host text indented in place
         parts = [json.dumps(rep.to_json_dict(), indent=2)[:-2]]
         if result.tournament is not None:
-            names = (map(demand.labels.__getitem__, result.tournament.losers)
-                     if demand.labels is not None
-                     else map(str, result.tournament.losers))
+            names = demand.names(result.tournament.losers)
             ledger = json_block("".join(map(
                 "    [\n      {},\n      {}\n    ],\n".format,
                 map(encode_basestring_ascii, names),
@@ -137,17 +134,17 @@ def cmd_eval(args) -> int:
     demand = _load_demand(args.input, args.root)
     host = parse_host(_read_input(args.host))
     breakdown = evaluate(demand, host)
+    names = demand.names(range(demand.n))
     if args.json:
         print(json.dumps({
             "total": breakdown.total,
-            "per_vertex": {demand.label(v): c
-                           for v, c in enumerate(breakdown.per_vertex)},
+            "per_vertex": dict(zip(names, breakdown.per_vertex)),
         }, indent=2))
     else:
         print(f"total {breakdown.total}")
-        for v, c in enumerate(breakdown.per_vertex):
+        for name, c in zip(names, breakdown.per_vertex):
             if c:
-                print(f"{demand.label(v)} {c}")
+                print(f"{name} {c}")
     return EXIT_OK
 
 

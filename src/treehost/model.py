@@ -1,7 +1,9 @@
 """Tree data model: demand trees, binary host trees, parsing, serialization.
 
 Vertices of a parsed tree get dense integer ids ``0..n-1`` in order of first
-appearance in the input; the original tokens are kept as labels.  Host trees
+appearance in the input; the original tokens are kept as labels, held as
+arrays (:class:`Labels`) and made into ``str`` only where one is printed or
+looked up.  Host trees
 live on the same ids and may additionally contain synthetic *steiner* nodes
 with ids ``>= n``, rendered as ``s<id>`` in text form.
 
@@ -12,7 +14,9 @@ faster than numpy scalars.
 
 Ingest and egress work on whole arrays and whole strings.  The edge-list
 parser checks the line shape of the entire text in one numpy pass, numbers
-the labels through one dictionary, and proves the n - 1 edges connected
+the labels by fingerprinting every token's code units and confirming each
+group exactly (a dictionary over ``str.split`` only if two different tokens
+share a fingerprint), and proves the n - 1 edges connected
 with one Euler tour from vertex 0, ranked in numpy (``_list_ranks``);
 ``root_at`` reuses the parent array of that tour.
 ``serialize`` ranks an Euler tour of the host for its preorder and writes
@@ -152,24 +156,119 @@ def _tour_parent(off: np.ndarray, flat: np.ndarray,
     return parent
 
 
+_UTF32 = np.dtype("<u4")
+
+
+def _code_units(text: str) -> np.ndarray:
+    """The text's code points as the narrowest of uint8, uint16 and uint32
+    that holds them all.  Their order is Python's ``str`` order."""
+    if text.isascii():
+        return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    units = np.frombuffer(text.encode("utf-32-le", "surrogatepass"),
+                          dtype=_UTF32)
+    top = int(units.max())
+    return (units.astype(np.uint8) if top < 0x100 else
+            units.astype(np.uint16) if top < 0x10000 else units)
+
+
+def _decode(units: np.ndarray) -> str:
+    if units.dtype == np.uint8:
+        return units.tobytes().decode("latin-1")
+    return units.astype(_UTF32).tobytes().decode("utf-32-le", "surrogatepass")
+
+
+def _word_view(units: np.ndarray) -> np.ndarray:
+    """A big-endian uint64 at every byte offset of the units' big-endian
+    bytes: element i reads bytes i..i+7, unaligned, from a copy padded
+    with zero bytes.  Words of units in this order compare as the units
+    do."""
+    size = len(units) * units.itemsize
+    padded = np.zeros(size + 8, dtype=np.uint8)
+    padded[:size].view(units.dtype.newbyteorder(">"))[:] = units
+    return np.ndarray((size + 1,), ">u8", padded, 0, (1,))
+
+
+def _span_words(view: np.ndarray, start, nbytes, k) -> np.ndarray:
+    """Word k (bytes 8k..8k+7) of each byte span of a ``_word_view``, with
+    the bytes past the span's end zeroed; k may be an array.  Every span
+    must be longer than 8k bytes."""
+    word = view[start + 8 * k].astype(np.uint64)
+    cut = (8 * np.maximum(8 * (k + 1) - nbytes, 0)).astype(np.uint64)
+    return word >> cut << cut
+
+
+class Labels:
+    """Vertex labels as one array of code units (``_code_units``) and
+    n + 1 offsets: label v is ``units[off[v]:off[v + 1]]``.  A ``str`` is
+    made only for the labels asked for."""
+
+    __slots__ = ("units", "off")
+
+    def __init__(self, units: np.ndarray, off):
+        self.units = units
+        self.off = _int64(off)
+
+    @classmethod
+    def of(cls, labels: "Labels | list[str] | None") -> "Labels | None":
+        """``labels`` as Labels: None and Labels pass, a list is encoded."""
+        if labels is None or isinstance(labels, Labels):
+            return labels
+        off = np.zeros(len(labels) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, labels), dtype=np.int64,
+                              count=len(labels)), out=off[1:])
+        return cls(_code_units("".join(labels)), off)
+
+    def __len__(self) -> int:
+        return len(self.off) - 1
+
+    def __getitem__(self, v: int) -> str:
+        return _decode(self.units[self.off[v]:self.off[v + 1]])
+
+    def __iter__(self):
+        return iter(self.take(np.arange(len(self))))
+
+    def take(self, ids) -> list[str]:
+        """The labels of ``ids`` as strings, cut from one decode."""
+        ids = _int64(ids)
+        text = _decode(self.units)
+        return [text[a:b] for a, b in zip(self.off[ids].tolist(),
+                                          self.off[ids + 1].tolist())]
+
+    def find(self, label: str) -> int:
+        """The id of ``label`` (the first, if it repeats), or -1: the
+        labels of its length are compared with it word by word."""
+        want = _code_units(label)
+        if want.itemsize > self.units.itemsize:
+            return -1  # wider than every label's code points
+        size = self.units.itemsize
+        nbytes = len(want) * size
+        view = _word_view(self.units)
+        own = _word_view(want.astype(self.units.dtype))
+        found = np.flatnonzero(np.diff(self.off) == len(want))
+        for k in range(-(-nbytes // 8)):
+            found = found[_span_words(view, self.off[found] * size, nbytes, k)
+                          == _span_words(own, 0, nbytes, k)]
+        return int(found[0]) if found.size else -1
+
+
 class UnrootedTree:
     """Connected acyclic graph over dense vertex ids, adjacency in input order."""
 
     __slots__ = ("n", "adj_off", "adj_flat", "labels", "parent0")
 
-    def __init__(self, n: int, adj_off, adj_flat, labels: list[str] | None,
-                 parent0=None):
+    def __init__(self, n: int, adj_off, adj_flat,
+                 labels: Labels | list[str] | None, parent0=None):
         self.n = n
         self.adj_off = _int64(adj_off)
         self.adj_flat = _int64(adj_flat)
-        self.labels = labels
+        self.labels = Labels.of(labels)
         # parent of each vertex with the tree hung from vertex 0 (-1 there);
         # None when the edges are not known to connect the vertices
         self.parent0 = None if parent0 is None else _int64(parent0)
 
     @classmethod
     def from_edges(cls, edges: list[tuple[int, int]], n: int | None = None,
-                   labels: list[str] | None = None) -> "UnrootedTree":
+                   labels: Labels | list[str] | None = None) -> "UnrootedTree":
         """Build and validate a tree from a list of (u, v) id pairs.
 
         Raises :class:`EdgeListError` with a distinct diagnostic for
@@ -214,7 +313,8 @@ class UnrootedTree:
 
     @classmethod
     def from_tree_edges_unchecked(cls, edges, n: int,
-                                  labels: list[str] | None = None) -> "UnrootedTree":
+                                  labels: Labels | list[str] | None = None
+                                  ) -> "UnrootedTree":
         """CSR adjacency in edge-input order, without validation: for edges
         already known to be a tree (validated input, generator output).
         Also hangs the tree from vertex 0; ``parent0`` is None if the edges
@@ -222,7 +322,9 @@ class UnrootedTree:
         n = max(n, 1)
         e = _int64(edges).reshape(-1, 2)
         src = e.ravel()
-        perm = np.argsort(src, kind="stable")
+        # stable by source: sort the unique keys source * arcs + position
+        arcs = max(len(src), 1)
+        perm = np.sort(src * arcs + np.arange(len(src))) % arcs
         flat = e[:, ::-1].ravel()[perm]
         off = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=off[1:])
@@ -230,11 +332,6 @@ class UnrootedTree:
 
     def label(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
-
-    def label_to_id(self) -> dict[str, int]:
-        if self.labels is None:
-            return {str(v): v for v in range(self.n)}
-        return {lbl: v for v, lbl in enumerate(self.labels)}
 
 
 # What ``str.split`` treats as whitespace, and the part of it at which
@@ -244,32 +341,121 @@ _SPACE_CHARS = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
                 "\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
 _BREAK_CHARS = "\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029"
 _COMMENT = re.compile(f"#[^{_BREAK_CHARS}]*")
-# code point -> 0 token character, 1 space, 2 line break; np.take clips
-# every code point above U+3000 to the last entry, a token character
-_CHAR_KIND = np.zeros(0x3002, dtype=np.uint8)
+# code point -> 0 token character, 1 space, 2 line break; code points
+# above U+FFFF are clipped to U+FFFF, a token character
+_CHAR_KIND = np.zeros(0x10000, dtype=np.uint8)
 _CHAR_KIND[[ord(c) for c in _SPACE_CHARS]] = 1
 _CHAR_KIND[[ord(c) for c in _BREAK_CHARS]] = 2
 
 
-def _check_line_shape(text: str) -> None:
+def _check_line_shape(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Raise for the first line that is neither blank nor two tokens, found
-    by classifying every character of the text at once."""
-    codes = (np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-             if text.isascii() else
-             np.frombuffer(text.encode("utf-32-le", "surrogatepass"),
-                           dtype=np.uint32))
-    kind = np.take(_CHAR_KIND, codes, mode="clip")
+    by classifying every character of the text at once.  Returns the code
+    units, their kinds and the start of every token."""
+    codes = _code_units(text)
+    kind = _CHAR_KIND[codes if codes.itemsize < 4 else
+                      np.minimum(codes, 0xFFFF)]
     ends = kind == 2
     ends[1:] &= (codes[1:] != 10) | (codes[:-1] != 13)  # "\r\n" ends once
     starts = kind == 0
     starts[1:] &= kind[:-1] != 0
-    per_line = np.bincount(np.searchsorted(np.flatnonzero(ends),
-                                           np.flatnonzero(starts)))
+    starts = np.flatnonzero(starts)
+    per_line = np.bincount(np.searchsorted(np.flatnonzero(ends), starts))
     bad = np.flatnonzero((per_line != 0) & (per_line != 2))
     if bad.size:
         line = int(bad[0])
         raise EdgeListError(f"line {line + 1}: expected two tokens 'u v', "
                             f"got {per_line[line]}")
+    return codes, kind, starts
+
+
+_MIX_A = np.uint64(0xBF58476D1CE4E5B9)  # splitmix64's multipliers
+_MIX_B = np.uint64(0x94D049BB133111EB)
+_FP_PLACE = np.uint64(0x9E3779B97F4A7C15)
+_FP_LEN = np.uint64(0xD6E8FEB86659FD93)
+
+
+def _mix(x: np.ndarray) -> np.ndarray:
+    """A bijection of uint64 that spreads every input bit (splitmix64)."""
+    x = (x ^ (x >> np.uint64(30))) * _MIX_A
+    x = (x ^ (x >> np.uint64(27))) * _MIX_B
+    return x ^ (x >> np.uint64(31))
+
+
+def _fingerprint(nbytes: np.ndarray, word0: np.ndarray, rest: np.ndarray,
+                 place: np.ndarray, roff: np.ndarray) -> np.ndarray:
+    """A 64-bit fingerprint of each span (after Karp & Rabin, 1987), mixed
+    from its first word and byte length plus the sum of its later words,
+    each mixed with its place in the span.  ``word0`` holds every span's
+    first word and ``rest[roff[i]:roff[i + 1]]`` span i's later words, at
+    ``place``."""
+    fp = word0 ^ (nbytes.astype(np.uint64) * _FP_LEN)
+    longer = np.flatnonzero(np.diff(roff))
+    if longer.size:
+        mixed = _mix(rest ^ (place.astype(np.uint64) * _FP_PLACE))
+        fp[longer] += np.add.reduceat(mixed, roff[longer])
+    return _mix(fp)
+
+
+def _intern(codes: np.ndarray, start: np.ndarray, length: np.ndarray
+            ) -> tuple[np.ndarray, Labels] | None:
+    """Number the tokens ``codes[start:start + length]`` by first appearance
+    of their text and collect the labels, or None when two different tokens
+    share a fingerprint.
+
+    Tokens are grouped by fingerprint; each is then compared with its
+    group's first token: the length, the first word, and one flat compare
+    of the later words, so that no result depends on the fingerprint.
+    """
+    size = codes.itemsize
+    view = _word_view(codes)
+    nbytes = length * size
+    word0 = _span_words(view, start * size, nbytes, 0)
+    # the later words of every token, flat: word ``place`` of its token
+    more = (nbytes - 1) // 8
+    roff = np.zeros(len(start) + 1, dtype=np.int64)
+    np.cumsum(more, out=roff[1:])
+    place = np.arange(1, roff[-1] + 1) - np.repeat(roff[:-1], more)
+    rest = _span_words(view, np.repeat(start * size, more),
+                       np.repeat(nbytes, more), place)
+    del view
+
+    fp = _fingerprint(nbytes, word0, rest, place, roff)
+    del place
+    order = np.argsort(fp)
+    fp = fp[order]
+    new = np.ones(len(fp), dtype=bool)
+    new[1:] = fp[1:] != fp[:-1]
+    del fp
+    heads = np.flatnonzero(new)
+    first = np.minimum.reduceat(order, heads)
+    is_first = np.zeros(len(order), dtype=bool)
+    is_first[first] = True
+    ids = np.empty(len(order), dtype=np.int64)
+    ids[order] = np.repeat((np.cumsum(is_first) - 1)[first],
+                           np.diff(np.append(heads, len(order))))
+    del order, new, heads, first
+    firsts = np.flatnonzero(is_first)  # each label's first token, by id
+
+    rep = firsts[ids]
+    if not (np.array_equal(nbytes[rep], nbytes)
+            and np.array_equal(word0[rep], word0)):
+        return None
+    shift = np.repeat(roff[rep] - roff[:-1], more)
+    del rep
+    shift += np.arange(len(rest))
+    if not np.array_equal(rest[shift], rest):
+        return None
+    del shift, rest, word0
+
+    # the labels' units: the first tokens' spans, which are in id order
+    inside = np.zeros(len(codes) + 1, dtype=np.int8)
+    inside[start[firsts]] = 1
+    inside[start[firsts] + length[firsts]] = -1
+    units = codes[np.cumsum(inside[:-1], dtype=np.int8).view(bool)]
+    off = np.zeros(len(firsts) + 1, dtype=np.int64)
+    np.cumsum(length[firsts], out=off[1:])
+    return ids, Labels(units, off)
 
 
 def parse_edge_list(text: str) -> UnrootedTree:
@@ -283,15 +469,26 @@ def parse_edge_list(text: str) -> UnrootedTree:
     """
     if "#" in text:
         text = _COMMENT.sub("", text)
-    _check_line_shape(text)
-    tokens = text.split()
-    if not tokens:
+    codes, kind, start = _check_line_shape(text)
+    if not start.size:
         return UnrootedTree.from_tree_edges_unchecked([], 1, ["0"])
-    ids = defaultdict(count().__next__)
-    edges = np.fromiter(map(ids.__getitem__, tokens), dtype=np.int64,
-                        count=len(tokens)).reshape(-1, 2)
-    del tokens  # the labels keep the first copies; free the rest now
-    labels = list(ids)
+    token = kind == 0
+    del kind
+    stop = np.flatnonzero(token & np.append(~token[1:], True)) + 1
+    del token
+    interned = _intern(codes, start, stop - start)
+    del codes, start, stop
+    if interned is None:  # a fingerprint collision: intern the strings
+        ids = defaultdict(count().__next__)
+        tokens = text.split()
+        edges = np.fromiter(map(ids.__getitem__, tokens), dtype=np.int64,
+                            count=len(tokens)).reshape(-1, 2)
+        del tokens
+        labels = Labels.of(list(ids))
+        del ids
+    else:
+        edges, labels = interned
+        edges = edges.reshape(-1, 2)
     n = len(labels)
     # n - 1 edges that connect n vertices are a tree: no cycle, no self-loop
     # and no duplicate is left to find
@@ -316,17 +513,23 @@ class DemandTree:
                  "_cache")
 
     def __init__(self, n: int, root: int, parent, child_off, child_flat,
-                 labels: list[str] | None):
+                 labels: Labels | list[str] | None):
         self.n = n
         self.root = root
         self.parent = _int64(parent)
         self.child_off = _int64(child_off)
         self.child_flat = _int64(child_flat)
-        self.labels = labels
+        self.labels = Labels.of(labels)
         self._cache: dict = {}
 
     def label(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
+
+    def names(self, ids) -> list[str]:
+        """The labels of ``ids`` as strings."""
+        if self.labels is None:
+            return list(map(str, ids))
+        return self.labels.take(ids)
 
     def children(self, v: int) -> list[int]:
         return self.child_flat[self.child_off[v]:self.child_off[v + 1]].tolist()
@@ -437,14 +640,6 @@ class HostTree:
     def is_steiner(self, i: int) -> bool:
         return i >= self.n_vertices
 
-    def add_steiner(self, owner_vertex: int) -> int:
-        i = len(self.parent)
-        self.parent = np.append(self.parent, NONE)
-        self.left = np.append(self.left, NONE)
-        self.right = np.append(self.right, NONE)
-        self.owner = np.append(self.owner, owner_vertex)
-        return i
-
     def link(self, parent: int, child: int) -> None:
         if self.left[parent] == NONE:
             self.left[parent] = child
@@ -480,10 +675,6 @@ class HostTree:
                     depth[w] = d
                     stack.append(w)
         return depth
-
-    def copy(self) -> "HostTree":
-        return HostTree(self.n_vertices, self.root, self.parent.copy(),
-                        self.left.copy(), self.right.copy(), self.owner.copy())
 
     def validate(self) -> None:
         """Check binary shape, link consistency, connectivity, acyclicity."""
@@ -620,11 +811,15 @@ def _parse_node_name(tok: str) -> tuple[int, bool]:
     """Return (id, is_steiner) for a serialized node name."""
     if not isinstance(tok, str):
         raise HostTreeError(f"bad node name {tok!r}")
-    if tok.startswith("s") and is_ascii_int(tok[1:]):
-        return int(tok[1:]), True
-    if is_ascii_int(tok) or (tok.startswith("-") and is_ascii_int(tok[1:])):
-        return int(tok), False
-    raise HostTreeError(f"bad node name {tok!r}")
+    steiner = tok.startswith("s") and is_ascii_int(tok[1:])
+    digits = tok[1:] if steiner or tok.startswith("-") else tok
+    if not is_ascii_int(digits):
+        raise HostTreeError(f"bad node name {tok!r}")
+    # ids below 10^18 fit int64; int() refuses above 4300 digits anyway
+    if len(digits.lstrip("0")) > 18:
+        raise HostTreeError(f"node id too large: {tok[:20]}... "
+                            f"({len(tok)} characters)")
+    return int(tok[1:] if steiner else tok), steiner
 
 
 def parse_host(text: str) -> HostTree:

@@ -6,9 +6,10 @@ enumerated through Prüfer sequences in which no label occurs more than twice;
 each qualifying sequence decodes to a distinct tree and vice versa.
 
 ``opt_cost`` scans every host.  For n <= 9 a cached bank of all-pairs
-distances (one int8 row per host) turns each instance into a single
-vectorized sum+argmin; n = 10 falls back to streaming chunks and is slow but
-exact.  Anything larger is rejected.
+distances (one int8 row per vertex pair, one column per host) turns each
+instance into n - 1 contiguous row additions and an argmin; n = 10 falls
+back to streaming chunks and is slow but exact.  Anything larger is
+rejected.
 """
 from __future__ import annotations
 
@@ -20,8 +21,8 @@ import numpy as np
 
 from .cost import evaluate
 from .generate import prufer_edges
-from .model import (DemandTree, HostTree, InvariantViolation, ResourceCapError,
-                    UnrootedTree, root_at)
+from .model import (DemandTree, HostTree, InvariantViolation, Labels,
+                    ResourceCapError, UnrootedTree, root_at)
 
 MAX_N = 10
 BANK_MAX_N = 9
@@ -151,7 +152,7 @@ def _all_pairs_dist(edges: np.ndarray, n: int) -> np.ndarray:
 class _HostBank:
     n: int
     seqs: np.ndarray        # (M, n-2) int8, lexicographic order
-    pair_dists: np.ndarray  # (M, n*(n-1)//2) int8
+    pair_dists: np.ndarray  # (n*(n-1)//2, M) int8: a row per vertex pair
 
     @property
     def count(self) -> int:
@@ -165,13 +166,13 @@ def _bank(n: int) -> _HostBank:
     dist_blocks = []
     for seqs, dist in _host_chunks(n):
         seq_blocks.append(seqs)
-        dist_blocks.append(dist[:, iu, iv].astype(np.int8))
+        dist_blocks.append(dist[:, iu, iv].T)
     return _HostBank(n, np.concatenate(seq_blocks),
-                     np.concatenate(dist_blocks))
+                     np.concatenate(dist_blocks, axis=1))
 
 
 def _host_from_edges(edges: list[tuple[int, int]], n: int,
-                     labels: list[str] | None) -> HostTree:
+                     labels: Labels | None) -> HostTree:
     """Root a degree-<=3 tree at its smallest leaf to get a binary host."""
     deg = [0] * n
     for u, v in edges:
@@ -208,7 +209,10 @@ def opt_cost(demand: DemandTree) -> tuple[int, HostTree]:
     if n <= BANK_MAX_N:
         bank = _bank(n)
         cols = _demand_pair_cols(demand)
-        costs = bank.pair_dists[:, cols].sum(axis=1, dtype=np.int32)
+        # a cost is at most (n - 1)^2 = 64, so int8 sums do not wrap
+        costs = bank.pair_dists[cols[0]].copy()
+        for col in cols[1:].tolist():
+            costs += bank.pair_dists[col]
         best = int(costs.argmin())
         opt = int(costs[best])
         edges = prufer_edges(bank.seqs[best].tolist(), n)

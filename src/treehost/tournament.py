@@ -24,16 +24,85 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (DEAD, NONE, DemandTree, HostTree, InvariantViolation,
-                    TreeHostError, UnknownVertexError)
+                    Labels, TreeHostError, UnknownVertexError, _span_words,
+                    _word_view)
+
+
+def _span_order(view: np.ndarray, start: np.ndarray, nbytes: np.ndarray,
+                first: np.ndarray | None = None) -> np.ndarray:
+    """Order of byte spans of a ``_word_view`` by ``first`` if given, then
+    by their 8-byte words, then by length, then by index: for code units,
+    Python's ``str`` order, stable.  The length comes after the words, so
+    that "a" and "a\\0", equal in zero-padded words, stay apart.  Word k is
+    read only for groups still tied that hold a span longer than 8k
+    bytes."""
+    m = len(start)
+
+    def word(spans: np.ndarray, k: int) -> np.ndarray:
+        out = np.zeros(len(spans), dtype=np.uint64)
+        has = nbytes[spans] > 8 * k
+        out[has] = _span_words(view, start[spans[has]], nbytes[spans[has]], k)
+        return out
+
+    w = word(np.arange(m), 0)
+    order = np.argsort(w)  # quicksort: the index settles full ties last
+    if first is not None:
+        key = first[order]
+        if key.max(initial=0) < 1 << 16:
+            key = key.astype(np.uint16)  # a stable sort of it is a radix sort
+        order = order[np.argsort(key, kind="stable")]
+    tied = np.zeros(m, dtype=bool)  # sorted span i ties with span i - 1
+    tied[1:] = w[order[1:]] == w[order[:-1]]
+    if first is not None:
+        tied[1:] &= first[order[1:]] == first[order[:-1]]
+    pos, k = np.arange(m), 1  # the sorted positions of whole tied groups
+    while pos.size:
+        group = np.cumsum(~tied[pos]) - 1
+        heads = np.flatnonzero(~tied[pos])
+        size = np.diff(np.append(heads, len(pos)))
+        longest = np.maximum.reduceat(nbytes[order[pos]], heads)
+        keep = ((size > 1) & (longest > 8 * k))[group]
+        pos, group = pos[keep], group[keep]
+        if pos.size:
+            w = word(order[pos], k)
+            perm = np.lexsort((w, group))
+            order[pos] = order[pos][perm]
+            w = w[perm]
+            tied[pos[1:]] &= w[1:] == w[:-1]
+        k += 1
+    pos = np.flatnonzero(tied | np.append(tied[1:], False))
+    if pos.size:  # equal in every word: the shorter first, then by index
+        group = np.cumsum(~tied[pos])
+        spans = order[pos]
+        order[pos] = spans[np.lexsort((spans, nbytes[spans], group))]
+    return order
+
+
+def _leading_zeros(digits: np.ndarray, start: np.ndarray,
+                   length: np.ndarray) -> np.ndarray:
+    """Number of leading "0" bytes of each span, from the runs of "0"."""
+    lead = np.zeros(len(start), dtype=np.int64)
+    led = np.flatnonzero(digits[start] == ord("0"))
+    if led.size:
+        zero = digits == ord("0")
+        run_end = np.flatnonzero(zero & np.append(~zero[1:], True)) + 1
+        s = start[led]
+        end = run_end[np.searchsorted(run_end, s, side="right")]
+        lead[led] = np.minimum(end, s + length[led]) - s
+    return lead
 
 
 def _label_rank(demand: DemandTree, mode: str) -> np.ndarray:
     """Rank of each vertex under the tiebreak order.
 
-    "lex" sorts labels lexicographically with numeric awareness (labels made
-    of ASCII digits compare as integers, ties by id, and before all other
-    labels); "id" keeps the input id order.  With default labels both
-    coincide.
+    "lex" puts labels made of ASCII digits first, by integer value, and all
+    other labels after them in Python's ``str`` order; ties keep id order.
+    "id" keeps the input id order.  With default labels both coincide.
+
+    The labels are sorted as arrays: numerals by their digit count without
+    the leading zeros, then by those digits in 8-byte words; other labels by
+    their code units in big-endian words, then by length.  A label list set
+    by a caller is encoded once and sorted the same way.
     """
     if mode not in ("id", "lex"):
         raise ValueError(f"unknown tiebreak {mode!r}")
@@ -41,20 +110,25 @@ def _label_rank(demand: DemandTree, mode: str) -> np.ndarray:
     rank = np.arange(n, dtype=np.int64)
     if mode == "id" or demand.labels is None:
         return rank
-    labels = demand.labels
-    numeric = (np.fromiter(map(str.isdecimal, labels), dtype=bool, count=n)
-               & np.fromiter(map(str.isascii, labels), dtype=bool, count=n))
-    num_ids = np.flatnonzero(numeric)
-    # a numeral's value orders as its digits without leading zeros: by
-    # length, then as a string; the stable sorts keep ties in id order
-    digits = [labels[v].lstrip("0") for v in num_ids.tolist()]
-    by_digits = np.fromiter(sorted(range(len(digits)), key=digits.__getitem__),
-                            dtype=np.int64, count=len(digits))
-    lengths = np.fromiter(map(len, digits), dtype=np.int64, count=len(digits))
-    by_value = by_digits[np.argsort(lengths[by_digits], kind="stable")]
-    others = sorted(np.flatnonzero(~numeric).tolist(), key=labels.__getitem__)
-    order = np.concatenate([num_ids[by_value], np.asarray(others, np.int64)])
-    rank[order] = np.arange(n, dtype=np.int64)
+    labels = Labels.of(demand.labels)
+    units, off = labels.units, labels.off
+    start, length = off[:-1], np.diff(off)
+    nondigit = np.append((units < ord("0")) | (units > ord("9")), True)
+    numeric = (length > 0) & ~np.logical_or.reduceat(nondigit, off)[:-1]
+    del nondigit
+    num = np.flatnonzero(numeric)
+    # the digits are ASCII, so the low byte of every unit spells them
+    digits = units if units.dtype == np.uint8 else units.astype(np.uint8)
+    lead = _leading_zeros(digits, start[num], length[num])
+    width = length[num] - lead
+    by_value = num[_span_order(_word_view(digits), start[num] + lead, width,
+                               width)]
+    del digits
+    text = np.flatnonzero(~numeric)
+    size = units.itemsize
+    by_text = text[_span_order(_word_view(units), start[text] * size,
+                               length[text] * size)]
+    rank[np.concatenate([by_value, by_text])] = np.arange(n, dtype=np.int64)
     return rank
 
 

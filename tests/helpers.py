@@ -10,6 +10,7 @@ to them.
 """
 from __future__ import annotations
 
+import sys
 from collections import deque
 
 import numpy as np
@@ -19,6 +20,21 @@ from treehost import (DemandTree, EdgeListError, HostTree, UnknownVertexError,
 
 NONE = -1
 DEAD = -2
+
+
+def add_steiner(host: HostTree, owner_vertex: int) -> int:
+    """Append one unlinked steiner node owned by ``owner_vertex``."""
+    i = host.num_nodes()
+    host.parent = np.append(host.parent, NONE)
+    host.left = np.append(host.left, NONE)
+    host.right = np.append(host.right, NONE)
+    host.owner = np.append(host.owner, owner_vertex)
+    return i
+
+
+def copy_host(host: HostTree) -> HostTree:
+    return HostTree(host.n_vertices, host.root, host.parent.copy(),
+                    host.left.copy(), host.right.copy(), host.owner.copy())
 
 
 def leaf_slots_in_order(leaf_count: int) -> list[int]:
@@ -51,7 +67,7 @@ def bracket_host_by_slot_rule(demand: DemandTree) -> HostTree:
             continue
         node = dict(zip(leaf_slots_in_order(len(ch)), ch))
         for i in range(1, len(ch)):
-            node[i] = host.add_steiner(v)
+            node[i] = add_steiner(host, v)
         host.link(v, node[1])
         for i in range(1, len(ch)):
             host.link(node[i], node[2 * i])
@@ -148,7 +164,7 @@ def fig_phase1_host() -> HostTree:
     steiner nodes are anonymous (compare via ``host_shape``).
     """
     h = HostTree.empty(14, 0)
-    s = {k: h.add_steiner(-1) for k in range(1, 9)}
+    s = {k: add_steiner(h, -1) for k in range(1, 9)}
     links = [
         (0, s[1]), (s[1], s[2]), (s[2], 1), (s[2], 2), (s[1], 3),
         (1, s[3]), (s[3], s[4]), (s[4], 4), (s[4], 5),
@@ -296,5 +312,11 @@ def reference_label_rank(labels: list[str]) -> np.ndarray:
         return (1, 0, lbl)
 
     rank = np.empty(n, dtype=np.int64)
-    rank[sorted(range(n), key=sort_key)] = np.arange(n, dtype=np.int64)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # int() of numerals above 4300 digits
+    try:
+        order = sorted(range(n), key=sort_key)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    rank[order] = np.arange(n, dtype=np.int64)
     return rank

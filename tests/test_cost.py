@@ -19,7 +19,7 @@ def test_evaluate_path_identity():
 
 def _hosts_under_test(d, rng):
     h1 = run_bracket_builder(d)
-    yield h1.copy()
+    yield helpers.copy_host(h1)
     run_tournament(h1, d)
     yield h1
     if d.n <= 8 and d.n >= 2:

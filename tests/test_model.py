@@ -9,8 +9,10 @@ from treehost import (EdgeListError, HostTreeError, UnknownVertexError,
                       UnrootedTree, gen, opt_cost, parse_edge_list,
                       parse_host, root_at, run_bracket_builder,
                       run_tournament, serialize)
+from treehost import model
 from treehost.generate import prufer_edges
-from treehost.model import _BREAK_CHARS, _SPACE_CHARS
+from treehost.model import _BREAK_CHARS, _SPACE_CHARS, Labels
+from treehost.tournament import _label_rank
 
 import helpers
 
@@ -18,7 +20,7 @@ import helpers
 def test_parse_path():
     t = parse_edge_list("0 1\n1 2")
     assert t.n == 3
-    assert t.labels == ["0", "1", "2"]
+    assert list(t.labels) == ["0", "1", "2"]
     d = root_at(t, 1)
     assert d.children(1) == [0, 2]
     assert d.child_count(1) == 2
@@ -54,7 +56,7 @@ def test_parse_errors_are_distinct(text, needle):
 def test_parse_comments_and_blanks():
     t = parse_edge_list("# a comment\n\na b  # trailing\nb c\n")
     assert t.n == 3
-    assert t.labels == ["a", "b", "c"]
+    assert list(t.labels) == ["a", "b", "c"]
 
 
 def test_empty_input_is_single_vertex():
@@ -189,6 +191,17 @@ def test_character_classes_match_the_str_methods():
 # same value, and non-ASCII text.
 _TRICKY_LABELS = ["7", "007", "²", "١", "a", "a\x00", "a\x00\x00", "\x00",
                   "é", "0", "s1", "18446744073709551617"]
+# Labels around the 8-byte words the intern reads: 8, 9, 16 and 17 code
+# units, labels equal in their first word at some unit width (1, 2 or 4
+# bytes) and apart after it, and numerals of 18-21 and of more than 4300
+# digits, with leading zeros.
+_WORD_LABELS = ["abcdefgh", "abcdefgh\x00", "abcdefghi", "abcdefghabcdefgh",
+                "abcdefghabcdefgi", "abcdefghabcdefghi", "ééa", "éé\x00",
+                "ééb", "中文中文x", "中文中文y", "😀😀x", "😀😀y",
+                "123456789012345678",
+                "0001234567890123456789", "12345678901234567890",
+                "000000123456789012345678901", "1" * 4301, "00" + "1" * 4301,
+                "1" * 4300 + "2"]
 _INNER_SPACE = [" ", "\t", " \t ", "\x1f", "\xa0", "\u3000"]
 _LINE_ENDS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
               "\x85", "\u2028", "\u2029"]
@@ -204,7 +217,8 @@ def _edge_list_texts(draw):
     seq = draw(st.lists(st.integers(0, n - 1), min_size=max(n - 2, 0),
                         max_size=max(n - 2, 0)))
     rnd = draw(st.randoms(use_true_random=False))
-    names = rnd.sample(_TRICKY_LABELS + [f"v{i}" for i in range(n)], n)
+    names = rnd.sample(_TRICKY_LABELS + _WORD_LABELS
+                       + [f"v{i}" for i in range(n)], n)
     lines = [[names[u], names[v]] for u, v in
              (prufer_edges(seq, n) if n > 1 else [])]
     rnd.shuffle(lines)
@@ -246,7 +260,7 @@ def _parsed(parse, text):
         t = parse(text)
     except EdgeListError as exc:
         return str(exc)
-    return t.n, t.labels, t.adj_off.tolist(), t.adj_flat.tolist()
+    return t.n, list(t.labels), t.adj_off.tolist(), t.adj_flat.tolist()
 
 
 @settings(database=None, derandomize=True, deadline=None, max_examples=300)
@@ -257,6 +271,9 @@ def test_parser_matches_the_line_by_line_reference(text):
     if isinstance(got, str):
         return
     tree = parse_edge_list(text)
+    for v, name in enumerate(got[1]):
+        assert tree.labels.find(name) == v
+    assert tree.labels.find("absent") == -1
     for r in range(tree.n):
         new, ref = root_at(tree, r), helpers.reference_root_at(tree, r)
         assert new.root == ref.root == r
@@ -278,7 +295,49 @@ def test_parse_error_messages(text, message):
 
 def test_labels_differing_by_a_trailing_nul_stay_distinct():
     t = parse_edge_list("a a\x00\na\x00 7\n7 007\n")
-    assert t.labels == ["a", "a\x00", "7", "007"]
+    assert list(t.labels) == ["a", "a\x00", "7", "007"]
+
+
+def test_fingerprint_collisions_fall_back_to_the_dictionary(monkeypatch):
+    """With every fingerprint equal, the exact check refuses the intern and
+    the dictionary over str.split gives the same labels, CSR and ranks."""
+    texts = ["a b\nb c\n", "7 007\n007 a\x00\na\x00 a\n",
+             "\n".join(f"é {w}" for w in _WORD_LABELS)]
+    for kind in ("random", "star"):
+        d = gen(kind, 300, seed=3)
+        names = [_WORD_LABELS[v % len(_WORD_LABELS)] + str(v) if v % 4
+                 else str(v * 7919) for v in range(d.n)]
+        texts.append("".join(f"{names[u]} {names[v]}\n"
+                             for u, v in d.edges()))
+
+    def parsed(text):
+        t = parse_edge_list(text)
+        return (_parsed(parse_edge_list, text),
+                _label_rank(root_at(t, 0), "lex").tolist())
+
+    expected = [parsed(text) for text in texts]
+    monkeypatch.setattr(model, "_fingerprint", lambda nbytes, *words:
+                        np.zeros_like(nbytes, np.uint64))
+    for text, want in zip(texts, expected):
+        codes, kind, start = model._check_line_shape(text)
+        token = kind == 0
+        stop = np.flatnonzero(token & np.append(~token[1:], True)) + 1
+        assert model._intern(codes, start, stop - start) is None
+        assert parsed(text) == want
+
+
+def test_labels_are_made_into_strings_only_on_request():
+    for labels in (["a", "", "a\x00", "é", "10"], ["x", "y"], [],
+                   ["中", "x", "\ud800"], ["😀", "\ud83d\ude00", "\udc80x"]):
+        held = Labels.of(labels)
+        assert len(held) == len(labels)
+        assert list(held) == labels
+        assert [held[v] for v in range(len(labels))] == labels
+        assert held.take([1, 0] if labels else []) == labels[1::-1]
+        for v, name in enumerate(labels):
+            assert held.find(name) == labels.index(name)
+        for absent in {"中", "😁", "b"} - set(labels):
+            assert held.find(absent) == -1
 
 
 def test_root_at_reverses_the_path_to_vertex_0():

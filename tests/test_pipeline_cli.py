@@ -324,6 +324,7 @@ def test_console_entry_point(tmp_path):
     ["check", "--random", "5", "1", "-1"],
     ["eval", "{edges}", "--host", "{three_vertex_host}"],
     ["check", "{edges}", "--host", "{three_vertex_host}"],
+    ["eval", "{edges}", "--host", "{long_name_host}"],
 ])
 def test_cli_bad_arguments_are_typed_errors(argv, tmp_path, capsys):
     files = {
@@ -333,6 +334,7 @@ def test_cli_bad_arguments_are_typed_errors(argv, tmp_path, capsys):
                        '"steiner": 5, "root": "0"}',
         "superscript_host": "0:0\n²:0\n",
         "three_vertex_host": "0:0\n1:0\n2:1\n",
+        "long_name_host": "0:0\n1:0\n" + "1" * 5001 + ":0\n",
         "not_utf8": "\udcff 1\n",
     }
     paths = {}
@@ -368,6 +370,37 @@ def test_cli_solve_ranks_numerals_beyond_int_conversion_limit(tmp_path,
     code, out, _ = _run(["solve", str(f), "--json"], capsys=capsys)
     assert code == 0
     assert json.loads(out)["charge_ledger"] == [[big, 0]]
+
+
+def test_cli_text_solve_makes_no_label_list(tmp_path, capsys, monkeypatch):
+    """A text-mode solve of a labelled tree holds its labels as arrays: the
+    one label made into a str is the report's root, found by --root."""
+    from treehost import gen
+    from treehost.model import Labels
+    d = gen("random", 3000, seed=4)
+    names = [f"v{v}é" if v % 3 else str(v * 7) for v in range(d.n)]
+    f = tmp_path / "labelled.edges"
+    f.write_text("".join(f"{names[u]} {names[v]}\n" for u, v in d.edges()),
+                 encoding="utf-8")
+    made = []
+    take, item = Labels.take, Labels.__getitem__
+
+    def counted_take(self, ids):
+        got = take(self, ids)
+        made.extend(got)
+        return got
+
+    def counted_item(self, v):
+        made.append(item(self, v))
+        return made[-1]
+
+    monkeypatch.setattr(Labels, "take", counted_take)
+    monkeypatch.setattr(Labels, "__getitem__", counted_item)
+    code, out, _ = _run(["solve", str(f), "--root", names[1234], "--out",
+                         str(tmp_path / "host.txt")], capsys=capsys)
+    assert code == 0
+    assert f"root           {names[1234]}\n" in out
+    assert made == [names[1234]]
 
 
 def _tampered(fig_demand, monkeypatch, tamper):

@@ -299,6 +299,18 @@ _RANK_LABELS = st.one_of(
     st.sampled_from(["7", "007", "0", "00", "7\x00", "\x00", "a", "a\x00",
                      "²", "١", "١٢", "7²", "k7"]),
     st.text(min_size=1, max_size=4),
+    # 18-21 digits, and more than 4300, apart only in the last word
+    st.tuples(st.integers(0, 3), st.integers(10 ** 17, 10 ** 21 - 1)).map(
+        lambda t: "0" * t[0] + str(t[1])),
+    st.tuples(st.integers(0, 2), st.sampled_from([4299, 4300, 4308]),
+              st.integers(0, 99)).map(
+        lambda t: "0" * t[0] + "9" * t[1] + f"{t[2]:02d}"),
+    # 8, 9, 16 and 17 code units: equal in the first word (8 one-byte,
+    # four two-byte or two four-byte units), apart after it
+    st.tuples(st.sampled_from(["abcdefgh", "abcdefghabcdefgh", "éé", "中文",
+                               "中文中文", "😀😀", "12345678",
+                               "1234567812345678"]),
+              st.text(alphabet="ab0\x00é", max_size=3)).map("".join),
 )
 
 
