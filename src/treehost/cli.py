@@ -10,18 +10,19 @@ import json
 import random
 import sys
 import time
-from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 from .bounds import format_table, lb_instance, table1
-from .cost import evaluate
+from .cost import CostBreakdown, evaluate
 from .generate import KINDS, bst_demo, gen
 from .model import (DemandTree, InvariantViolation, ParameterError,
                     ResourceCapError, TreeHostError, UnknownVertexError,
                     is_ascii_int, json_block, parse_edge_list, parse_host,
-                    root_at, serialize)
+                    root_at, serialize, write_rows)
 from .oracle import BANK_MAX_N, MAX_N, opt_cost
 from .pipeline import solve_instance
-from .tournament import check_invariants
+from .tournament import TournamentResult, check_invariants
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -79,6 +80,29 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _ledger(demand: DemandTree, tournament: TournamentResult) -> list[str]:
+    """The report's ``charge_ledger``, in pieces: a [label, charge] pair
+    per match."""
+    return json_block(write_rows(
+        '    [\n      "', (demand.labels, tournament.losers), '",\n      ',
+        (tournament.charges, None), '\n    ],\n'), "[", "]")
+
+
+def _eval_listing(demand: DemandTree, breakdown: CostBreakdown,
+                  as_json: bool) -> list[str]:
+    """The total, then the cost of every vertex as a JSON object, or of
+    every vertex that has one as ``label cost`` lines, in pieces."""
+    cost = np.asarray(breakdown.per_vertex, dtype=np.int64)
+    if as_json:
+        rows = write_rows('    "', (demand.labels, np.arange(demand.n)), '": ',
+                          (cost, None), ",\n")
+        return [f'{{\n  "total": {breakdown.total},\n  "per_vertex": ',
+                *json_block(rows, "{", "}"), "\n}\n"]
+    paid = np.flatnonzero(cost)
+    return [f"total {breakdown.total}\n", *write_rows(
+        (demand.labels, paid), " ", (cost[paid], None), "\n", raw=True)]
+
+
 def cmd_solve(args) -> int:
     demand = _load_demand(args.input, args.root)
     result = solve_instance(demand, tiebreak=args.tiebreak,
@@ -86,24 +110,20 @@ def cmd_solve(args) -> int:
                             debug=args.debug_checks,
                             with_oracle=args.oracle)
     rep = result.report
-    host_text = serialize(result.host, "json" if args.json else "text")
     if args.out:
-        _write_out(host_text, args.out)
+        _write_out(serialize(result.host, "json" if args.json else "text"),
+                   args.out)
     if args.json:
         # the report in json.dumps(indent=2) layout, its big members
-        # written directly: the ledger, and the host text indented in place
+        # written directly: the ledger, and the host indented in place
         parts = [json.dumps(rep.to_json_dict(), indent=2)[:-2]]
         if result.tournament is not None:
-            names = demand.names(result.tournament.losers)
-            ledger = json_block("".join(map(
-                "    [\n      {},\n      {}\n    ],\n".format,
-                map(encode_basestring_ascii, names),
-                result.tournament.charges)), "[", "]")
-            parts.append(f',\n  "charge_ledger": {ledger}')
+            parts.append(',\n  "charge_ledger": ')
+            parts += _ledger(demand, result.tournament)
         if args.out:
             parts.append(f',\n  "host_file": {json.dumps(args.out)}')
         else:
-            host = host_text[:-1].replace("\n", "\n  ")
+            host = serialize(result.host, "json", level=1)
             parts.append(f',\n  "host": {host}')
         parts.append("\n}\n")
         sys.stdout.writelines(parts)
@@ -126,25 +146,15 @@ def cmd_solve(args) -> int:
         for phase, t in rep.wall_times.items():
             print(f"time {phase:<9} {t:.3f}s")
         if not args.out:
-            sys.stdout.write(host_text)
+            sys.stdout.write(serialize(result.host))
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
     demand = _load_demand(args.input, args.root)
     host = parse_host(_read_input(args.host))
-    breakdown = evaluate(demand, host)
-    names = demand.names(range(demand.n))
-    if args.json:
-        print(json.dumps({
-            "total": breakdown.total,
-            "per_vertex": dict(zip(names, breakdown.per_vertex)),
-        }, indent=2))
-    else:
-        print(f"total {breakdown.total}")
-        for name, c in zip(names, breakdown.per_vertex):
-            if c:
-                print(f"{name} {c}")
+    sys.stdout.writelines(_eval_listing(demand, evaluate(demand, host),
+                                        args.json))
     return EXIT_OK
 
 

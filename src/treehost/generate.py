@@ -13,8 +13,8 @@ import random
 from dataclasses import dataclass
 
 from .cost import evaluate
-from .model import (DemandTree, HostTree, ParameterError, ResourceCapError,
-                    UnrootedTree, root_at)
+from .model import (NONE, DemandTree, HostTree, ParameterError,
+                    ResourceCapError, UnrootedTree, root_at)
 
 KINDS = ("path", "star", "caterpillar", "complete_binary", "random")
 BST_ENUM_CAP = 12
@@ -107,8 +107,7 @@ def balanced_bst_host(keyed: KeyedPath) -> HostTree:
     n = keyed.tree.n
     vert = keyed.vertex_of_key()
     root = vert[(1 + n) // 2]
-    host = HostTree.empty(n, root)
-
+    up, left, right = ([NONE] * n for _ in range(3))
     stack = [(1, n, -1, False)]
     while stack:
         lo, hi, parent, is_right = stack.pop()
@@ -118,13 +117,13 @@ def balanced_bst_host(keyed: KeyedPath) -> HostTree:
         v = vert[mid]
         if parent >= 0:
             if is_right:
-                host.right[parent] = v
+                right[parent] = v
             else:
-                host.left[parent] = v
-            host.parent[v] = parent
+                left[parent] = v
+            up[v] = parent
         stack.append((mid + 1, hi, v, True))
         stack.append((lo, mid - 1, v, False))
-    return host
+    return HostTree(n, root, up, left, right, [NONE] * n)
 
 
 def _all_bst_parents(par: list[int], lo: int, hi: int, parent: int):

@@ -19,9 +19,10 @@ group exactly (a dictionary over ``str.split`` only if two different tokens
 share a fingerprint), and proves the n - 1 edges connected
 with one Euler tour from vertex 0, ranked in numpy (``_list_ranks``);
 ``root_at`` reuses the parent array of that tour.
-``serialize`` ranks an Euler tour of the host for its preorder and writes
-every node name's digits at once, the JSON form directly in the layout of
-``json.dumps(indent=2)``.
+``serialize`` ranks an Euler tour of the host for its preorder; it, the
+``solve --json`` ledger and the ``eval`` listings are written by one column
+writer (``write_rows``) from arrays: node names, numbers and labels' code
+units, the JSON directly in the layout of ``json.dumps(indent=2)``.
 """
 from __future__ import annotations
 
@@ -173,7 +174,7 @@ def _code_units(text: str) -> np.ndarray:
 
 def _decode(units: np.ndarray) -> str:
     if units.dtype == np.uint8:
-        return units.tobytes().decode("latin-1")
+        return str(units.data, "latin-1")
     return units.astype(_UTF32).tobytes().decode("utf-32-le", "surrogatepass")
 
 
@@ -223,16 +224,6 @@ class Labels:
 
     def __getitem__(self, v: int) -> str:
         return _decode(self.units[self.off[v]:self.off[v + 1]])
-
-    def __iter__(self):
-        return iter(self.take(np.arange(len(self))))
-
-    def take(self, ids) -> list[str]:
-        """The labels of ``ids`` as strings, cut from one decode."""
-        ids = _int64(ids)
-        text = _decode(self.units)
-        return [text[a:b] for a, b in zip(self.off[ids].tolist(),
-                                          self.off[ids + 1].tolist())]
 
     def find(self, label: str) -> int:
         """The id of ``label`` (the first, if it repeats), or -1: the
@@ -525,12 +516,6 @@ class DemandTree:
     def label(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
 
-    def names(self, ids) -> list[str]:
-        """The labels of ``ids`` as strings."""
-        if self.labels is None:
-            return list(map(str, ids))
-        return self.labels.take(ids)
-
     def children(self, v: int) -> list[int]:
         return self.child_flat[self.child_off[v]:self.child_off[v + 1]].tolist()
 
@@ -549,32 +534,6 @@ class DemandTree:
     def leaf_count(self) -> int:
         """Number of childless vertices."""
         return int(np.count_nonzero(np.diff(self.child_off) == 0))
-
-    def bfs_order(self) -> list[int]:
-        order = [self.root]
-        head = 0
-        flat, off = self.child_flat.tolist(), self.child_off.tolist()
-        while head < len(order):
-            v = order[head]
-            head += 1
-            order.extend(flat[off[v]:off[v + 1]])
-        return order
-
-    def validate(self) -> None:
-        n = self.n
-        if self.parent[self.root] != NONE:
-            raise TreeHostError("root has a parent")
-        if self.child_off[n] != n - 1 and n > 0:
-            raise TreeHostError("child count sum != n-1")
-        owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.child_off))
-        bad = np.flatnonzero(self.parent[self.child_flat] != owner)
-        if bad.size:
-            w = int(self.child_flat[bad[0]])
-            raise TreeHostError(f"parent[{w}] inconsistent with children")
-        if len(self.child_flat) != n - 1:
-            raise TreeHostError("edge count != n-1")
-        if len(self.bfs_order()) != n:
-            raise TreeHostError("tree not connected from root")
 
 
 def root_at(tree: UnrootedTree, root: int) -> DemandTree:
@@ -628,26 +587,11 @@ class HostTree:
         self.right = _int64(right)
         self.owner = _int64(owner)
 
-    @classmethod
-    def empty(cls, n_vertices: int, root: int) -> "HostTree":
-        """Host with all demand vertices present and no links yet."""
-        return cls(n_vertices, root, *(np.full(n_vertices, NONE, dtype=np.int64)
-                                       for _ in range(4)))
-
     def num_nodes(self) -> int:
         return len(self.parent)
 
     def is_steiner(self, i: int) -> bool:
         return i >= self.n_vertices
-
-    def link(self, parent: int, child: int) -> None:
-        if self.left[parent] == NONE:
-            self.left[parent] = child
-        elif self.right[parent] == NONE:
-            self.right[parent] = child
-        else:
-            raise HostTreeError(f"node {parent} already has two children")
-        self.parent[child] = parent
 
     def children(self, i: int) -> list[int]:
         return [int(ch) for ch in (self.left[i], self.right[i]) if ch != NONE]
@@ -726,58 +670,187 @@ def _preorder(host: HostTree) -> np.ndarray:
     return live[tour[tour < m]]
 
 
-def _ascii_rows(*columns) -> str:
-    """One text row per node, the concatenation of the columns, with every
-    digit written at once: a str is written on every row, a pair
-    (ids, n_vertices) as the nodes' names (the id, after an "s" for a
-    steiner node)."""
-    widths, digits = [], []
+def _compact(block: np.ndarray) -> bytes:
+    """The nonzero bytes of a (width, rows) uint8 block, row after row: the
+    block is transposed once and its zero pad dropped in one pass."""
+    return block.T.tobytes().translate(None, b"\0")
+
+
+def _splice(outer: np.ndarray, outer_len: np.ndarray, inner: np.ndarray,
+            inner_len: np.ndarray) -> np.ndarray:
+    """The pieces of ``outer`` and ``inner`` taken in turn, outer first and
+    last: piece i of each is its next ``outer_len[i]`` or ``inner_len[i]``
+    entries (``len(outer_len) == len(inner_len) + 1``)."""
+    turns = np.empty(2 * len(inner_len) + 1, dtype=np.int64)
+    turns[0::2], turns[1::2] = outer_len, inner_len
+    inside = np.repeat(np.arange(len(turns)) % 2 == 1, turns)
+    out = np.empty(len(inside), dtype=np.result_type(inner, outer))
+    out[inside] = inner
+    out[np.logical_not(inside, out=inside)] = outer
+    return out
+
+
+def _gather(labels: Labels, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The code units of the labels of ``ids`` one after another, and each
+    label's length."""
+    start = labels.off[ids]
+    length = labels.off[ids + 1] - start
+    some = length > 0
+    start, span = start[some], length[some]
+    # the index of every unit: +1 within a label, a jump at each label's
+    # start; 32 bits where they suffice
+    step = np.ones(int(span.sum()), dtype=np.int32
+                   if len(labels.units) < 2 ** 31 else np.int64)
+    at = np.cumsum(span) - span
+    step[at[:1]] = start[:1]
+    step[at[1:]] = start[1:] - start[:-1] - span[:-1] + 1
+    return labels.units[np.cumsum(step, out=step)], length
+
+
+def _json_escape(units: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                             np.ndarray]:
+    """The units as ASCII bytes escaped as ``json.dumps`` escapes text, the
+    position of every escaped unit and the bytes its escape adds.  Each
+    distinct escaped code point is escaped once, by ``json.dumps``."""
+    plain = ((units >= 0x20) & (units <= 0x7E)
+             & (units != ord('"')) & (units != ord("\\")))
+    hit = np.flatnonzero(~plain)
+    if not hit.size:
+        return units.astype(np.uint8, copy=False), hit, hit
+    # the distinct code points by one sort (np.unique hashes, far slower)
+    code = units[hit]
+    order = np.argsort(code)
+    code = code[order]
+    new = np.append(True, code[1:] != code[:-1])
+    which = np.empty(len(hit), dtype=np.int64)
+    which[order] = np.cumsum(new) - 1
+    escapes, width = _gather(Labels.of(
+        [json.dumps(chr(c))[1:-1] for c in code[new].tolist()]), which)
+    gaps = np.diff(hit, prepend=-1, append=len(units)) - 1
+    return (_splice(units[plain].astype(np.uint8), gaps, escapes, width),
+            hit, width - 1)
+
+
+def _digits(ids, n: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ids as unsigned integers of the narrower of 32 and 64 bits that
+    holds them, the digit count of each, and where it is a steiner id,
+    one at or above ``n``."""
+    ids = _int64(ids)
+    top = int(ids.max(initial=0))
+    value = ids.astype(np.uint32 if top < 2 ** 32 else np.uint64)
+    count = np.ones(len(ids), dtype=np.uint8)
+    power = 10
+    while power <= top:
+        count += value >= power
+        power *= 10
+    return value, count, np.zeros(len(ids), bool) if n is None else ids >= n
+
+
+# Rows written at a time: the block of a piece and its copies stay a few
+# MB, so that each piece reuses the memory the last one freed instead of
+# faulting in fresh pages, which costs more than writing them.
+_PIECE_ROWS = 1 << 16
+
+
+def write_rows(*columns, raw: bool = False) -> list[str]:
+    """One text row per entry, the concatenation of the columns, in pieces
+    of up to ``_PIECE_ROWS`` rows:
+
+    - a ``str`` (ASCII) is written on every row;
+    - ``(ids, n)`` writes the ids as node names: the digits, after an "s"
+      where ``id >= n`` (a steiner node; ``n=None`` for plain numbers);
+    - ``(labels, ids)``, at most one, writes the labels of ``ids`` from
+      their code units, escaped as ``json.dumps`` escapes them, or as they
+      are with ``raw=True``; a None ``labels`` writes the ids' digits.
+
+    The other columns are laid out one at a time in a (width, rows)
+    block, each constant byte and digit place one contiguous write, with
+    zero bytes as the pad of shorter names; ``_compact`` drops the pad and
+    ``_splice`` lays the labels between the rows' fixed bytes.  No label
+    is padded, so the memory stays proportional to the output.
+    """
+    label, fixed = None, []
     for col in columns:
         if isinstance(col, str):
-            widths.append(len(col))
-            digits.append(None)
+            fixed.append(col)
+        elif isinstance(col[0], Labels):
+            label = col[0], _int64(col[1]), len(fixed)
+        else:  # node names, or the ids of unlabelled vertices
+            ids, n = (col[1], None) if col[0] is None else col
+            fixed.append(_digits(ids, n))
+    size = len(label[1]) if label else next(
+        len(col[0]) for col in fixed if not isinstance(col, str))
+    return [_row_piece(fixed, label, slice(lo, min(lo + _PIECE_ROWS, size)),
+                       raw) for lo in range(0, size, _PIECE_ROWS)]
+
+
+def _row_piece(fixed: list, label: tuple | None, rows: slice,
+               raw: bool) -> str:
+    """The ``rows`` of ``write_rows``."""
+    fixed = [col if isinstance(col, str) else tuple(a[rows] for a in col)
+             for col in fixed]
+    size = rows.stop - rows.start
+    block = np.zeros((sum(len(col) if isinstance(col, str) else
+                          int(col[1].max(initial=0)) + bool(col[2].any())
+                          for col in fixed), size), dtype=np.uint8)
+    j = 0
+    for col in fixed:
+        if isinstance(col, str):
+            for byte in col.encode("ascii"):
+                block[j] = byte
+                j += 1
             continue
-        ids, n = col
-        count = np.ones(len(ids), dtype=np.int64)
-        power = 10
-        while power <= ids.max(initial=0):
-            count += ids >= power
-            power *= 10
-        widths.append(count + (ids >= n))
-        digits.append(count)
-    row_len = sum(widths)
-    pos = np.cumsum(row_len) - row_len
-    buf = np.empty(int(row_len.sum()), dtype=np.uint8)
-    for col, width, count in zip(columns, widths, digits):
-        if count is None:
-            for j, byte in enumerate(col.encode("ascii")):
-                buf[pos + j] = byte
-        else:
-            ids, n = col
-            buf[pos[ids >= n]] = ord("s")
-            last, value = pos + width - 1, ids.copy()
-            for k in range(int(count.max(initial=0))):
-                more = count > k
-                buf[last[more] - k] = ord("0") + value[more] % 10
-                value //= 10
-        pos = pos + width
-    return buf.tobytes().decode("ascii")
+        value, count, steiner = col
+        if steiner.any():
+            np.multiply(steiner, np.uint8(ord("s")), out=block[j])
+            j += 1
+        places = int(count.max(initial=0))
+        shortest = int(count.min(initial=places))
+        for place in range(places):  # from the last digit
+            value, digit = np.divmod(value, value.dtype.type(10))
+            row = block[j + places - 1 - place]
+            np.add(digit, ord("0"), out=row, casting="unsafe")
+            if place >= shortest:
+                row[count <= place] = 0
+        j += places
+    text = _compact(block)
+    del block
+    if label is None:
+        return text.decode("ascii")
+    labels, ids, at = label
+    units, length = _gather(labels, ids[rows])
+    if not raw:
+        units, hit, extra = _json_escape(units)
+        row = np.searchsorted(np.cumsum(length), hit, side="right")
+        length += np.bincount(row, extra, size).astype(np.int64)
+    gap = np.zeros(size + 1, dtype=np.int64)  # the fixed bytes between labels
+    for k, col in enumerate(fixed):
+        part = gap[:-1] if k < at else gap[1:]
+        part += len(col) if isinstance(col, str) else col[1] + col[2]
+    return _decode(_splice(np.frombuffer(text, dtype=np.uint8), gap,
+                           units, length))
 
 
-def json_block(rows: str, open_: str, close: str) -> str:
-    """A JSON list or object one level below the top, laid out as
-    ``json.dumps(indent=2)`` lays it out, from its rows: each item after
-    four spaces and before ",\\n"."""
-    return f"{open_}\n{rows[:-2]}\n  {close}" if rows else open_ + close
+def json_block(rows: list[str], open_: str, close: str,
+               margin: str = "") -> list[str]:
+    """A JSON list or object one level below the top of a document
+    indented by ``margin``, laid out as ``json.dumps(indent=2)`` lays it
+    out, from the pieces of its rows: each item after the margin and four
+    spaces and before ",\\n"."""
+    if not rows:
+        return [open_ + close]
+    return [f"{open_}\n", *rows[:-1], rows[-1][:-2], f"\n{margin}  {close}"]
 
 
-def serialize(host: HostTree, form: str = "text") -> str:
+def serialize(host: HostTree, form: str = "text", *, level: int = 0) -> str:
     """Render a host tree as parent-array text or JSON.
 
     Text form: one ``node:parent`` line per node in preorder, the root
     pointing at itself.  JSON form: ``{nodes, parent, steiner, root}``, in
-    the layout of ``json.dumps(indent=2)``.  Both round-trip through
-    :func:`parse_host` preserving node ids.
+    the layout of ``json.dumps(indent=2)``; with ``level`` > 0 as the value
+    ``level`` objects deep in such a document: every line after the first
+    indented by 2 * ``level`` more spaces, and no final newline.  Both
+    round-trip through :func:`parse_host` preserving node ids.
     """
     if form not in ("text", "json"):
         raise ValueError(f"unknown serialization form {form!r}")
@@ -786,16 +859,20 @@ def serialize(host: HostTree, form: str = "text") -> str:
     par = host.parent[order]
     par[0] = order[0]  # the root comes first and names itself as parent
     if form == "text":
-        return _ascii_rows((order, n), ":", (par, n), "\n")
-    nodes = _ascii_rows('    "', (order, n), '",\n')
-    parents = _ascii_rows('    "', (order[1:], n), '": "', (par[1:], n),
-                          '",\n')
-    steiners = _ascii_rows('    "', (order[order >= n], n), '",\n')
-    root = _ascii_rows('"', (order[:1], n), '"')
-    return (f'{{\n  "nodes": {json_block(nodes, "[", "]")},\n'
-            f'  "parent": {json_block(parents, "{", "}")},\n'
-            f'  "steiner": {json_block(steiners, "[", "]")},\n'
-            f'  "root": {root}\n}}\n')
+        return "".join(write_rows((order, n), ":", (par, n), "\n"))
+    m = "  " * level
+    item = f'{m}    "'
+    return "".join([
+        f'{{\n{m}  "nodes": ',
+        *json_block(write_rows(item, (order, n), '",\n'), "[", "]", m),
+        f',\n{m}  "parent": ',
+        *json_block(write_rows(item, (order[1:], n), '": "', (par[1:], n),
+                               '",\n'), "{", "}", m),
+        f',\n{m}  "steiner": ',
+        *json_block(write_rows(item, (order[order >= n], n), '",\n'),
+                    "[", "]", m),
+        f',\n{m}  "root": ', *write_rows('"', (order[:1], n), '"'),
+        f"\n{m}}}", "\n" if not level else ""])
 
 
 def is_ascii_int(s: str) -> bool:
@@ -850,67 +927,89 @@ def parse_host(text: str) -> HostTree:
             a, b = line.split(":", 1)
             pairs.append((a.strip(), b.strip()))
 
-    nodes: list[tuple[int, bool, int, bool]] = []
-    max_vertex = -1
-    max_id = -1
+    ids, pids, id_steiner, pid_steiner = [], [], [], []
     for name, pname in pairs:
         i, st = _parse_node_name(name)
         p, pst = _parse_node_name(pname)
         if i < 0 or p < 0:
             raise HostTreeError(f"negative node id in '{name}:{pname}'")
-        nodes.append((i, st, p, pst))
-        max_id = max(max_id, i, p)
-        if not st:
-            max_vertex = max(max_vertex, i)
-        if not pst:
-            max_vertex = max(max_vertex, p)
-    if not nodes:
+        ids.append(i)
+        pids.append(p)
+        id_steiner.append(st)
+        pid_steiner.append(pst)
+    if not ids:
         raise HostTreeError("empty host tree")
-    n_vertices = max_vertex + 1
+    ids, pids = _int64(ids), _int64(pids)
+    id_steiner, pid_steiner = np.array(id_steiner), np.array(pid_steiner)
+    n_vertices = 1 + int(max(ids[~id_steiner].max(initial=-1),
+                             pids[~pid_steiner].max(initial=-1)))
 
-    size = max_id + 1
-    parent = [DEAD] * size
-    left = [NONE] * size
-    right = [NONE] * size
-    owner = [NONE] * size
-    root = NONE
-    present = [False] * size
-    for i, st, p, _pst in nodes:
-        if st and i < n_vertices:
-            raise HostTreeError(
-                f"steiner id s{i} collides with vertex id range 0..{n_vertices - 1}")
-        if present[i]:
-            raise HostTreeError(f"node {i} listed twice")
-        present[i] = True
-        if p == i:
-            if root != NONE:
-                raise HostTreeError("multiple roots")
-            root = i
-            parent[i] = NONE
-        else:
-            parent[i] = p
-    if root == NONE:
+    # Every listed id gets a slot in id order: a valid host lists the
+    # vertices 0..n_vertices-1, which keep their ids, and its steiner ids
+    # follow densely, however large they are.
+    order = np.argsort(ids, kind="stable")
+    first = np.ones(len(ids), dtype=bool)
+    first[1:] = ids[order[1:]] != ids[order[:-1]]
+    listed = ids[order[first]]
+    size = len(listed)
+    slot = np.empty_like(ids)
+    slot[order] = np.cumsum(first) - 1
+    at = np.minimum(np.searchsorted(listed, pids), size - 1)
+    at[listed[at] != pids] = NONE  # not a listed node
+
+    # A bad host is named by its first bad node in listing order, each
+    # node's checks in the order the listing is read.
+    collides = id_steiner & (ids < n_vertices)
+    twice = np.empty_like(first)
+    twice[order] = ~first
+    roots = np.flatnonzero(pids == ids)
+    extra_root = np.zeros(len(ids), dtype=bool)
+    extra_root[roots[1:2]] = True
+    bad = collides | twice | extra_root
+    if bad.any():
+        k = int(bad.argmax())
+        if collides[k]:
+            raise HostTreeError(f"steiner id s{ids[k]} collides with vertex "
+                                f"id range 0..{n_vertices - 1}")
+        if twice[k]:
+            raise HostTreeError(f"node {ids[k]} listed twice")
+        raise HostTreeError("multiple roots")
+    if not roots.size:
         raise HostTreeError("no root (node with itself as parent)")
-    for i, _st, p, _pst in nodes:
-        if p != i:
-            if not (0 <= p < size) or not present[p]:
-                raise HostTreeError(f"unknown parent {p} of node {i}")
-            if left[p] == NONE:
-                left[p] = i
-            elif right[p] == NONE:
-                right[p] = i
-            else:
-                raise HostTreeError(f"node {p} has more than two children")
-    for v in range(n_vertices):
-        if not present[v]:
-            raise HostTreeError(f"missing demand vertex {v}")
+    kids = np.flatnonzero(pids != ids)
+    up = at[kids]
+    by = np.argsort(up, kind="stable")
+    fresh = np.ones(len(kids), dtype=bool)
+    fresh[1:] = up[by[1:]] != up[by[:-1]]
+    step = np.arange(len(kids))
+    nth = np.empty_like(kids)  # how many earlier kids share the parent
+    nth[by] = step - np.maximum.accumulate(np.where(fresh, step, 0))
+    bad = (up == NONE) | (nth >= 2)
+    if bad.any():
+        k = int(kids[bad.argmax()])
+        if at[k] == NONE:
+            raise HostTreeError(f"unknown parent {pids[k]} of node {ids[k]}")
+        raise HostTreeError(f"node {pids[k]} has more than two children")
+    head = min(size, n_vertices)
+    gap = np.flatnonzero(listed[:head] != np.arange(head))
+    missing = int(gap[0]) if gap.size else head
+    if missing < n_vertices:
+        raise HostTreeError(f"missing demand vertex {missing}")
 
-    host = HostTree(n_vertices, root, parent, left, right, owner)
+    parent, left, right = (np.full(size, NONE, dtype=np.int64)
+                           for _ in range(3))
+    parent[slot[kids]] = up
+    left[up[nth == 0]] = slot[kids[nth == 0]]
+    right[up[nth == 1]] = slot[kids[nth == 1]]
+    host = HostTree(n_vertices, int(slot[roots[0]]), parent, left, right,
+                    parent)  # owners are set once the shape is valid
     host.validate()
-    # Recover steiner owners: nearest non-steiner ancestor.
-    for i in _preorder(host).tolist():
-        if host.is_steiner(i):
-            p = parent[i]
-            owner[i] = p if p < n_vertices else owner[p]
-    host.owner = _int64(owner)
+    # Steiner owners: the nearest vertex ancestor (NONE above a steiner
+    # root), by pointer doubling; vertices and the sentinel at -1 are fixed.
+    owner = np.append(np.where(np.arange(size) < n_vertices,
+                               np.arange(size), parent), NONE)
+    while (owner[n_vertices:size] >= n_vertices).any():
+        owner = owner[owner]
+    owner[:n_vertices] = NONE
+    host.owner = owner[:size]
     return host

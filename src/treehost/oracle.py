@@ -21,7 +21,7 @@ import numpy as np
 
 from .cost import evaluate
 from .generate import prufer_edges
-from .model import (DemandTree, HostTree, InvariantViolation, Labels,
+from .model import (NONE, DemandTree, HostTree, InvariantViolation, Labels,
                     ResourceCapError, UnrootedTree, root_at)
 
 MAX_N = 10
@@ -180,10 +180,11 @@ def _host_from_edges(edges: list[tuple[int, int]], n: int,
         deg[v] += 1
     root = min(v for v in range(n) if deg[v] == 1) if n > 1 else 0
     rooted = root_at(UnrootedTree.from_edges(edges, n=n, labels=labels), root)
-    host = HostTree.empty(n, root)
-    for u, w in rooted.edges():
-        host.link(u, w)
-    return host
+    first, kids = rooted.child_off[:-1], np.diff(rooted.child_off)
+    left, right = (np.full(n, NONE, dtype=np.int64) for _ in range(2))
+    left[kids > 0] = rooted.child_flat[first[kids > 0]]
+    right[kids > 1] = rooted.child_flat[first[kids > 1] + 1]
+    return HostTree(n, root, rooted.parent, left, right, np.full(n, NONE))
 
 
 def _demand_pair_cols(demand: DemandTree) -> np.ndarray:

@@ -139,15 +139,16 @@ def match_keys(demand: DemandTree, tiebreak: str = "lex") -> np.ndarray:
 
 @dataclass
 class TournamentResult:
-    """Steiner-free host plus the charge ledger (one entry per match)."""
+    """Steiner-free host plus the charge ledger (one entry per match), as
+    int64 arrays: the loser of each match and its charge."""
 
     host: HostTree
-    losers: list[int] = field(default_factory=list)
-    charges: list[int] = field(default_factory=list)
+    losers: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    charges: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
 
     @property
     def total_charge(self) -> int:
-        return sum(self.charges)
+        return int(np.sum(self.charges))
 
 
 def _check_after_match(par, left, right, host: HostTree, demand: DemandTree,
@@ -268,7 +269,7 @@ def _replay(host: HostTree, demand: DemandTree,
     host.parent = par
     host.left = left
     host.right = right
-    return TournamentResult(host, losers_arr.tolist(), c[losers_arr].tolist())
+    return TournamentResult(host, losers_arr, c[losers_arr])
 
 
 def run_tournament(host: HostTree, demand: DemandTree, tiebreak: str = "lex",
@@ -337,7 +338,8 @@ def run_tournament(host: HostTree, demand: DemandTree, tiebreak: str = "lex",
     host.left = np.asarray(left, dtype=np.int64)
     host.right = np.asarray(right, dtype=np.int64)
     check_invariants(demand, host)
-    return TournamentResult(host, losers, charges)
+    return TournamentResult(host, np.asarray(losers, dtype=np.int64),
+                            np.asarray(charges, dtype=np.int64))
 
 
 def _euler_intervals(host: HostTree) -> tuple[dict[int, int], dict[int, int]]:

@@ -5,18 +5,25 @@ knows nothing about the library's LCA-based evaluator; it is the second
 route for every cost assertion.  ``reference_parse_edge_list``,
 ``reference_root_at`` and ``reference_label_rank`` are the line-by-line
 parser, the BFS orientation and the key-function label sort as the library
-had them before ingest was vectorized; the property tests hold the library
-to them.
+had them before ingest was vectorized; ``reference_serialize``,
+``reference_ledger`` and ``reference_eval_listing`` are the host writer,
+the ``solve --json`` ledger and the ``eval`` listings as they were before
+egress went through one column writer; ``reference_parse_host`` is the
+node-by-node host reader as it was before its checks became arrays.  The
+property tests hold the library to them.
 """
 from __future__ import annotations
 
+import json
 import sys
 from collections import deque
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from treehost import (DemandTree, EdgeListError, HostTree, UnknownVertexError,
-                      UnrootedTree)
+from treehost import (DemandTree, EdgeListError, HostTree, HostTreeError,
+                      TreeHostError, UnknownVertexError, UnrootedTree)
+from treehost.model import Labels, _decode, _parse_node_name, _preorder
 
 NONE = -1
 DEAD = -2
@@ -32,9 +39,65 @@ def add_steiner(host: HostTree, owner_vertex: int) -> int:
     return i
 
 
+def empty_host(n_vertices: int, root: int) -> HostTree:
+    """Host with all demand vertices present and no links yet."""
+    return HostTree(n_vertices, root, *(np.full(n_vertices, NONE, np.int64)
+                                        for _ in range(4)))
+
+
+def link(host: HostTree, parent: int, child: int) -> None:
+    """Hang ``child`` under ``parent``, left first, then right."""
+    if host.left[parent] == NONE:
+        host.left[parent] = child
+    elif host.right[parent] == NONE:
+        host.right[parent] = child
+    else:
+        raise HostTreeError(f"node {parent} already has two children")
+    host.parent[child] = parent
+
+
 def copy_host(host: HostTree) -> HostTree:
     return HostTree(host.n_vertices, host.root, host.parent.copy(),
                     host.left.copy(), host.right.copy(), host.owner.copy())
+
+
+def label_list(labels: Labels, ids=None) -> list[str]:
+    """The labels of ``ids`` (all, by default) as strings, cut from one
+    decode of the code units."""
+    ids = np.arange(len(labels)) if ids is None else np.asarray(ids, np.int64)
+    text = _decode(labels.units)
+    return [text[a:b] for a, b in zip(labels.off[ids].tolist(),
+                                      labels.off[ids + 1].tolist())]
+
+
+def bfs_order(demand: DemandTree) -> list[int]:
+    order = [demand.root]
+    head = 0
+    flat, off = demand.child_flat.tolist(), demand.child_off.tolist()
+    while head < len(order):
+        v = order[head]
+        head += 1
+        order.extend(flat[off[v]:off[v + 1]])
+    return order
+
+
+def validate_demand(demand: DemandTree) -> None:
+    """Raise TreeHostError unless the parent and child arrays describe one
+    tree hung from ``demand.root``."""
+    n = demand.n
+    if demand.parent[demand.root] != NONE:
+        raise TreeHostError("root has a parent")
+    if demand.child_off[n] != n - 1 and n > 0:
+        raise TreeHostError("child count sum != n-1")
+    owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(demand.child_off))
+    bad = np.flatnonzero(demand.parent[demand.child_flat] != owner)
+    if bad.size:
+        w = int(demand.child_flat[bad[0]])
+        raise TreeHostError(f"parent[{w}] inconsistent with children")
+    if len(demand.child_flat) != n - 1:
+        raise TreeHostError("edge count != n-1")
+    if len(bfs_order(demand)) != n:
+        raise TreeHostError("tree not connected from root")
 
 
 def leaf_slots_in_order(leaf_count: int) -> list[int]:
@@ -60,7 +123,7 @@ def bracket_host_by_slot_rule(demand: DemandTree) -> HostTree:
     steiner ids for its inner slots 1..c-1 in slot order, its children fill
     the leaf slots, and inner slot i links slot 2i left and 2i+1 right.
     """
-    host = HostTree.empty(demand.n, demand.root)
+    host = empty_host(demand.n, demand.root)
     for v in range(demand.n):
         ch = demand.children(v)
         if not ch:
@@ -68,10 +131,10 @@ def bracket_host_by_slot_rule(demand: DemandTree) -> HostTree:
         node = dict(zip(leaf_slots_in_order(len(ch)), ch))
         for i in range(1, len(ch)):
             node[i] = add_steiner(host, v)
-        host.link(v, node[1])
+        link(host, v, node[1])
         for i in range(1, len(ch)):
-            host.link(node[i], node[2 * i])
-            host.link(node[i], node[2 * i + 1])
+            link(host, node[i], node[2 * i])
+            link(host, node[i], node[2 * i + 1])
     return host
 
 
@@ -163,7 +226,7 @@ def fig_phase1_host() -> HostTree:
     Vertex ids follow first appearance in the example edge list; the eight
     steiner nodes are anonymous (compare via ``host_shape``).
     """
-    h = HostTree.empty(14, 0)
+    h = empty_host(14, 0)
     s = {k: add_steiner(h, -1) for k in range(1, 9)}
     links = [
         (0, s[1]), (s[1], s[2]), (s[2], 1), (s[2], 2), (s[1], 3),
@@ -174,7 +237,7 @@ def fig_phase1_host() -> HostTree:
         (11, s[8]), (s[8], 12), (s[8], 13),
     ]
     for p, c in links:
-        h.link(p, c)
+        link(h, p, c)
     return h
 
 
@@ -320,3 +383,141 @@ def reference_label_rank(labels: list[str]) -> np.ndarray:
         sys.set_int_max_str_digits(limit)
     rank[order] = np.arange(n, dtype=np.int64)
     return rank
+
+
+def _reference_rows(*columns) -> str:
+    """One text row per node, the concatenation of the columns: a str is
+    written on every row, a pair (ids, n_vertices) as the nodes' names (the
+    id, after an "s" for a steiner node)."""
+    widths, digits = [], []
+    for col in columns:
+        if isinstance(col, str):
+            widths.append(len(col))
+            digits.append(None)
+            continue
+        ids, n = col
+        count = np.ones(len(ids), dtype=np.int64)
+        power = 10
+        while power <= ids.max(initial=0):
+            count += ids >= power
+            power *= 10
+        widths.append(count + (ids >= n))
+        digits.append(count)
+    row_len = sum(widths)
+    pos = np.cumsum(row_len) - row_len
+    buf = np.empty(int(row_len.sum()), dtype=np.uint8)
+    for col, width, count in zip(columns, widths, digits):
+        if count is None:
+            for j, byte in enumerate(col.encode("ascii")):
+                buf[pos + j] = byte
+        else:
+            ids, n = col
+            buf[pos[ids >= n]] = ord("s")
+            last, value = pos + width - 1, ids.copy()
+            for k in range(int(count.max(initial=0))):
+                more = count > k
+                buf[last[more] - k] = ord("0") + value[more] % 10
+                value //= 10
+        pos = pos + width
+    return buf.tobytes().decode("ascii")
+
+
+def _reference_block(rows: str, open_: str, close: str) -> str:
+    return f"{open_}\n{rows[:-2]}\n  {close}" if rows else open_ + close
+
+
+def reference_serialize(host: HostTree, form: str = "text") -> str:
+    """``node:parent`` lines in preorder, or the JSON document in the
+    layout of ``json.dumps(indent=2)``."""
+    n = host.n_vertices
+    order = _preorder(host)
+    par = host.parent[order]
+    par[0] = order[0]
+    if form == "text":
+        return _reference_rows((order, n), ":", (par, n), "\n")
+    nodes = _reference_rows('    "', (order, n), '",\n')
+    parents = _reference_rows('    "', (order[1:], n), '": "', (par[1:], n),
+                              '",\n')
+    steiners = _reference_rows('    "', (order[order >= n], n), '",\n')
+    root = _reference_rows('"', (order[:1], n), '"')
+    return (f'{{\n  "nodes": {_reference_block(nodes, "[", "]")},\n'
+            f'  "parent": {_reference_block(parents, "{", "}")},\n'
+            f'  "steiner": {_reference_block(steiners, "[", "]")},\n'
+            f'  "root": {root}\n}}\n')
+
+
+def reference_ledger(names: list[str], charges: list[int]) -> str:
+    """The ``charge_ledger`` value of the ``solve --json`` report, one
+    formatted row per match."""
+    return _reference_block("".join(map(
+        "    [\n      {},\n      {}\n    ],\n".format,
+        map(encode_basestring_ascii, names), charges)), "[", "]")
+
+
+def reference_eval_listing(names: list[str], per_vertex: list[int],
+                           total: int, as_json: bool) -> str:
+    """What ``treehost eval`` prints, one ``print`` per row."""
+    if as_json:
+        return json.dumps({"total": total,
+                           "per_vertex": dict(zip(names, per_vertex))},
+                          indent=2) + "\n"
+    lines = [f"total {total}"]
+    lines += [f"{name} {c}" for name, c in zip(names, per_vertex) if c]
+    return "\n".join(lines) + "\n"
+
+
+def reference_parse_host(text: str) -> HostTree:
+    """A text host read node by node into lists sized by the largest id,
+    as ``parse_host`` read it before it numbered the listed ids densely;
+    unlisted ids are DEAD slots.  Each check raises at the first node that
+    fails it, in listing order."""
+    nodes = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            a, b = line.split(":", 1)
+            nodes.append((*_parse_node_name(a.strip()),
+                          *_parse_node_name(b.strip())))
+    if not nodes:
+        raise HostTreeError("empty host tree")
+    n_vertices = 1 + max([i for i, st, _p, _pst in nodes if not st]
+                         + [p for _i, _st, p, pst in nodes if not pst],
+                         default=-1)
+    size = 1 + max(max(i, p) for i, _st, p, _pst in nodes)
+    parent, left, right = [DEAD] * size, [NONE] * size, [NONE] * size
+    root = NONE
+    for i, st, p, _pst in nodes:
+        if st and i < n_vertices:
+            raise HostTreeError(f"steiner id s{i} collides with vertex id "
+                                f"range 0..{n_vertices - 1}")
+        if parent[i] != DEAD:
+            raise HostTreeError(f"node {i} listed twice")
+        parent[i] = p
+        if p == i:
+            if root != NONE:
+                raise HostTreeError("multiple roots")
+            root = i
+            parent[i] = NONE
+    if root == NONE:
+        raise HostTreeError("no root (node with itself as parent)")
+    for i, _st, p, _pst in nodes:
+        if p != i:
+            if parent[p] == DEAD:
+                raise HostTreeError(f"unknown parent {p} of node {i}")
+            if left[p] == NONE:
+                left[p] = i
+            elif right[p] == NONE:
+                right[p] = i
+            else:
+                raise HostTreeError(f"node {p} has more than two children")
+    for v in range(n_vertices):
+        if parent[v] == DEAD:
+            raise HostTreeError(f"missing demand vertex {v}")
+    host = HostTree(n_vertices, root, parent, left, right, [NONE] * size)
+    host.validate()
+    owner = host.owner
+    for i in _preorder(host).tolist():
+        if i >= n_vertices:
+            p = parent[i]
+            owner[i] = p if p < n_vertices else owner[p]
+    return host

@@ -21,7 +21,7 @@ def test_gen_star():
 
 def test_gen_caterpillar():
     d = gen("caterpillar", 9)
-    d.validate()
+    helpers.validate_demand(d)
     spine = (9 + 1) // 2
     assert all(d.parent[i] == i - 1 for i in range(1, spine))
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treehost import (EdgeListError, HostTreeError, UnknownVertexError,
-                      UnrootedTree, gen, opt_cost, parse_edge_list,
+                      UnrootedTree, evaluate, gen, opt_cost, parse_edge_list,
                       parse_host, root_at, run_bracket_builder,
                       run_tournament, serialize)
 from treehost import model
 from treehost.generate import prufer_edges
-from treehost.model import _BREAK_CHARS, _SPACE_CHARS, Labels
+from treehost.model import _BREAK_CHARS, _SPACE_CHARS, NONE, Labels
 from treehost.tournament import _label_rank
 
 import helpers
@@ -20,7 +21,7 @@ import helpers
 def test_parse_path():
     t = parse_edge_list("0 1\n1 2")
     assert t.n == 3
-    assert list(t.labels) == ["0", "1", "2"]
+    assert helpers.label_list(t.labels) == ["0", "1", "2"]
     d = root_at(t, 1)
     assert d.children(1) == [0, 2]
     assert d.child_count(1) == 2
@@ -56,7 +57,7 @@ def test_parse_errors_are_distinct(text, needle):
 def test_parse_comments_and_blanks():
     t = parse_edge_list("# a comment\n\na b  # trailing\nb c\n")
     assert t.n == 3
-    assert list(t.labels) == ["a", "b", "c"]
+    assert helpers.label_list(t.labels) == ["a", "b", "c"]
 
 
 def test_empty_input_is_single_vertex():
@@ -87,7 +88,7 @@ def test_child_sum_random(rng):
     for _ in range(40):
         n = rng.randint(1, 120)
         d = gen("random", n, seed=rng.randrange(2 ** 30)) if n > 1 else gen("path", 1)
-        d.validate()
+        helpers.validate_demand(d)
         assert sum(d.child_counts()) == n - 1
         assert d.leaf_count() >= 1
 
@@ -142,6 +143,85 @@ def test_parse_host_rejects_garbage():
         parse_host("0:0\n2:0")          # missing vertex 1
     with pytest.raises(HostTreeError):
         parse_host("")
+
+
+def test_parse_host_numbers_sparse_steiner_ids_densely(fig_demand):
+    """Steiner ids take the slots after the vertices in id order, so a
+    sparse steiner name, of any size up to 18 digits, loads and scores
+    like a dense one."""
+    text = serialize(run_bracket_builder(fig_demand))
+    sparse = re.sub(r"s(\d+)", lambda m: f"s{int(m[1]) * 7919 + 10 ** 15}",
+                    text)
+    assert sparse != text
+    dense, back = parse_host(text), parse_host(sparse)
+    assert back.root == dense.root and back.n_vertices == dense.n_vertices
+    for field in ("parent", "left", "right", "owner"):
+        assert getattr(back, field).tolist() == getattr(dense, field).tolist()
+    assert evaluate(fig_demand, back) == evaluate(fig_demand, dense)
+    leaf = parse_host("0:0\n1:0\ns111111111111:0\n")
+    assert leaf.parent.tolist() == [NONE, 0, 0]
+    assert leaf.steiner_nodes() == [2]
+
+
+def _host_outcome(parse, text: str):
+    """The message of the HostTreeError that ``parse(text)`` raises, or the
+    host with its live nodes numbered densely in id order."""
+    try:
+        host = parse(text)
+    except HostTreeError as e:
+        return str(e)
+    live = np.flatnonzero(host.parent != model.DEAD)
+    slot = np.full(len(host.parent) + 1, NONE)
+    slot[live] = np.arange(len(live))
+    return (host.n_vertices, int(slot[host.root]),
+            *(slot[getattr(host, f)[live]].tolist()
+              for f in ("parent", "left", "right", "owner")))
+
+
+@st.composite
+def _damaged_hosts(draw):
+    """Serialized hosts of small trees, with lines copied, dropped,
+    re-pointed (also at a node with two children), renamed, made roots,
+    given sparse steiner ids or shuffled."""
+    d = gen(draw(st.sampled_from(["random", "star", "path", "caterpillar"])),
+            draw(st.integers(1, 12)), seed=draw(st.integers(0, 99)))
+    host = run_bracket_builder(d)
+    if draw(st.booleans()):
+        run_tournament(host, d)
+    lines = [line.split(":") for line in serialize(host).splitlines()]
+    name = st.one_of(st.sampled_from(sorted({a for a, _ in lines})),
+                     st.integers(0, 30).map(str),
+                     st.integers(0, 30).map("s{}".format))
+    for op in draw(st.lists(st.integers(0, 7), max_size=3)):
+        k = draw(st.integers(0, len(lines) - 1))
+        if op == 0:
+            lines.insert(draw(st.integers(0, len(lines))), list(lines[k]))
+        elif op == 1 and len(lines) > 1:
+            del lines[k]
+        elif op in (2, 3):
+            lines[k][op - 2] = draw(name)
+        elif op == 4:
+            lines[k][1] = lines[k][0]
+        elif op == 5 and lines[k][0].startswith("s"):
+            was, big = lines[k][0], f"s{draw(st.integers(40, 400))}"
+            lines = [[big if x == was else x for x in line] for line in lines]
+        elif op == 6:
+            lines = draw(st.permutations(lines))
+        elif op == 7:
+            full = [b for a, b in lines if a != b]
+            full = sorted({b for b in full if full.count(b) == 2})
+            lines[k][1] = draw(st.sampled_from(full or [lines[k][1]]))
+    return "".join(f"{a}:{b}\n" for a, b in lines)
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=400)
+@given(_damaged_hosts())
+def test_parse_host_matches_the_node_by_node_reference(text):
+    """The array checks name the same first fault as the node-by-node
+    reader, and a valid host loads as it does, its steiner ids numbered
+    densely."""
+    assert (_host_outcome(parse_host, text)
+            == _host_outcome(helpers.reference_parse_host, text))
 
 
 @pytest.mark.parametrize("name", ["²", "١", "s²", "-١"])
@@ -260,7 +340,7 @@ def _parsed(parse, text):
         t = parse(text)
     except EdgeListError as exc:
         return str(exc)
-    return t.n, list(t.labels), t.adj_off.tolist(), t.adj_flat.tolist()
+    return t.n, helpers.label_list(t.labels), t.adj_off.tolist(), t.adj_flat.tolist()
 
 
 @settings(database=None, derandomize=True, deadline=None, max_examples=300)
@@ -295,7 +375,7 @@ def test_parse_error_messages(text, message):
 
 def test_labels_differing_by_a_trailing_nul_stay_distinct():
     t = parse_edge_list("a a\x00\na\x00 7\n7 007\n")
-    assert list(t.labels) == ["a", "a\x00", "7", "007"]
+    assert helpers.label_list(t.labels) == ["a", "a\x00", "7", "007"]
 
 
 def test_fingerprint_collisions_fall_back_to_the_dictionary(monkeypatch):
@@ -331,9 +411,10 @@ def test_labels_are_made_into_strings_only_on_request():
                    ["中", "x", "\ud800"], ["😀", "\ud83d\ude00", "\udc80x"]):
         held = Labels.of(labels)
         assert len(held) == len(labels)
-        assert list(held) == labels
+        assert helpers.label_list(held) == labels
         assert [held[v] for v in range(len(labels))] == labels
-        assert held.take([1, 0] if labels else []) == labels[1::-1]
+        assert (helpers.label_list(held, [1, 0] if labels else [])
+                == labels[1::-1])
         for v, name in enumerate(labels):
             assert held.find(name) == labels.index(name)
         for absent in {"中", "😁", "b"} - set(labels):

@@ -2,12 +2,18 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from treehost import InvariantViolation, solve_instance
-from treehost.cli import main
+from treehost import (CostBreakdown, DemandTree, InvariantViolation,
+                      TournamentResult, gen, model, serialize, solve_instance)
+from treehost.cli import _eval_listing, _ledger, main
 from treehost.pipeline import REPORT_SCHEMA, check_accounting
+
+import helpers
 
 
 def test_solve_instance_fig_report(fig_demand):
@@ -325,6 +331,8 @@ def test_console_entry_point(tmp_path):
     ["eval", "{edges}", "--host", "{three_vertex_host}"],
     ["check", "{edges}", "--host", "{three_vertex_host}"],
     ["eval", "{edges}", "--host", "{long_name_host}"],
+    ["eval", "{edges}", "--host", "{far_vertex_host}"],
+    ["check", "{edges}", "--host", "{far_vertex_host}"],
 ])
 def test_cli_bad_arguments_are_typed_errors(argv, tmp_path, capsys):
     files = {
@@ -335,6 +343,7 @@ def test_cli_bad_arguments_are_typed_errors(argv, tmp_path, capsys):
         "superscript_host": "0:0\n²:0\n",
         "three_vertex_host": "0:0\n1:0\n2:1\n",
         "long_name_host": "0:0\n1:0\n" + "1" * 5001 + ":0\n",
+        "far_vertex_host": "0:0\n1:0\n111111111111:0\n",
         "not_utf8": "\udcff 1\n",
     }
     paths = {}
@@ -372,35 +381,50 @@ def test_cli_solve_ranks_numerals_beyond_int_conversion_limit(tmp_path,
     assert json.loads(out)["charge_ledger"] == [[big, 0]]
 
 
-def test_cli_text_solve_makes_no_label_list(tmp_path, capsys, monkeypatch):
-    """A text-mode solve of a labelled tree holds its labels as arrays: the
-    one label made into a str is the report's root, found by --root."""
-    from treehost import gen
+def _solve_counting_label_strings(tmp_path, capsys, monkeypatch, seed,
+                                  flags):
+    """Solve a 3000-vertex labelled tree with --root and ``flags``; the
+    output, the root's label and every label made into a str."""
     from treehost.model import Labels
-    d = gen("random", 3000, seed=4)
+    d = gen("random", 3000, seed=seed)
     names = [f"v{v}é" if v % 3 else str(v * 7) for v in range(d.n)]
     f = tmp_path / "labelled.edges"
     f.write_text("".join(f"{names[u]} {names[v]}\n" for u, v in d.edges()),
                  encoding="utf-8")
     made = []
-    take, item = Labels.take, Labels.__getitem__
-
-    def counted_take(self, ids):
-        got = take(self, ids)
-        made.extend(got)
-        return got
+    item = Labels.__getitem__
 
     def counted_item(self, v):
         made.append(item(self, v))
         return made[-1]
 
-    monkeypatch.setattr(Labels, "take", counted_take)
     monkeypatch.setattr(Labels, "__getitem__", counted_item)
-    code, out, _ = _run(["solve", str(f), "--root", names[1234], "--out",
-                         str(tmp_path / "host.txt")], capsys=capsys)
+    code, out, _ = _run(["solve", str(f), "--root", names[1234]] + flags,
+                        capsys=capsys)
     assert code == 0
-    assert f"root           {names[1234]}\n" in out
-    assert made == [names[1234]]
+    return out, names[1234], made
+
+
+def test_cli_text_solve_makes_no_label_list(tmp_path, capsys, monkeypatch):
+    """A text-mode solve of a labelled tree holds its labels as arrays: the
+    one label made into a str is the report's root, found by --root."""
+    out, root, made = _solve_counting_label_strings(
+        tmp_path, capsys, monkeypatch, 4,
+        ["--out", str(tmp_path / "host.txt")])
+    assert f"root           {root}\n" in out
+    assert made == [root]
+
+
+def test_cli_json_solve_makes_no_label_strings(tmp_path, capsys,
+                                               monkeypatch):
+    """The --json report writes its ledger and host from the label arrays:
+    the one label made into a str is the report's root."""
+    out, root, made = _solve_counting_label_strings(
+        tmp_path, capsys, monkeypatch, 5, ["--json"])
+    doc = json.loads(out)
+    assert doc["root"] == root
+    assert len(doc["charge_ledger"]) == doc["steiner_count"]
+    assert made == [root]
 
 
 def _tampered(fig_demand, monkeypatch, tamper):
@@ -511,3 +535,80 @@ def test_cli_json_report_of_a_single_vertex(tmp_path, capsys, monkeypatch):
     assert doc["charge_ledger"] == []
     assert doc["host"] == {"nodes": ["0"], "parent": {}, "steiner": [],
                            "root": "0"}
+
+
+# Labels the writer copies: every escape json.dumps makes, and labels of
+# 8, 9, 16 and 17 code units (a word, a word and a unit, ...) in text of
+# one-, two- and four-byte code units, next to one of 5000 units.
+_WRITER_LABELS = (_ESCAPED_LABELS + ["\n\t\r\b\f", "\x1f ~"]
+                  + [c * k for c in "aé中😀" for k in (8, 9, 16, 17)]
+                  + ["y" * 5000])
+_NUMBERS = st.one_of(st.just(0), st.integers(0, 99),
+                     st.integers(10 ** 6, 10 ** 15))
+
+
+@st.composite
+def _labelled_instances(draw):
+    n = draw(st.integers(1, 25))
+    d = gen("random", n, seed=draw(st.integers(0, 99))) if n > 1 else \
+        gen("path", 1)
+    labels = draw(st.none() | st.lists(
+        st.sampled_from(_WRITER_LABELS) | st.text(min_size=1, max_size=9),
+        min_size=n, max_size=n, unique=True))
+    demand = DemandTree(d.n, d.root, d.parent, d.child_off, d.child_flat,
+                        labels)
+    losers = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
+    charges = draw(st.lists(_NUMBERS, min_size=len(losers),
+                            max_size=len(losers)))
+    costs = draw(st.lists(_NUMBERS, min_size=n, max_size=n))
+    return demand, labels or list(map(str, range(n))), losers, charges, costs
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=150)
+@given(_labelled_instances(), st.booleans(), st.sampled_from([1, 3, 1 << 16]))
+def test_row_writer_matches_the_row_by_row_references(instance, phase1_only,
+                                                      piece_rows):
+    """The host files, the --json ledger and both eval listings equal
+    what the per-row code wrote before the column writer, in pieces of
+    any number of rows."""
+    demand, names, losers, charges, costs = instance
+    host = solve_instance(demand, phase1_only=phase1_only).host  # steiners
+    breakdown = CostBreakdown(sum(costs), costs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "_PIECE_ROWS", piece_rows)
+        for form in ("text", "json"):
+            assert (serialize(host, form)
+                    == helpers.reference_serialize(host, form))
+        inline = helpers.reference_serialize(host, "json")[:-1]
+        assert (serialize(host, "json", level=1)
+                == inline.replace("\n", "\n  "))
+        assert ("".join(_ledger(demand, TournamentResult(host, losers,
+                                                         charges)))
+                == helpers.reference_ledger([names[v] for v in losers],
+                                            charges))
+        for as_json in (False, True):
+            assert ("".join(_eval_listing(demand, breakdown, as_json))
+                    == helpers.reference_eval_listing(
+                        names, costs, breakdown.total, as_json))
+
+
+def test_ledger_memory_follows_its_output_not_its_longest_label():
+    """No label is padded: one label of 10^6 code units among 10^4 rows
+    keeps the writer's peak a small multiple of the output's size."""
+    n = 10 ** 4
+    d = gen("path", n)
+    labels = [f"v{v}" for v in range(n)]
+    labels[17] = "x" * 10 ** 6
+    demand = DemandTree(n, d.root, d.parent, d.child_off, d.child_flat,
+                        labels)
+    losers = list(range(n - 1, -1, -1))
+    tournament = TournamentResult(None, losers, [v % 7 for v in losers])
+    tracemalloc.start()
+    try:
+        pieces = _ledger(demand, tournament)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ledger = "".join(pieces)
+    assert json.loads(ledger)[n - 1 - 17] == ["x" * 10 ** 6, 17 % 7]
+    assert peak < 6 * len(ledger)
