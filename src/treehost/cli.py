@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: gen, solve, eval, lb, table, oracle, check, bench, bst-demo.
+Subcommands: gen, solve, eval, lb, table, oracle, check, bst-demo.
 Exit codes: 0 success, 1 input error, 2 invariant violation, 3 resource cap.
 """
 from __future__ import annotations
@@ -9,7 +9,6 @@ import argparse
 import json
 import random
 import sys
-import time
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from .model import (DemandTree, InvariantViolation, ParameterError,
                     ResourceCapError, TreeHostError, UnknownVertexError,
                     is_ascii_int, json_block, parse_edge_list, parse_host,
                     root_at, serialize, write_rows)
-from .oracle import BANK_MAX_N, MAX_N, opt_cost
+from .oracle import MAX_N, opt_cost
 from .pipeline import solve_instance
 from .tournament import TournamentResult, check_invariants
 
@@ -221,44 +220,15 @@ def cmd_check(args) -> int:
         raise TreeHostError("check needs INPUT or --random N SEED COUNT")
 
     max_ratio = 0.0
-    with_oracle = not args.no_oracle
     for demand in instances:
-        result = solve_instance(
-            demand, debug=True,
-            with_oracle=with_oracle and demand.n <= BANK_MAX_N)
+        result = solve_instance(demand, debug=True,
+                                with_oracle=not args.no_oracle)
         ratio = result.report.ratio_vs_opt
         if ratio is not None:
             max_ratio = max(max_ratio, ratio)
     print(f"checked {len(instances)} instance(s): all invariants hold")
     if max_ratio:
         print(f"max observed cost/opt ratio: {max_ratio:.4f}")
-    return EXIT_OK
-
-
-def cmd_bench(args) -> int:
-    sizes = _int_list(args.sizes, "--sizes")
-    if sizes != sorted(sizes):
-        raise ParameterError("sizes must be ascending")
-    if args.reps < 1:
-        raise ParameterError(f"--reps must be >= 1, got {args.reps}")
-    rows = []
-    for n in sizes:
-        times = []
-        for rep in range(args.reps):
-            demand = (gen(args.kind, n, seed=args.seed + rep)
-                      if args.kind == "random" else gen(args.kind, n))
-            t0 = time.perf_counter()
-            solve_instance(demand, tiebreak=args.tiebreak)
-            times.append(time.perf_counter() - t0)
-        rows.append((n, sum(times) / len(times), min(times)))
-    print("n\tmean_s\tmin_s")
-    for n, mean, best in rows:
-        print(f"{n}\t{mean:.4f}\t{best:.4f}")
-    if len(rows) > 1:
-        ratios = [rows[i][2] / rows[i - 1][2] for i in range(1, len(rows))
-                  if rows[i - 1][2] > 0]
-        if ratios:
-            print(f"# avg step ratio: {sum(ratios) / len(ratios):.3f}")
     return EXIT_OK
 
 
@@ -293,8 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--phase1-only", action="store_true")
     s.add_argument("--debug-checks", action="store_true")
     s.add_argument("--oracle", action="store_true",
-                   help=f"also compute the exact optimum "
-                        f"(n <= {MAX_N}; n = {MAX_N} takes minutes)")
+                   help=f"also compute the exact optimum (n <= {MAX_N})")
     s.add_argument("--json", action="store_true")
     s.add_argument("--out", default=None, help="write host tree here")
     s.set_defaults(func=cmd_solve)
@@ -333,14 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="check COUNT random trees with n in [3, N]")
     c.add_argument("--no-oracle", action="store_true")
     c.set_defaults(func=cmd_check)
-
-    k = sub.add_parser("bench", help="wall-time scaling on generated instances")
-    k.add_argument("--sizes", required=True, help="comma list, ascending")
-    k.add_argument("--kind", choices=KINDS, default="random")
-    k.add_argument("--seed", type=int, default=1)
-    k.add_argument("--reps", type=int, default=3)
-    k.add_argument("--tiebreak", choices=("lex", "id"), default="lex")
-    k.set_defaults(func=cmd_bench)
 
     d = sub.add_parser("bst-demo",
                        help="cost of balanced search-tree hosts on keyed paths")

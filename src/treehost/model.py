@@ -14,9 +14,9 @@ faster than numpy scalars.
 
 Ingest and egress work on whole arrays and whole strings.  The edge-list
 parser checks the line shape of the entire text in one numpy pass, numbers
-the labels by fingerprinting every token's code units and confirming each
-group exactly (a dictionary over ``str.split`` only if two different tokens
-share a fingerprint), and proves the n - 1 edges connected
+the labels with one exact sort of the tokens' code units (``_span_order``,
+which also orders the labels for the ``lex`` tiebreak; no hash, no
+fallback), and proves the n - 1 edges connected
 with one Euler tour from vertex 0, ranked in numpy (``_list_ranks``);
 ``root_at`` reuses the parent array of that tour.
 ``serialize`` ranks an Euler tour of the host for its preorder; it, the
@@ -29,8 +29,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections import defaultdict
-from itertools import count
 
 import numpy as np
 
@@ -198,6 +196,71 @@ def _span_words(view: np.ndarray, start, nbytes, k) -> np.ndarray:
     return word >> cut << cut
 
 
+_ROUND_WORDS = 1 << 20  # the most words one round of _span_order reads
+
+
+def _span_order(view: np.ndarray, start: np.ndarray, nbytes: np.ndarray,
+                first: np.ndarray | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Order of byte spans of a ``_word_view`` by ``first`` if given, then
+    by their 8-byte words, zero-padded; and ``tied``, true where the i-th
+    span in that order equals the one before it in ``first`` and in every
+    word.  Spans tied in every word are left in no set order.
+
+    All spans are sorted by word 0.  Then, in rounds, the tied groups that
+    hold a span longer than 8k bytes are sorted by words k .. 2k - 1 (fewer
+    if that would read more than ``_ROUND_WORDS`` words), so that a run of
+    equal words costs a number of rounds logarithmic in its length."""
+    m = len(start)
+    w = _span_words(view, start, nbytes, 0)
+    w[nbytes == 0] = 0  # the shift above wants spans of one byte or more
+    order = np.argsort(w)
+    if first is not None:
+        narrow = first.max(initial=0) < 1 << 16  # a stable sort: radix
+        key = (first.astype(np.uint16) if narrow else first)[order]
+        perm = np.argsort(key, kind="stable")
+        order = order[perm]
+    w = w[order]
+    tied = np.zeros(m, dtype=bool)
+    tied[1:] = w[1:] == w[:-1]
+    del w
+    if first is not None:
+        key = key[perm]
+        tied[1:] &= key[1:] == key[:-1]
+        del key, perm
+    # the sorted positions of the tied groups that hold a span longer than
+    # one word: only they have later words to compare
+    group = np.cumsum(~tied)
+    long = np.zeros(m + 1, dtype=bool)
+    long[group[(nbytes > 8)[order]]] = True
+    pos = np.flatnonzero(long[group] & (tied | np.append(tied[1:], False)))
+    del group, long
+    k = 1
+    while pos.size:
+        head = ~tied[pos]
+        group = np.cumsum(head) - 1
+        longest = np.maximum.reduceat(nbytes[order[pos]],
+                                      np.flatnonzero(head))
+        keep = (longest > 8 * k)[group]
+        pos, group = pos[keep], group[keep]
+        c = max(1, min(k, _ROUND_WORDS // max(len(pos), 1)))
+        spans = order[pos]
+        rows, cols = np.nonzero(nbytes[spans, None] > 8 * (k + np.arange(c)))
+        at = spans[rows]
+        keys = np.zeros((c + 1, len(pos)), dtype=np.uint64)
+        keys[1 + cols, rows] = _span_words(view, start[at], nbytes[at],
+                                           k + cols)
+        keys[0] = group
+        perm = np.lexsort(keys[::-1])  # by the last key first
+        order[pos] = spans[perm]
+        keys = keys[1:, perm]
+        tied[pos[1:]] &= (keys[:, 1:] == keys[:, :-1]).all(axis=0)
+        still = tied[pos]
+        still[:-1] |= tied[pos[1:]]
+        pos, k = pos[still], k + c
+    return order, tied
+
+
 class Labels:
     """Vertex labels as one array of code units (``_code_units``) and
     n + 1 offsets: label v is ``units[off[v]:off[v + 1]]``.  A ``str`` is
@@ -227,7 +290,7 @@ class Labels:
 
     def find(self, label: str) -> int:
         """The id of ``label`` (the first, if it repeats), or -1: the
-        labels of its length are compared with it word by word."""
+        labels of its length are compared with it in 8-byte words."""
         want = _code_units(label)
         if want.itemsize > self.units.itemsize:
             return -1  # wider than every label's code points
@@ -236,9 +299,10 @@ class Labels:
         view = _word_view(self.units)
         own = _word_view(want.astype(self.units.dtype))
         found = np.flatnonzero(np.diff(self.off) == len(want))
-        for k in range(-(-nbytes // 8)):
-            found = found[_span_words(view, self.off[found] * size, nbytes, k)
-                          == _span_words(own, 0, nbytes, k)]
+        k = np.arange(-(-nbytes // 8))
+        same = (_span_words(view, self.off[found, None] * size, nbytes, k)
+                == _span_words(own, 0, nbytes, k))
+        found = found[same.all(axis=1)]
         return int(found[0]) if found.size else -1
 
 
@@ -360,84 +424,27 @@ def _check_line_shape(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return codes, kind, starts
 
 
-_MIX_A = np.uint64(0xBF58476D1CE4E5B9)  # splitmix64's multipliers
-_MIX_B = np.uint64(0x94D049BB133111EB)
-_FP_PLACE = np.uint64(0x9E3779B97F4A7C15)
-_FP_LEN = np.uint64(0xD6E8FEB86659FD93)
-
-
-def _mix(x: np.ndarray) -> np.ndarray:
-    """A bijection of uint64 that spreads every input bit (splitmix64)."""
-    x = (x ^ (x >> np.uint64(30))) * _MIX_A
-    x = (x ^ (x >> np.uint64(27))) * _MIX_B
-    return x ^ (x >> np.uint64(31))
-
-
-def _fingerprint(nbytes: np.ndarray, word0: np.ndarray, rest: np.ndarray,
-                 place: np.ndarray, roff: np.ndarray) -> np.ndarray:
-    """A 64-bit fingerprint of each span (after Karp & Rabin, 1987), mixed
-    from its first word and byte length plus the sum of its later words,
-    each mixed with its place in the span.  ``word0`` holds every span's
-    first word and ``rest[roff[i]:roff[i + 1]]`` span i's later words, at
-    ``place``."""
-    fp = word0 ^ (nbytes.astype(np.uint64) * _FP_LEN)
-    longer = np.flatnonzero(np.diff(roff))
-    if longer.size:
-        mixed = _mix(rest ^ (place.astype(np.uint64) * _FP_PLACE))
-        fp[longer] += np.add.reduceat(mixed, roff[longer])
-    return _mix(fp)
-
-
 def _intern(codes: np.ndarray, start: np.ndarray, length: np.ndarray
-            ) -> tuple[np.ndarray, Labels] | None:
+            ) -> tuple[np.ndarray, Labels]:
     """Number the tokens ``codes[start:start + length]`` by first appearance
-    of their text and collect the labels, or None when two different tokens
-    share a fingerprint.
+    of their text and collect the labels.
 
-    Tokens are grouped by fingerprint; each is then compared with its
-    group's first token: the length, the first word, and one flat compare
-    of the later words, so that no result depends on the fingerprint.
+    The tokens are sorted by byte length, then by their 8-byte words
+    (``_span_order``), so the tokens of a group tied in every word are
+    equal; each group's least index is its first appearance.
     """
-    size = codes.itemsize
-    view = _word_view(codes)
-    nbytes = length * size
-    word0 = _span_words(view, start * size, nbytes, 0)
-    # the later words of every token, flat: word ``place`` of its token
-    more = (nbytes - 1) // 8
-    roff = np.zeros(len(start) + 1, dtype=np.int64)
-    np.cumsum(more, out=roff[1:])
-    place = np.arange(1, roff[-1] + 1) - np.repeat(roff[:-1], more)
-    rest = _span_words(view, np.repeat(start * size, more),
-                       np.repeat(nbytes, more), place)
-    del view
-
-    fp = _fingerprint(nbytes, word0, rest, place, roff)
-    del place
-    order = np.argsort(fp)
-    fp = fp[order]
-    new = np.ones(len(fp), dtype=bool)
-    new[1:] = fp[1:] != fp[:-1]
-    del fp
-    heads = np.flatnonzero(new)
+    nbytes = length * codes.itemsize
+    order, tied = _span_order(_word_view(codes), start * codes.itemsize,
+                              nbytes, nbytes)
+    heads = np.flatnonzero(~tied)
     first = np.minimum.reduceat(order, heads)
     is_first = np.zeros(len(order), dtype=bool)
     is_first[first] = True
     ids = np.empty(len(order), dtype=np.int64)
     ids[order] = np.repeat((np.cumsum(is_first) - 1)[first],
                            np.diff(np.append(heads, len(order))))
-    del order, new, heads, first
+    del order, tied, heads, first
     firsts = np.flatnonzero(is_first)  # each label's first token, by id
-
-    rep = firsts[ids]
-    if not (np.array_equal(nbytes[rep], nbytes)
-            and np.array_equal(word0[rep], word0)):
-        return None
-    shift = np.repeat(roff[rep] - roff[:-1], more)
-    del rep
-    shift += np.arange(len(rest))
-    if not np.array_equal(rest[shift], rest):
-        return None
-    del shift, rest, word0
 
     # the labels' units: the first tokens' spans, which are in id order
     inside = np.zeros(len(codes) + 1, dtype=np.int8)
@@ -467,19 +474,9 @@ def parse_edge_list(text: str) -> UnrootedTree:
     del kind
     stop = np.flatnonzero(token & np.append(~token[1:], True)) + 1
     del token
-    interned = _intern(codes, start, stop - start)
+    edges, labels = _intern(codes, start, stop - start)
     del codes, start, stop
-    if interned is None:  # a fingerprint collision: intern the strings
-        ids = defaultdict(count().__next__)
-        tokens = text.split()
-        edges = np.fromiter(map(ids.__getitem__, tokens), dtype=np.int64,
-                            count=len(tokens)).reshape(-1, 2)
-        del tokens
-        labels = Labels.of(list(ids))
-        del ids
-    else:
-        edges, labels = interned
-        edges = edges.reshape(-1, 2)
+    edges = edges.reshape(-1, 2)
     n = len(labels)
     # n - 1 edges that connect n vertices are a tree: no cycle, no self-loop
     # and no duplicate is left to find

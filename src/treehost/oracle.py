@@ -5,11 +5,10 @@ any such tree at a leaf and every node has at most two children).  They are
 enumerated through Prüfer sequences in which no label occurs more than twice;
 each qualifying sequence decodes to a distinct tree and vice versa.
 
-``opt_cost`` scans every host.  For n <= 9 a cached bank of all-pairs
-distances (one int8 row per vertex pair, one column per host) turns each
-instance into n - 1 contiguous row additions and an argmin; n = 10 falls
-back to streaming chunks and is slow but exact.  Anything larger is
-rejected.
+``opt_cost`` scans every host: a cached bank of all-pairs distances (one
+int8 row per vertex pair, one column per host) turns each instance into
+n - 1 contiguous row additions and an argmin.  Instances above n = 9 are
+rejected with ``ResourceCapError``.
 """
 from __future__ import annotations
 
@@ -24,8 +23,7 @@ from .generate import prufer_edges
 from .model import (NONE, DemandTree, HostTree, InvariantViolation, Labels,
                     ResourceCapError, UnrootedTree, root_at)
 
-MAX_N = 10
-BANK_MAX_N = 9
+MAX_N = 9
 _CHUNK = 1 << 18
 
 
@@ -109,20 +107,6 @@ def _decode_chunk(seqs: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
     return edges
 
 
-def _host_chunks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Every qualifying Prüfer sequence in lexicographic order, chunk by
-    chunk, with the (m, n, n) distance matrices of the hosts they encode."""
-    total = n ** (n - 2)
-    for start in range(0, total, _CHUNK):
-        seqs = _seq_chunk(start, min(start + _CHUNK, total), n)
-        counts = _label_counts(seqs, n)
-        keep = (counts <= 2).all(axis=1)
-        if keep.any():
-            seqs = seqs[keep]
-            yield seqs, _all_pairs_dist(
-                _decode_chunk(seqs, counts[keep], n), n)
-
-
 def _all_pairs_dist(edges: np.ndarray, n: int) -> np.ndarray:
     """Per-host distance matrices (int8), by undoing the Prüfer decode.
 
@@ -161,12 +145,21 @@ class _HostBank:
 
 @lru_cache(maxsize=None)
 def _bank(n: int) -> _HostBank:
+    """Every qualifying Prüfer sequence in lexicographic order and the pair
+    distances of the hosts they encode, built chunk by chunk."""
     iu, iv = _pair_columns(n)
     seq_blocks = []
     dist_blocks = []
-    for seqs, dist in _host_chunks(n):
-        seq_blocks.append(seqs)
-        dist_blocks.append(dist[:, iu, iv].T)
+    total = n ** (n - 2)
+    for start in range(0, total, _CHUNK):
+        seqs = _seq_chunk(start, min(start + _CHUNK, total), n)
+        counts = _label_counts(seqs, n)
+        keep = (counts <= 2).all(axis=1)
+        if keep.any():
+            seqs = seqs[keep]
+            seq_blocks.append(seqs)
+            dist = _all_pairs_dist(_decode_chunk(seqs, counts[keep], n), n)
+            dist_blocks.append(dist[:, iu, iv].T)
     return _HostBank(n, np.concatenate(seq_blocks),
                      np.concatenate(dist_blocks, axis=1))
 
@@ -207,30 +200,15 @@ def opt_cost(demand: DemandTree) -> tuple[int, HostTree]:
     if n == 2:
         return 1, _host_from_edges([(0, 1)], 2, demand.labels)
 
-    if n <= BANK_MAX_N:
-        bank = _bank(n)
-        cols = _demand_pair_cols(demand)
-        # a cost is at most (n - 1)^2 = 64, so int8 sums do not wrap
-        costs = bank.pair_dists[cols[0]].copy()
-        for col in cols[1:].tolist():
-            costs += bank.pair_dists[col]
-        best = int(costs.argmin())
-        opt = int(costs[best])
-        edges = prufer_edges(bank.seqs[best].tolist(), n)
-    else:
-        cols = np.asarray(list(demand.edges()), dtype=np.int64)
-
-        def chunk_minima():
-            for seqs, dist in _host_chunks(n):
-                costs = dist[:, cols[:, 0], cols[:, 1]].sum(axis=1,
-                                                            dtype=np.int32)
-                i = int(costs.argmin())
-                yield int(costs[i]), seqs[i].tolist()
-
-        # min keeps the first of equal costs, as the enumeration order asks
-        opt, best_seq = min(chunk_minima(), key=lambda pair: pair[0])
-        edges = prufer_edges(best_seq, n)
-
+    bank = _bank(n)
+    cols = _demand_pair_cols(demand)
+    # a cost is at most (n - 1)^2 = 64, so int8 sums do not wrap
+    costs = bank.pair_dists[cols[0]].copy()
+    for col in cols[1:].tolist():
+        costs += bank.pair_dists[col]
+    best = int(costs.argmin())
+    opt = int(costs[best])
+    edges = prufer_edges(bank.seqs[best].tolist(), n)
     host = _host_from_edges(edges, n, demand.labels)
     breakdown = evaluate(demand, host)
     if breakdown.total != opt:

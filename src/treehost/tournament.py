@@ -24,54 +24,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (DEAD, NONE, DemandTree, HostTree, InvariantViolation,
-                    Labels, TreeHostError, UnknownVertexError, _span_words,
+                    Labels, TreeHostError, UnknownVertexError, _span_order,
                     _word_view)
 
 
-def _span_order(view: np.ndarray, start: np.ndarray, nbytes: np.ndarray,
-                first: np.ndarray | None = None) -> np.ndarray:
-    """Order of byte spans of a ``_word_view`` by ``first`` if given, then
-    by their 8-byte words, then by length, then by index: for code units,
-    Python's ``str`` order, stable.  The length comes after the words, so
-    that "a" and "a\\0", equal in zero-padded words, stay apart.  Word k is
-    read only for groups still tied that hold a span longer than 8k
-    bytes."""
-    m = len(start)
-
-    def word(spans: np.ndarray, k: int) -> np.ndarray:
-        out = np.zeros(len(spans), dtype=np.uint64)
-        has = nbytes[spans] > 8 * k
-        out[has] = _span_words(view, start[spans[has]], nbytes[spans[has]], k)
-        return out
-
-    w = word(np.arange(m), 0)
-    order = np.argsort(w)  # quicksort: the index settles full ties last
-    if first is not None:
-        key = first[order]
-        if key.max(initial=0) < 1 << 16:
-            key = key.astype(np.uint16)  # a stable sort of it is a radix sort
-        order = order[np.argsort(key, kind="stable")]
-    tied = np.zeros(m, dtype=bool)  # sorted span i ties with span i - 1
-    tied[1:] = w[order[1:]] == w[order[:-1]]
-    if first is not None:
-        tied[1:] &= first[order[1:]] == first[order[:-1]]
-    pos, k = np.arange(m), 1  # the sorted positions of whole tied groups
-    while pos.size:
-        group = np.cumsum(~tied[pos]) - 1
-        heads = np.flatnonzero(~tied[pos])
-        size = np.diff(np.append(heads, len(pos)))
-        longest = np.maximum.reduceat(nbytes[order[pos]], heads)
-        keep = ((size > 1) & (longest > 8 * k))[group]
-        pos, group = pos[keep], group[keep]
-        if pos.size:
-            w = word(order[pos], k)
-            perm = np.lexsort((w, group))
-            order[pos] = order[pos][perm]
-            w = w[perm]
-            tied[pos[1:]] &= w[1:] == w[:-1]
-        k += 1
+def _settle(order: np.ndarray, tied: np.ndarray,
+            nbytes: np.ndarray) -> np.ndarray:
+    """``_span_order``'s order with the spans equal in every word put the
+    shorter first, then by index: for code units, Python's ``str`` order,
+    stable.  The length comes after the words, so that "a" and "a\\0",
+    equal in zero-padded words, stay apart."""
     pos = np.flatnonzero(tied | np.append(tied[1:], False))
-    if pos.size:  # equal in every word: the shorter first, then by index
+    if pos.size:
         group = np.cumsum(~tied[pos])
         spans = order[pos]
         order[pos] = spans[np.lexsort((spans, nbytes[spans], group))]
@@ -121,13 +85,15 @@ def _label_rank(demand: DemandTree, mode: str) -> np.ndarray:
     digits = units if units.dtype == np.uint8 else units.astype(np.uint8)
     lead = _leading_zeros(digits, start[num], length[num])
     width = length[num] - lead
-    by_value = num[_span_order(_word_view(digits), start[num] + lead, width,
-                               width)]
+    order, tied = _span_order(_word_view(digits), start[num] + lead, width,
+                              width)
+    by_value = num[_settle(order, tied, width)]
     del digits
     text = np.flatnonzero(~numeric)
-    size = units.itemsize
-    by_text = text[_span_order(_word_view(units), start[text] * size,
-                               length[text] * size)]
+    nbytes = length[text] * units.itemsize
+    order, tied = _span_order(_word_view(units), start[text] * units.itemsize,
+                              nbytes)
+    by_text = text[_settle(order, tied, nbytes)]
     rank[np.concatenate([by_value, by_text])] = np.arange(n, dtype=np.int64)
     return rank
 

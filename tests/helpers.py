@@ -20,9 +20,10 @@ from collections import deque
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
+from hypothesis import example
 
 from treehost import (DemandTree, EdgeListError, HostTree, HostTreeError,
-                      TreeHostError, UnknownVertexError, UnrootedTree)
+                      TreeHostError, UnknownVertexError, UnrootedTree, gen)
 from treehost.model import Labels, _decode, _parse_node_name, _preorder
 
 NONE = -1
@@ -383,6 +384,52 @@ def reference_label_rank(labels: list[str]) -> np.ndarray:
         sys.set_int_max_str_digits(limit)
     rank[order] = np.arange(n, dtype=np.int64)
     return rank
+
+
+def examples(values):
+    """One ``hypothesis.example`` per value, as a single decorator."""
+    def decorate(test):
+        for value in reversed(values):
+            test = example(value)(test)
+        return test
+    return decorate
+
+
+# Labels around the 8-byte words the label sort reads: 8, 9, 16 and 17 code
+# units, labels equal in their first word at some unit width (1, 2 or 4
+# bytes) and apart after it, and numerals of 18-21 and of more than 4300
+# digits, with leading zeros.
+WORD_LABELS = ["abcdefgh", "abcdefgh\x00", "abcdefghi", "abcdefghabcdefgh",
+               "abcdefghabcdefgi", "abcdefghabcdefghi", "ééa", "éé\x00",
+               "ééb", "中文中文x", "中文中文y", "😀😀x", "😀😀y",
+               "123456789012345678",
+               "0001234567890123456789", "12345678901234567890",
+               "000000123456789012345678901", "1" * 4301, "00" + "1" * 4301,
+               "1" * 4300 + "2"]
+
+
+def _word_label_tree(kind: str) -> str:
+    """A 300-vertex tree named by WORD_LABELS with a numbered suffix, every
+    fourth vertex by a numeral."""
+    d = gen(kind, 300, seed=3)
+    names = [WORD_LABELS[v % len(WORD_LABELS)] + str(v) if v % 4
+             else str(v * 7919) for v in range(d.n)]
+    return "".join(f"{names[u]} {names[v]}\n" for u, v in d.edges())
+
+
+def _long_label_path(fill: str, last: str) -> str:
+    """Labels of 65 536 code units apart only in their last unit, the
+    second of them repeated."""
+    a, b = (fill * 65_535 + c for c in last)
+    return f"{a} {b}\n{b} 7\n"
+
+
+# Edge lists for the parser and the lex rank to match the references on.
+LABEL_TEXTS = ["7 007\n007 a\x00\na\x00 a\n",
+               "\n".join(f"é {w}" for w in WORD_LABELS),
+               _word_label_tree("random"), _word_label_tree("star"),
+               _long_label_path("x", "ab"), _long_label_path("1", "12"),
+               _long_label_path("中", "ab")]
 
 
 def _reference_rows(*columns) -> str:

@@ -13,7 +13,6 @@ from treehost import (EdgeListError, HostTreeError, UnknownVertexError,
 from treehost import model
 from treehost.generate import prufer_edges
 from treehost.model import _BREAK_CHARS, _SPACE_CHARS, NONE, Labels
-from treehost.tournament import _label_rank
 
 import helpers
 
@@ -271,17 +270,6 @@ def test_character_classes_match_the_str_methods():
 # same value, and non-ASCII text.
 _TRICKY_LABELS = ["7", "007", "²", "١", "a", "a\x00", "a\x00\x00", "\x00",
                   "é", "0", "s1", "18446744073709551617"]
-# Labels around the 8-byte words the intern reads: 8, 9, 16 and 17 code
-# units, labels equal in their first word at some unit width (1, 2 or 4
-# bytes) and apart after it, and numerals of 18-21 and of more than 4300
-# digits, with leading zeros.
-_WORD_LABELS = ["abcdefgh", "abcdefgh\x00", "abcdefghi", "abcdefghabcdefgh",
-                "abcdefghabcdefgi", "abcdefghabcdefghi", "ééa", "éé\x00",
-                "ééb", "中文中文x", "中文中文y", "😀😀x", "😀😀y",
-                "123456789012345678",
-                "0001234567890123456789", "12345678901234567890",
-                "000000123456789012345678901", "1" * 4301, "00" + "1" * 4301,
-                "1" * 4300 + "2"]
 _INNER_SPACE = [" ", "\t", " \t ", "\x1f", "\xa0", "\u3000"]
 _LINE_ENDS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
               "\x85", "\u2028", "\u2029"]
@@ -297,7 +285,7 @@ def _edge_list_texts(draw):
     seq = draw(st.lists(st.integers(0, n - 1), min_size=max(n - 2, 0),
                         max_size=max(n - 2, 0)))
     rnd = draw(st.randoms(use_true_random=False))
-    names = rnd.sample(_TRICKY_LABELS + _WORD_LABELS
+    names = rnd.sample(_TRICKY_LABELS + helpers.WORD_LABELS
                        + [f"v{i}" for i in range(n)], n)
     lines = [[names[u], names[v]] for u, v in
              (prufer_edges(seq, n) if n > 1 else [])]
@@ -345,6 +333,7 @@ def _parsed(parse, text):
 
 @settings(database=None, derandomize=True, deadline=None, max_examples=300)
 @given(_edge_list_texts())
+@helpers.examples(helpers.LABEL_TEXTS)
 def test_parser_matches_the_line_by_line_reference(text):
     got = _parsed(parse_edge_list, text)
     assert got == _parsed(helpers.reference_parse_edge_list, text)
@@ -376,34 +365,6 @@ def test_parse_error_messages(text, message):
 def test_labels_differing_by_a_trailing_nul_stay_distinct():
     t = parse_edge_list("a a\x00\na\x00 7\n7 007\n")
     assert helpers.label_list(t.labels) == ["a", "a\x00", "7", "007"]
-
-
-def test_fingerprint_collisions_fall_back_to_the_dictionary(monkeypatch):
-    """With every fingerprint equal, the exact check refuses the intern and
-    the dictionary over str.split gives the same labels, CSR and ranks."""
-    texts = ["a b\nb c\n", "7 007\n007 a\x00\na\x00 a\n",
-             "\n".join(f"é {w}" for w in _WORD_LABELS)]
-    for kind in ("random", "star"):
-        d = gen(kind, 300, seed=3)
-        names = [_WORD_LABELS[v % len(_WORD_LABELS)] + str(v) if v % 4
-                 else str(v * 7919) for v in range(d.n)]
-        texts.append("".join(f"{names[u]} {names[v]}\n"
-                             for u, v in d.edges()))
-
-    def parsed(text):
-        t = parse_edge_list(text)
-        return (_parsed(parse_edge_list, text),
-                _label_rank(root_at(t, 0), "lex").tolist())
-
-    expected = [parsed(text) for text in texts]
-    monkeypatch.setattr(model, "_fingerprint", lambda nbytes, *words:
-                        np.zeros_like(nbytes, np.uint64))
-    for text, want in zip(texts, expected):
-        codes, kind, start = model._check_line_shape(text)
-        token = kind == 0
-        stop = np.flatnonzero(token & np.append(~token[1:], True)) + 1
-        assert model._intern(codes, start, stop - start) is None
-        assert parsed(text) == want
 
 
 def test_labels_are_made_into_strings_only_on_request():

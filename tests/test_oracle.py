@@ -37,7 +37,7 @@ def test_bank_matches_pure_enumeration_count(n):
 
 def test_enumeration_limits():
     with pytest.raises(ResourceCapError):
-        list(enumerate_hosts(11))
+        list(enumerate_hosts(10))
     with pytest.raises(ValueError):
         list(enumerate_hosts(1))
 

@@ -316,6 +316,8 @@ _RANK_LABELS = st.one_of(
 
 @settings(database=None, derandomize=True, deadline=None, max_examples=300)
 @given(st.lists(_RANK_LABELS, min_size=1, max_size=60, unique=True))
+@helpers.examples([list(dict.fromkeys(text.split()))
+                   for text in helpers.LABEL_TEXTS])
 def test_lex_rank_matches_the_key_function_sort(labels):
     d = gen("path", len(labels))
     d.labels = labels
