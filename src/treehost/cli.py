@@ -18,7 +18,7 @@ from .generate import KINDS, bst_demo, gen
 from .model import (DemandTree, InvariantViolation, ParameterError,
                     ResourceCapError, TreeHostError, UnknownVertexError,
                     is_ascii_int, json_block, parse_edge_list, parse_host,
-                    root_at, serialize, write_rows)
+                    root_at, serialize, serialize_pieces, write_rows)
 from .oracle import MAX_N, opt_cost
 from .pipeline import solve_instance
 from .tournament import TournamentResult, check_invariants
@@ -63,19 +63,19 @@ def _int_list(text: str, flag: str) -> list[int]:
     return [int(p) for p in parts]
 
 
-def _write_out(text: str, out: str | None) -> None:
+def _write_out(pieces: list[str], out: str | None) -> None:
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(out, "w", encoding="utf-8") as f:
-            f.write(text)
+            f.writelines(pieces)
 
 
 def cmd_gen(args) -> int:
     tree = gen(args.kind, args.n, args.seed)
     lines = [f"# kind={args.kind} n={args.n} seed={args.seed}"]
     lines += [f"{tree.label(u)} {tree.label(v)}" for u, v in tree.edges()]
-    _write_out("\n".join(lines) + "\n", args.out)
+    _write_out(["\n".join(lines) + "\n"], args.out)
     return EXIT_OK
 
 
@@ -110,8 +110,8 @@ def cmd_solve(args) -> int:
                             with_oracle=args.oracle)
     rep = result.report
     if args.out:
-        _write_out(serialize(result.host, "json" if args.json else "text"),
-                   args.out)
+        _write_out(serialize_pieces(result.host,
+                                    "json" if args.json else "text"), args.out)
     if args.json:
         # the report in json.dumps(indent=2) layout, its big members
         # written directly: the ledger, and the host indented in place
@@ -122,8 +122,8 @@ def cmd_solve(args) -> int:
         if args.out:
             parts.append(f',\n  "host_file": {json.dumps(args.out)}')
         else:
-            host = serialize(result.host, "json", level=1)
-            parts.append(f',\n  "host": {host}')
+            parts.append(',\n  "host": ')
+            parts += serialize_pieces(result.host, "json", level=1)
         parts.append("\n}\n")
         sys.stdout.writelines(parts)
     else:
@@ -145,7 +145,7 @@ def cmd_solve(args) -> int:
         for phase, t in rep.wall_times.items():
             print(f"time {phase:<9} {t:.3f}s")
         if not args.out:
-            sys.stdout.write(serialize(result.host))
+            sys.stdout.writelines(serialize_pieces(result.host))
     return EXIT_OK
 
 
@@ -221,8 +221,9 @@ def cmd_check(args) -> int:
 
     max_ratio = 0.0
     for demand in instances:
-        result = solve_instance(demand, debug=True,
-                                with_oracle=not args.no_oracle)
+        # on by default here, the oracle scores the instances it can
+        result = solve_instance(demand, debug=True, with_oracle=(
+            not args.no_oracle and demand.n <= MAX_N))
         ratio = result.report.ratio_vs_opt
         if ratio is not None:
             max_ratio = max(max_ratio, ratio)

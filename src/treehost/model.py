@@ -849,6 +849,12 @@ def serialize(host: HostTree, form: str = "text", *, level: int = 0) -> str:
     indented by 2 * ``level`` more spaces, and no final newline.  Both
     round-trip through :func:`parse_host` preserving node ids.
     """
+    return "".join(serialize_pieces(host, form, level=level))
+
+
+def serialize_pieces(host: HostTree, form: str = "text", *,
+                     level: int = 0) -> list[str]:
+    """:func:`serialize`'s text in pieces, for writing without a join."""
     if form not in ("text", "json"):
         raise ValueError(f"unknown serialization form {form!r}")
     n = host.n_vertices
@@ -856,10 +862,10 @@ def serialize(host: HostTree, form: str = "text", *, level: int = 0) -> str:
     par = host.parent[order]
     par[0] = order[0]  # the root comes first and names itself as parent
     if form == "text":
-        return "".join(write_rows((order, n), ":", (par, n), "\n"))
+        return write_rows((order, n), ":", (par, n), "\n")
     m = "  " * level
     item = f'{m}    "'
-    return "".join([
+    return [
         f'{{\n{m}  "nodes": ',
         *json_block(write_rows(item, (order, n), '",\n'), "[", "]", m),
         f',\n{m}  "parent": ',
@@ -869,7 +875,7 @@ def serialize(host: HostTree, form: str = "text", *, level: int = 0) -> str:
         *json_block(write_rows(item, (order[order >= n], n), '",\n'),
                     "[", "]", m),
         f',\n{m}  "root": ', *write_rows('"', (order[:1], n), '"'),
-        f"\n{m}}}", "\n" if not level else ""])
+        f"\n{m}}}", "\n" if not level else ""]
 
 
 def is_ascii_int(s: str) -> bool:

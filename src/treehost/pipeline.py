@@ -10,7 +10,7 @@ from .bounds import bracket_cost, lb_instance
 from .bracket import run_bracket_builder
 from .cost import evaluate
 from .model import DemandTree, HostTree, InvariantViolation
-from .oracle import MAX_N, opt_cost
+from .oracle import opt_cost
 from .tournament import TournamentResult, check_invariants, run_tournament
 
 REPORT_SCHEMA = "treehost.solve_report.v1"
@@ -121,7 +121,9 @@ def solve_instance(demand: DemandTree, tiebreak: str = "lex",
     still contains steiner nodes, otherwise it is the eliminated final tree.
     Every solve certifies the phase-1 cost of each vertex against its closed
     form and the accounting of ``check_accounting``; ``debug`` adds the full
-    invariant checks of the phase-1 host and of every match.
+    invariant checks of the phase-1 host and of every match.  ``with_oracle``
+    adds the exhaustive optimum, which raises ``ResourceCapError`` above its
+    cap.
     """
     t0 = time.perf_counter()
     host = run_bracket_builder(demand)
@@ -158,7 +160,7 @@ def solve_instance(demand: DemandTree, tiebreak: str = "lex",
         report.wall_times["evaluate"] = (t4 - t3) + (t2 - t1)
     else:
         report.wall_times["evaluate"] = time.perf_counter() - t1
-    if with_oracle and demand.n <= MAX_N:
+    if with_oracle:
         opt, _ = opt_cost(demand)
         report.oracle_opt = opt
         if report.final_cost is not None and opt > 0:

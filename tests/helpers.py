@@ -1,8 +1,10 @@
 """Independent oracles and small utilities shared by the tests.
 
 The BFS evaluator here is written against the host-tree arrays only and
-knows nothing about the library's LCA-based evaluator; it is the second
-route for every cost assertion.  ``reference_parse_edge_list``,
+knows nothing about the library's evaluator; it is the second route for
+every cost assertion.  ``reference_evaluate`` is the evaluator as it was
+before demand edges climbed the host: binary lifting over every edge.
+``reference_parse_edge_list``,
 ``reference_root_at`` and ``reference_label_rank`` are the line-by-line
 parser, the BFS orientation and the key-function label sort as the library
 had them before ingest was vectorized; ``reference_serialize``,
@@ -22,8 +24,9 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 from hypothesis import example
 
-from treehost import (DemandTree, EdgeListError, HostTree, HostTreeError,
-                      TreeHostError, UnknownVertexError, UnrootedTree, gen)
+from treehost import (CostBreakdown, DemandTree, EdgeListError, HostTree,
+                      HostTreeError, TreeHostError, UnknownVertexError,
+                      UnrootedTree, gen)
 from treehost.model import Labels, _decode, _parse_node_name, _preorder
 
 NONE = -1
@@ -201,6 +204,81 @@ def bfs_cost(demand: DemandTree, host: HostTree) -> tuple[int, list[int]]:
     for u, v in demand.edges():
         per[u] += bfs_distance(adj, u, v)
     return sum(per), per
+
+
+def _reference_lifting_tables(par: np.ndarray):
+    n_nodes = len(par)
+    ext = np.empty(n_nodes + 1, dtype=np.int32)
+    np.copyto(ext[:n_nodes], np.where(par < 0, n_nodes, par),
+              casting="unsafe")
+    ext[n_nodes] = n_nodes
+
+    depth = (ext != n_nodes).astype(np.int32)
+    depth[n_nodes] = 0
+    jump = ext.copy()
+    while (jump[:n_nodes] != n_nodes).any():
+        depth += depth[jump]
+        jump = jump[jump]
+
+    max_depth = int(depth[:n_nodes].max(initial=0))
+    levels = max(1, max_depth.bit_length())
+    up = [ext]
+    for _ in range(1, levels):
+        up.append(up[-1][up[-1]])
+    return depth, up, n_nodes
+
+
+def reference_evaluate(demand: DemandTree, host: HostTree) -> CostBreakdown:
+    """``evaluate`` by binary lifting over every demand edge (it loops
+    forever on a parent cycle)."""
+    n = demand.n
+    if host.n_vertices != n:
+        raise UnknownVertexError(
+            f"host covers {host.n_vertices} vertices, demand has {n}")
+    missing = host.parent[:n] == DEAD
+    if missing.any():
+        raise UnknownVertexError(
+            f"demand vertex {int(missing.argmax())} missing from host")
+    if n <= 1:
+        return CostBreakdown(0, [0] * n)
+
+    depth, up, sink = _reference_lifting_tables(host.parent)
+    off, flat = demand.child_off, demand.child_flat
+    vs = flat.astype(np.int32)
+    us = np.repeat(np.arange(n, dtype=np.int32),
+                   np.diff(off)).astype(np.int32)
+
+    a, b = us.copy(), vs.copy()
+    da, db = depth[a], depth[b]
+    diff = da - db
+    for k in range(len(up)):
+        bit = 1 << k
+        lift_a = (diff > 0) & ((diff & bit) != 0)
+        lift_b = (diff < 0) & (((-diff) & bit) != 0)
+        if lift_a.any():
+            a[lift_a] = up[k][a[lift_a]]
+        if lift_b.any():
+            b[lift_b] = up[k][b[lift_b]]
+
+    lca = a.copy()
+    idx = np.nonzero(a != b)[0]
+    if idx.size:
+        aa = a[idx]
+        bb = b[idx]
+        for k in range(len(up) - 1, -1, -1):
+            ua = up[k][aa]
+            ub = up[k][bb]
+            move = ua != ub
+            aa[move] = ua[move]
+            bb[move] = ub[move]
+        lca[idx] = up[0][aa]
+    if (lca == sink).any():
+        raise HostTreeError("host tree does not connect all demand vertices")
+
+    dist = da + db - 2 * depth[lca]
+    per = np.bincount(us, weights=dist, minlength=n)
+    per_vertex = per.astype(np.int64).tolist()
+    return CostBreakdown(int(dist.sum(dtype=np.int64)), per_vertex)
 
 
 def host_shape(host: HostTree, node: int | None = None):

@@ -1,11 +1,16 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from treehost import (HostTree, UnknownVertexError, balanced_bst_host,
-                      bst_adversarial, evaluate, gen, opt_cost,
-                      parse_edge_list, root_at, run_bracket_builder,
-                      run_tournament)
+from treehost import (HostTree, HostTreeError, UnknownVertexError,
+                      balanced_bst_host, bst_adversarial, evaluate, gen,
+                      opt_cost, parse_edge_list, root_at, run_bracket_builder,
+                      run_tournament, solve_instance)
+from treehost import cost
+from treehost.generate import KINDS
 
 import helpers
 
@@ -99,3 +104,101 @@ def test_evaluate_single_vertex():
     d = gen("path", 1)
     h = run_bracket_builder(d)
     assert evaluate(d, h).total == 0
+
+
+def _path_host(order) -> HostTree:
+    """A path host hanging order[i] below order[i - 1]."""
+    n = len(order)
+    par, left, right, owner = (np.full(n, -1, dtype=np.int64)
+                               for _ in range(4))
+    par[order[1:]] = order[:-1]
+    left[order[:-1]] = order[1:]
+    return HostTree(n, int(order[0]), par, left, right, owner)
+
+
+@st.composite
+def _scored_hosts(draw):
+    """A demand tree and a host to score: a phase-1 or final host of a
+    ``gen`` tree, a search-tree host (non-ancestral), or a path host in a
+    random order, deeper than the climb's cap."""
+    family = draw(st.sampled_from(["phase1", "final", "bst", "path"]))
+    if family == "bst":
+        keyed = bst_adversarial(2 * draw(st.integers(2, 100)))
+        return keyed.tree, balanced_bst_host(keyed)
+    demand = gen(draw(st.sampled_from(KINDS)), draw(st.integers(2, 300)),
+                 seed=draw(st.integers(0, 2 ** 30)))
+    if family == "path":
+        order = np.random.default_rng(draw(st.integers(0, 2 ** 30))
+                                      ).permutation(demand.n)
+        return demand, _path_host(order)
+    host = run_bracket_builder(demand)
+    if family == "final":
+        run_tournament(host, demand, draw(st.sampled_from(["lex", "id"])))
+    return demand, host
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=300)
+@given(_scored_hosts())
+def test_evaluate_matches_the_lifting_reference(case):
+    demand, host = case
+    got, want = evaluate(demand, host), helpers.reference_evaluate(demand, host)
+    assert got.total == want.total
+    assert got.per_vertex == want.per_vertex
+
+
+def test_path_host_takes_the_climb_the_cap_and_the_fallback(monkeypatch):
+    """On a path host 0-1-...-63 the climb scores the edges whose parent is
+    at most 64.bit_length() = 7 links above the child; the others, parent
+    further up or below the child, go to the lifting, in one call."""
+    demand = gen("random", 64, seed=5)
+    lifted = []
+    real = cost._lifted_distances
+
+    def spy(par, us, vs):
+        lifted.append(len(us))
+        return real(par, us, vs)
+
+    monkeypatch.setattr(cost, "_lifted_distances", spy)
+    host = _path_host(np.arange(64))
+    got = evaluate(demand, host)
+    up = np.array([v - u for u, v in demand.edges()])
+    assert (up < 0).any() and (up > 7).any() and ((up >= 1) & (up <= 7)).any()
+    assert lifted == [int(np.count_nonzero((up < 0) | (up > 7)))]
+    assert got.total == int(np.abs(up).sum())
+    assert got == helpers.reference_evaluate(demand, host)
+
+
+def test_evaluate_disconnected_host():
+    """Vertex 2 is a second root: the path 0-1-2 is not connected."""
+    d = root_at(parse_edge_list("0 1\n1 2"), 0)
+    host = HostTree(3, 0, [-1, 0, -1], [1, -1, -1], [-1] * 3, [-1] * 3)
+    with pytest.raises(HostTreeError, match="does not connect"):
+        evaluate(d, host)
+
+
+@pytest.mark.parametrize("parent", [[-1, 2, 1], [-1, 3, 1, 2]],
+                         ids=["two-vertex-cycle", "cycle-through-steiner"])
+def test_evaluate_cyclic_host(parent):
+    """A parent cycle away from the root raises instead of looping."""
+    d = root_at(parse_edge_list("0 1\n1 2"), 0)
+    m = len(parent)
+    host = HostTree(3, 0, parent, [-1] * m, [-1] * m, [-1] * m)
+    with pytest.raises(HostTreeError, match="cycle"):
+        evaluate(d, host)
+
+
+def _raise(*args):
+    raise AssertionError("a pipeline host took the lifting fallback")
+
+
+@pytest.mark.parametrize("tiebreak", ["lex", "id"])
+def test_pipeline_hosts_never_take_the_lifting(monkeypatch, tiebreak):
+    """Every demand parent is a host ancestor of its children, within the
+    climb's cap, in the phase-1 and the final host."""
+    monkeypatch.setattr(cost, "_lifting_tables", _raise)
+    rng = random.Random(9)
+    cases = [(kind, n) for kind in KINDS for n in (2, 3, 9, 100, 1000)]
+    cases += [("star", 4097), ("star", 5000), ("path", 5000),
+              ("caterpillar", 5000), ("random", 20000)]
+    for kind, n in cases:
+        solve_instance(gen(kind, n, seed=rng.randrange(2 ** 30)), tiebreak)

@@ -128,6 +128,18 @@ def test_cli_solve_oracle_flag(tmp_path, capsys, monkeypatch):
     assert doc["final_cost"] <= 4 * doc["oracle_opt"]
 
 
+def test_cli_solve_oracle_above_the_cap(tmp_path, capsys, monkeypatch):
+    """Asked for above its cap, the oracle fails as ``treehost oracle``
+    does, instead of reporting no optimum."""
+    f = tmp_path / "star.edges"
+    f.write_text("\n".join(f"0 {i}" for i in range(1, 10)))
+    code, out, err = _run(["solve", str(f), "--json", "--oracle"],
+                          capsys=capsys)
+    assert (code, out) == (3, "")
+    assert "exhaustive optimum capped at n=9" in err
+    assert _run(["oracle", str(f)], capsys=capsys)[2] == err
+
+
 def test_cli_solve_root_flag(fig_text, tmp_path, capsys, monkeypatch):
     f = tmp_path / "fig.edges"
     f.write_text(fig_text)
