@@ -19,10 +19,13 @@ which also orders the labels for the ``lex`` tiebreak; no hash, no
 fallback), and proves the n - 1 edges connected
 with one Euler tour from vertex 0, ranked in numpy (``_list_ranks``);
 ``root_at`` reuses the parent array of that tour.
-``serialize`` ranks an Euler tour of the host for its preorder; it, the
-``solve --json`` ledger and the ``eval`` listings are written by one column
-writer (``write_rows``) from arrays: node names, numbers and labels' code
-units, the JSON directly in the layout of ``json.dumps(indent=2)``.
+One routine walks a host, ``_tour``, also ranked by ``_list_ranks``:
+``serialize`` writes it in preorder, ``HostTree.validate`` checks the links
+as masks and returns it, and ``check_invariants`` reads ancestry off it.
+The host text, the ``solve --json`` ledger and the ``eval`` listings are
+written by one column writer (``write_rows``) from arrays: node names,
+numbers and labels' code units, the JSON directly in the layout of
+``json.dumps(indent=2)``.
 """
 from __future__ import annotations
 
@@ -492,9 +495,10 @@ def parse_edge_list(text: str) -> UnrootedTree:
 class DemandTree:
     """Rooted tree over dense vertex ids with ordered children (CSR layout).
 
-    ``parent[root] == -1``; ``children(v)`` preserves the stable input order,
-    so constructions built from it are reproducible.  ``labels is None`` means
-    vertex ``v`` is labelled ``str(v)``.
+    ``parent[root] == -1``; the children of v,
+    ``child_flat[child_off[v]:child_off[v + 1]]``, keep the stable input
+    order, so constructions built from them are reproducible.
+    ``labels is None`` means vertex ``v`` is labelled ``str(v)``.
     """
 
     __slots__ = ("n", "root", "parent", "child_off", "child_flat", "labels",
@@ -512,12 +516,6 @@ class DemandTree:
 
     def label(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
-
-    def children(self, v: int) -> list[int]:
-        return self.child_flat[self.child_off[v]:self.child_off[v + 1]].tolist()
-
-    def child_count(self, v: int) -> int:
-        return int(self.child_off[v + 1] - self.child_off[v])
 
     def child_counts(self) -> list[int]:
         return np.diff(self.child_off).tolist()
@@ -590,60 +588,57 @@ class HostTree:
     def is_steiner(self, i: int) -> bool:
         return i >= self.n_vertices
 
-    def children(self, i: int) -> list[int]:
-        return [int(ch) for ch in (self.left[i], self.right[i]) if ch != NONE]
-
-    def live_nodes(self) -> list[int]:
-        return np.flatnonzero(self.parent != DEAD).tolist()
-
-    def steiner_nodes(self) -> list[int]:
-        n = self.n_vertices
-        return (np.flatnonzero(self.parent[n:] != DEAD) + n).tolist()
-
     def steiner_count(self) -> int:
         return int(np.count_nonzero(self.parent[self.n_vertices:] != DEAD))
 
-    def depths(self) -> dict[int, int]:
-        """Depth of every node reachable from the root."""
-        depth = {self.root: 0}
-        stack = [self.root]
-        left, right = self.left.tolist(), self.right.tolist()
-        while stack:
-            v = stack.pop()
-            d = depth[v] + 1
-            for w in (left[v], right[v]):
-                if w != NONE:
-                    depth[w] = d
-                    stack.append(w)
-        return depth
-
-    def validate(self) -> None:
-        """Check binary shape, link consistency, connectivity, acyclicity."""
-        par = self.parent.tolist()
-        left, right = self.left.tolist(), self.right.tolist()
-        if not 0 <= self.root < len(par) or par[self.root] != NONE:
+    def validate(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Check binary shape, link consistency, connectivity, acyclicity,
+        and return ``_tour(self)``.  The links are checked as masks over the
+        live nodes, naming the first bad node in id order; past them, the
+        tour reaches every live node just when the host is one tree."""
+        par, size = self.parent, len(self.parent)
+        if not (self.n_vertices <= size == len(self.left) == len(self.right)
+                == len(self.owner)):
+            raise HostTreeError("host arrays of unequal lengths or shorter "
+                                "than the demand vertices")
+        if not 0 <= self.root < size or par[self.root] != NONE:
             raise HostTreeError("bad root")
-        live = self.live_nodes()
-        for v in range(self.n_vertices):
-            if par[v] == DEAD:
-                raise HostTreeError(f"demand vertex {v} removed from host")
-        for i in live:
-            for ch in (left[i], right[i]):
-                if ch != NONE and par[ch] != i:
-                    raise HostTreeError(f"child link {i}->{ch} not mirrored")
-            if i != self.root:
-                p = par[i]
-                if p == NONE or not (0 <= p < len(par) and par[p] != DEAD):
-                    raise HostTreeError(f"node {i} has no live parent")
-                if left[p] != i and right[p] != i:
-                    raise HostTreeError(f"parent of {i} does not list it")
-        if len(self.depths()) != len(live):
-            raise HostTreeError("host not connected from root")
+        removed = np.flatnonzero(par[:self.n_vertices] == DEAD)
+        if removed.size:
+            raise HostTreeError(f"demand vertex {removed[0]} removed from host")
+        live = np.flatnonzero(par != DEAD)
+        kid_l, kid_r = self.left[live], self.right[live]
+        # the arrays padded with DEAD, at which ids outside [0, size) clip
+        par_, left_, right_ = (np.append(a, DEAD)
+                               for a in (par, self.left, self.right))
+        up = np.clip(par[live], -1, size)
+        below = live != self.root
+        faults = np.stack([
+            (kid_l != NONE) & (par_[np.clip(kid_l, -1, size)] != live),
+            (kid_r != NONE) & (par_[np.clip(kid_r, -1, size)] != live),
+            (kid_l != NONE) & (kid_l == kid_r),
+            below & (par_[up] == DEAD),
+            below & (left_[up] != live) & (right_[up] != live)])
+        bad = faults.any(axis=0)
+        if bad.any():
+            k = int(bad.argmax())
+            i, a, b = int(live[k]), int(kid_l[k]), int(kid_r[k])
+            raise HostTreeError([
+                f"child link {i}->{a} not mirrored",
+                f"child link {i}->{b} not mirrored",
+                f"node {i} lists child {a} twice",
+                f"node {i} has no live parent",
+                f"parent of {i} does not list it",
+            ][int(faults[:, k].argmax())])
+        return _tour(self)
 
 
-def _preorder(host: HostTree) -> np.ndarray:
-    """The host's nodes in preorder, left child first: the order in which
-    one Euler tour from the root enters them, ranked by _list_ranks."""
+def _tour(host: HostTree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``live, enter, leave``: the host's live nodes in id order and the
+    ranks at which one Euler tour from the root, left child first, enters
+    and leaves the node of each slot, so that u is a proper ancestor of v
+    just when enter[u] < enter[v] and leave[v] < leave[u].  The links must
+    pass ``HostTree.validate``'s checks (``_list_ranks``' precondition)."""
     live = np.flatnonzero(host.parent != DEAD)
     m = len(live)
     slot = np.full(len(host.parent) + 1, NONE, dtype=np.int64)
@@ -662,9 +657,16 @@ def _preorder(host: HostTree) -> np.ndarray:
     ranks = _list_ranks(succ, int(slot[host.root]))
     if ranks is None:
         raise HostTreeError("host not connected from root")
-    tour = np.empty(2 * m, dtype=np.int64)
-    tour[ranks] = np.arange(2 * m)
-    return live[tour[tour < m]]
+    return live, ranks[:m], ranks[m:]
+
+
+def _preorder(host: HostTree) -> np.ndarray:
+    """The host's nodes in preorder, left child first: the order in which
+    the Euler tour enters them."""
+    live, enter, _ = _tour(host)
+    tour = np.full(2 * len(live), NONE, dtype=np.int64)
+    tour[enter] = np.arange(len(live))
+    return live[tour[tour >= 0]]
 
 
 def _compact(block: np.ndarray) -> bytes:

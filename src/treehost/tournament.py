@@ -14,8 +14,11 @@ Three structural facts hold after phase 1 and survive every rewrite:
   (iii) a vertex that is the child of a steiner node belongs to the bracket
         of its demand parent and has at most one host child.
 
-``check_invariants`` verifies all three on a full tree; ``debug=True`` runs
-the sequential sweep, which adds local checks after every single rewrite.
+``check_invariants`` verifies all three on a full tree, as array predicates
+over the steiner nodes and over the demand edges: ancestry is read off the
+ranked Euler tour of the host that ``HostTree.validate`` returns, the same
+tour ``serialize`` writes in preorder.  ``debug=True`` runs the sequential
+sweep, which adds local checks after every single rewrite.
 """
 from __future__ import annotations
 
@@ -308,24 +311,15 @@ def run_tournament(host: HostTree, demand: DemandTree, tiebreak: str = "lex",
                             np.asarray(charges, dtype=np.int64))
 
 
-def _euler_intervals(host: HostTree) -> tuple[dict[int, int], dict[int, int]]:
-    tin: dict[int, int] = {}
-    tout: dict[int, int] = {}
-    clock = 0
-    stack: list[tuple[int, bool]] = [(host.root, False)]
-    left, right = host.left.tolist(), host.right.tolist()
-    while stack:
-        node, done = stack.pop()
-        if done:
-            tout[node] = clock
-            continue
-        tin[node] = clock
-        clock += 1
-        stack.append((node, True))
-        for ch in (right[node], left[node]):
-            if ch != NONE:
-                stack.append((ch, False))
-    return tin, tout
+# check_invariants' clauses at a steiner node s owned by u, in the order
+# checked; the last two are checked for its left, then its right child ch
+_STEINER_CLAUSES = [
+    ("(i) steiner-degree", "steiner node {s} has < 2 children"),
+    ("(iii) bracket-membership", "steiner node {s} has no owner vertex"),
+    ("(iii) bracket-membership",
+     "vertex {ch} sits in the bracket of {u}, not of its parent"),
+    ("(iii) single-child", "vertex {ch} under a steiner node has two children"),
+]
 
 
 def check_invariants(demand: DemandTree, host: HostTree) -> None:
@@ -335,39 +329,37 @@ def check_invariants(demand: DemandTree, host: HostTree) -> None:
     (where the steiner clauses are vacuous).  Raises
     :class:`InvariantViolation` naming the violated invariant, and
     :class:`UnknownVertexError` if the host's vertex set is not the demand's.
+    Each check is a mask: over the steiner nodes, (i) and (iii) name the
+    first bad one; over the vertices, (ii) names the first whose demand
+    parent's tour interval does not hold its own.
     """
     n = demand.n
     if host.n_vertices != n:
         raise UnknownVertexError(
             f"host covers {host.n_vertices} vertices, demand has {n}")
-    host.validate()
-    left, right = host.left.tolist(), host.right.tolist()
-    owner, dpar = host.owner.tolist(), demand.parent.tolist()
-    for s in host.steiner_nodes():
-        if left[s] == NONE or right[s] == NONE:
-            raise InvariantViolation("(i) steiner-degree",
-                                     f"steiner node {s} has < 2 children")
-        u = owner[s]
-        if u == NONE:
-            raise InvariantViolation("(iii) bracket-membership",
-                                     f"steiner node {s} has no owner vertex")
-        for ch in (left[s], right[s]):
-            if host.is_steiner(ch):
-                continue
-            if dpar[ch] != u:
-                raise InvariantViolation(
-                    "(iii) bracket-membership",
-                    f"vertex {ch} sits in the bracket of {u}, not of its parent")
-            if right[ch] != NONE:
-                raise InvariantViolation(
-                    "(iii) single-child",
-                    f"vertex {ch} under a steiner node has two children")
-    tin, tout = _euler_intervals(host)
-    for v in range(n):
-        u = dpar[v]
-        if u == NONE:
-            continue
-        if not (tin[u] < tin[v] <= tout[u]):
-            raise InvariantViolation(
-                "(ii) ancestry",
-                f"demand parent {u} of vertex {v} is not a host ancestor")
+    live, enter, leave = host.validate()
+    dpar = demand.parent
+    steiner = live[n:]  # every vertex is live, so it holds slots 0..n-1
+    owner = host.owner[steiner]
+    kids = (host.left[steiner], host.right[steiner])
+    faults = [(kids[0] == NONE) | (kids[1] == NONE), owner == NONE]
+    for ch in kids:  # each vertex child: its bracket, then its children
+        at = np.where((ch >= 0) & (ch < n), ch, -1)
+        faults += [(at >= 0) & (dpar[at] != owner),
+                   (at >= 0) & (host.right[at] != NONE)]
+    faults = np.stack(faults)
+    bad = faults.any(axis=0)
+    if bad.any():
+        k = int(bad.argmax())
+        which = int(faults[:, k].argmax())
+        code, text = _STEINER_CLAUSES[min(which, 2 + which % 2)]
+        raise InvariantViolation(code, text.format(
+            s=steiner[k], u=owner[k], ch=kids[which // 2 - 1][k]))
+    v = np.flatnonzero(dpar != NONE)
+    u = dpar[v]
+    bad = (enter[v] <= enter[u]) | (leave[u] <= leave[v])
+    if bad.any():
+        k = int(bad.argmax())
+        raise InvariantViolation(
+            "(ii) ancestry",
+            f"demand parent {u[k]} of vertex {v[k]} is not a host ancestor")

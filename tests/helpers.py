@@ -11,8 +11,10 @@ had them before ingest was vectorized; ``reference_serialize``,
 ``reference_ledger`` and ``reference_eval_listing`` are the host writer,
 the ``solve --json`` ledger and the ``eval`` listings as they were before
 egress went through one column writer; ``reference_parse_host`` is the
-node-by-node host reader as it was before its checks became arrays.  The
-property tests hold the library to them.
+node-by-node host reader as it was before its checks became arrays;
+``reference_validate`` and ``reference_check_invariants`` are the host and
+invariant checkers as they were before they read one ranked Euler tour.
+The property tests hold the library to them.
 """
 from __future__ import annotations
 
@@ -25,8 +27,8 @@ import numpy as np
 from hypothesis import example
 
 from treehost import (CostBreakdown, DemandTree, EdgeListError, HostTree,
-                      HostTreeError, TreeHostError, UnknownVertexError,
-                      UnrootedTree, gen)
+                      HostTreeError, InvariantViolation, TreeHostError,
+                      UnknownVertexError, UnrootedTree, gen)
 from treehost.model import Labels, _decode, _parse_node_name, _preorder
 
 NONE = -1
@@ -63,6 +65,43 @@ def link(host: HostTree, parent: int, child: int) -> None:
 def copy_host(host: HostTree) -> HostTree:
     return HostTree(host.n_vertices, host.root, host.parent.copy(),
                     host.left.copy(), host.right.copy(), host.owner.copy())
+
+
+def live_nodes(host: HostTree) -> list[int]:
+    return np.flatnonzero(host.parent != DEAD).tolist()
+
+
+def steiner_nodes(host: HostTree) -> list[int]:
+    n = host.n_vertices
+    return (np.flatnonzero(host.parent[n:] != DEAD) + n).tolist()
+
+
+def host_children(host: HostTree, i: int) -> list[int]:
+    return [int(ch) for ch in (host.left[i], host.right[i]) if ch != NONE]
+
+
+def demand_children(demand: DemandTree, v: int) -> list[int]:
+    return demand.child_flat[demand.child_off[v]:
+                             demand.child_off[v + 1]].tolist()
+
+
+def child_count(demand: DemandTree, v: int) -> int:
+    return int(demand.child_off[v + 1] - demand.child_off[v])
+
+
+def host_depths(host: HostTree) -> dict[int, int]:
+    """Depth of every node reachable from the root."""
+    depth = {host.root: 0}
+    stack = [host.root]
+    left, right = host.left.tolist(), host.right.tolist()
+    while stack:
+        v = stack.pop()
+        d = depth[v] + 1
+        for w in (left[v], right[v]):
+            if w != NONE:
+                depth[w] = d
+                stack.append(w)
+    return depth
 
 
 def label_list(labels: Labels, ids=None) -> list[str]:
@@ -129,7 +168,7 @@ def bracket_host_by_slot_rule(demand: DemandTree) -> HostTree:
     """
     host = empty_host(demand.n, demand.root)
     for v in range(demand.n):
-        ch = demand.children(v)
+        ch = demand_children(demand, v)
         if not ch:
             continue
         node = dict(zip(leaf_slots_in_order(len(ch)), ch))
@@ -152,10 +191,10 @@ def play_match(host: HostTree, demand: DemandTree, s: int,
     winner's former child, then keeps its own; s is removed.  Returns
     (winner, loser, charge), the charge being the loser's child count.
     """
-    players = host.children(s)
+    players = host_children(host, s)
     assert len(players) == 2 and not any(map(host.is_steiner, players))
-    x, y = sorted(players, key=lambda v: (demand.child_count(v), keys[v]))
-    adopted = host.children(x) + host.children(y)
+    x, y = sorted(players, key=lambda v: (child_count(demand, v), keys[v]))
+    adopted = host_children(host, x) + host_children(host, y)
     q = int(host.parent[s])
     if host.left[q] == s:
         host.left[q] = x
@@ -168,12 +207,12 @@ def play_match(host: HostTree, demand: DemandTree, s: int,
     for ch in adopted:
         host.parent[ch] = y
     host.parent[s], host.left[s], host.right[s] = DEAD, NONE, NONE
-    return x, y, demand.child_count(y)
+    return x, y, child_count(demand, y)
 
 
 def host_adjacency(host: HostTree) -> dict[int, list[int]]:
-    adj: dict[int, list[int]] = {i: [] for i in host.live_nodes()}
-    for i in host.live_nodes():
+    adj: dict[int, list[int]] = {i: [] for i in live_nodes(host)}
+    for i in live_nodes(host):
         p = int(host.parent[i])
         if p >= 0:
             adj[i].append(p)
@@ -287,8 +326,8 @@ def host_shape(host: HostTree, node: int | None = None):
     if node is None:
         node = host.root
     label = "*" if host.is_steiner(node) else node
-    kids = tuple(sorted((host_shape(host, ch) for ch in host.children(node)),
-                        key=repr))
+    kids = tuple(sorted((host_shape(host, ch)
+                         for ch in host_children(host, node)), key=repr))
     return (label, kids)
 
 
@@ -326,8 +365,8 @@ FIG_FINAL_PARENTS = {2: 0, 3: 2, 1: 3, 9: 3, 4: 1, 8: 1, 6: 4, 5: 6, 7: 6,
 
 
 def max_degree(host: HostTree) -> int:
-    deg = {i: 0 for i in host.live_nodes()}
-    for i in host.live_nodes():
+    deg = {i: 0 for i in live_nodes(host)}
+    for i in live_nodes(host):
         p = int(host.parent[i])
         if p >= 0:
             deg[i] += 1
@@ -639,10 +678,103 @@ def reference_parse_host(text: str) -> HostTree:
         if parent[v] == DEAD:
             raise HostTreeError(f"missing demand vertex {v}")
     host = HostTree(n_vertices, root, parent, left, right, [NONE] * size)
-    host.validate()
+    reference_validate(host)
     owner = host.owner
     for i in _preorder(host).tolist():
         if i >= n_vertices:
             p = parent[i]
             owner[i] = p if p < n_vertices else owner[p]
     return host
+
+
+def reference_validate(host: HostTree) -> None:
+    """``HostTree.validate`` as it was before its checks became masks over
+    the tour: one Python pass over the nodes in id order, then a dict walk
+    from the root for connectivity.  It raises a bare ``IndexError`` for a
+    child id at or past the end, reads a child id below -1 from the end,
+    and passes a node that lists one child twice."""
+    par = host.parent.tolist()
+    left, right = host.left.tolist(), host.right.tolist()
+    if not 0 <= host.root < len(par) or par[host.root] != NONE:
+        raise HostTreeError("bad root")
+    live = live_nodes(host)
+    for v in range(host.n_vertices):
+        if par[v] == DEAD:
+            raise HostTreeError(f"demand vertex {v} removed from host")
+    for i in live:
+        for ch in (left[i], right[i]):
+            if ch != NONE and par[ch] != i:
+                raise HostTreeError(f"child link {i}->{ch} not mirrored")
+        if i != host.root:
+            p = par[i]
+            if p == NONE or not (0 <= p < len(par) and par[p] != DEAD):
+                raise HostTreeError(f"node {i} has no live parent")
+            if left[p] != i and right[p] != i:
+                raise HostTreeError(f"parent of {i} does not list it")
+    if len(host_depths(host)) != len(live):
+        raise HostTreeError("host not connected from root")
+
+
+def reference_euler_intervals(host: HostTree):
+    """``tin``: the preorder index of every node reached from the root;
+    ``tout``: the next index once its subtree is done, one past the
+    subtree's last."""
+    tin: dict[int, int] = {}
+    tout: dict[int, int] = {}
+    clock = 0
+    stack: list[tuple[int, bool]] = [(host.root, False)]
+    left, right = host.left.tolist(), host.right.tolist()
+    while stack:
+        node, done = stack.pop()
+        if done:
+            tout[node] = clock
+            continue
+        tin[node] = clock
+        clock += 1
+        stack.append((node, True))
+        for ch in (right[node], left[node]):
+            if ch != NONE:
+                stack.append((ch, False))
+    return tin, tout
+
+
+def reference_check_invariants(demand: DemandTree, host: HostTree) -> None:
+    """``check_invariants`` as it was before it read the tour's ranks: a
+    Python loop over the steiner nodes, then a dict DFS for the ancestry
+    intervals.  Its test ``tin[u] < tin[v] <= tout[u]`` is off by one: it
+    also passes the vertex entered just after u's subtree."""
+    n = demand.n
+    if host.n_vertices != n:
+        raise UnknownVertexError(
+            f"host covers {host.n_vertices} vertices, demand has {n}")
+    reference_validate(host)
+    left, right = host.left.tolist(), host.right.tolist()
+    owner, dpar = host.owner.tolist(), demand.parent.tolist()
+    for s in steiner_nodes(host):
+        if left[s] == NONE or right[s] == NONE:
+            raise InvariantViolation("(i) steiner-degree",
+                                     f"steiner node {s} has < 2 children")
+        u = owner[s]
+        if u == NONE:
+            raise InvariantViolation("(iii) bracket-membership",
+                                     f"steiner node {s} has no owner vertex")
+        for ch in (left[s], right[s]):
+            if host.is_steiner(ch):
+                continue
+            if dpar[ch] != u:
+                raise InvariantViolation(
+                    "(iii) bracket-membership",
+                    f"vertex {ch} sits in the bracket of {u}, not of its parent")
+            if right[ch] != NONE:
+                raise InvariantViolation(
+                    "(iii) single-child",
+                    f"vertex {ch} under a steiner node has two children")
+    tin, tout = reference_euler_intervals(host)
+    for v in range(n):
+        u = dpar[v]
+        if u == NONE:
+            continue
+        if not (tin[u] < tin[v] <= tout[u]):
+            raise InvariantViolation(
+                "(ii) ancestry",
+                f"demand parent {u} of vertex {v} is not a host ancestor")

@@ -12,8 +12,8 @@ from helpers import leaf_slots_in_order
 
 def _child_depths(d, v):
     """Depth of each child of v below v in the bracket host."""
-    depths = run_bracket_builder(d).depths()
-    return [depths[w] - depths[v] for w in d.children(v)]
+    depths = helpers.host_depths(run_bracket_builder(d))
+    return [depths[w] - depths[v] for w in helpers.demand_children(d, v)]
 
 
 def test_bracket_single_child():
@@ -63,14 +63,14 @@ def test_fig_phase1_structure(fig_demand):
 def test_fig_phase1_direct_child_links(fig_demand):
     h = run_bracket_builder(fig_demand)
     for v in range(fig_demand.n):
-        c = fig_demand.child_count(v)
+        c = helpers.child_count(fig_demand, v)
         if c == 0:
             assert h.left[v] == -1
             continue
         child = h.left[v]
         assert h.right[v] == -1  # single host child: the bracket root
         if c == 1:
-            assert child == fig_demand.children(v)[0]
+            assert child == helpers.demand_children(fig_demand, v)[0]
         else:
             assert h.is_steiner(child)
             assert h.owner[child] == v
@@ -97,9 +97,9 @@ def test_child_distance_is_one_plus_slot_depth(rng):
         n = rng.randint(2, 80)
         d = gen("random", n, seed=rng.randrange(2 ** 30))
         h = run_bracket_builder(d)
-        depths = h.depths()
+        depths = helpers.host_depths(h)
         for v in range(n):
-            ch = d.children(v)
+            ch = helpers.demand_children(d, v)
             if len(ch) < 2:
                 continue
             for w, slot in zip(ch, leaf_slots_in_order(len(ch))):

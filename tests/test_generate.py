@@ -15,8 +15,8 @@ def test_gen_path():
 
 def test_gen_star():
     d = gen("star", 4)
-    assert d.child_count(0) == 3
-    assert d.children(0) == [1, 2, 3]
+    assert helpers.child_count(d, 0) == 3
+    assert helpers.demand_children(d, 0) == [1, 2, 3]
 
 
 def test_gen_caterpillar():
@@ -28,9 +28,9 @@ def test_gen_caterpillar():
 
 def test_gen_complete_binary():
     d = gen("complete_binary", 7)
-    assert d.children(0) == [1, 2]
-    assert d.children(1) == [3, 4]
-    assert d.children(2) == [5, 6]
+    assert helpers.demand_children(d, 0) == [1, 2]
+    assert helpers.demand_children(d, 1) == [3, 4]
+    assert helpers.demand_children(d, 2) == [5, 6]
 
 
 def test_gen_random_deterministic():

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treehost import (EdgeListError, HostTreeError, UnknownVertexError,
-                      UnrootedTree, evaluate, gen, opt_cost, parse_edge_list,
-                      parse_host, root_at, run_bracket_builder,
-                      run_tournament, serialize)
+from treehost import (EdgeListError, HostTree, HostTreeError,
+                      UnknownVertexError, UnrootedTree, check_invariants,
+                      evaluate, gen, opt_cost, parse_edge_list, parse_host,
+                      root_at, run_bracket_builder, run_tournament, serialize)
 from treehost import model
 from treehost.generate import prufer_edges
 from treehost.model import _BREAK_CHARS, _SPACE_CHARS, NONE, Labels
@@ -22,8 +22,8 @@ def test_parse_path():
     assert t.n == 3
     assert helpers.label_list(t.labels) == ["0", "1", "2"]
     d = root_at(t, 1)
-    assert d.children(1) == [0, 2]
-    assert d.child_count(1) == 2
+    assert helpers.demand_children(d, 1) == [0, 2]
+    assert helpers.child_count(d, 1) == 2
     assert d.parent[0] == 1 and d.parent[2] == 1
 
 
@@ -31,7 +31,7 @@ def test_parse_fig_tree(fig_text):
     t = parse_edge_list(fig_text)
     assert t.n == 14
     d = root_at(t, 0)
-    by_label = {d.label(v): d.child_count(v) for v in range(d.n)}
+    by_label = {d.label(v): helpers.child_count(d, v) for v in range(d.n)}
     assert by_label["r"] == 3
     assert by_label["u"] == 4
     assert by_label["v"] == 1
@@ -63,7 +63,7 @@ def test_empty_input_is_single_vertex():
     t = parse_edge_list("")
     assert t.n == 1
     d = root_at(t, 0)
-    assert d.child_count(0) == 0
+    assert helpers.child_count(d, 0) == 0
     assert d.leaf_count() == 1
 
 
@@ -71,10 +71,10 @@ def test_reroot_star_changes_child_counts():
     n = 8
     star = UnrootedTree.from_edges([(0, i) for i in range(1, n)])
     at_center = root_at(star, 0)
-    assert at_center.child_count(0) == n - 1
+    assert helpers.child_count(at_center, 0) == n - 1
     at_leaf = root_at(star, 3)
-    assert at_leaf.child_count(3) == 1
-    assert at_leaf.child_count(0) == n - 2
+    assert helpers.child_count(at_leaf, 3) == 1
+    assert helpers.child_count(at_leaf, 0) == n - 2
 
 
 def test_root_at_unknown_root():
@@ -103,8 +103,8 @@ def _assert_roundtrip(host):
         back = parse_host(serialize(host, form))
         assert back.root == host.root
         assert back.n_vertices == host.n_vertices
-        live = sorted(host.live_nodes())
-        assert sorted(back.live_nodes()) == live
+        live = sorted(helpers.live_nodes(host))
+        assert sorted(helpers.live_nodes(back)) == live
         for i in live:
             assert back.parent[i] == host.parent[i]
             assert back.left[i] == host.left[i]
@@ -127,7 +127,7 @@ def test_serialize_roundtrip_random(rng):
 def test_roundtrip_preserves_steiner_owner(fig_demand):
     h = run_bracket_builder(fig_demand)
     back = parse_host(serialize(h))
-    for s in h.steiner_nodes():
+    for s in helpers.steiner_nodes(h):
         assert back.owner[s] == h.owner[s]
 
 
@@ -142,6 +142,35 @@ def test_parse_host_rejects_garbage():
         parse_host("0:0\n2:0")          # missing vertex 1
     with pytest.raises(HostTreeError):
         parse_host("")
+
+
+@pytest.mark.parametrize("parent, left, right", [
+    ([NONE], [NONE], [-2]),            # a child id below NONE
+    ([NONE, 0], [1, NONE], [7, NONE]),  # a child id past the last node
+], ids=["below-none", "past-the-end"])
+def test_validate_refuses_a_child_id_outside_the_nodes(parent, left, right):
+    host = HostTree(len(parent), 0, parent, left, right, [NONE] * len(parent))
+    with pytest.raises(HostTreeError,
+                       match=rf"^child link 0->{right[0]} not mirrored$"):
+        host.validate()
+
+
+@pytest.mark.parametrize("n_vertices, left", [(2, [1]), (3, [1, NONE])],
+                         ids=["short-left", "short-of-vertices"])
+def test_validate_refuses_arrays_of_the_wrong_length(n_vertices, left):
+    host = HostTree(n_vertices, 0, [NONE, 0], left, [NONE, NONE],
+                    [NONE, NONE])
+    with pytest.raises(HostTreeError, match="host arrays of unequal lengths"):
+        host.validate()
+
+
+def test_validate_refuses_a_node_that_lists_one_child_twice():
+    d = root_at(parse_edge_list("0 1"), 0)
+    host = HostTree(2, 0, [NONE, 0], [1, NONE], [1, NONE], [NONE, NONE])
+    with pytest.raises(HostTreeError, match="^node 0 lists child 1 twice$"):
+        host.validate()
+    with pytest.raises(HostTreeError, match="^node 0 lists child 1 twice$"):
+        check_invariants(d, host)
 
 
 def test_parse_host_numbers_sparse_steiner_ids_densely(fig_demand):
@@ -159,7 +188,7 @@ def test_parse_host_numbers_sparse_steiner_ids_densely(fig_demand):
     assert evaluate(fig_demand, back) == evaluate(fig_demand, dense)
     leaf = parse_host("0:0\n1:0\ns111111111111:0\n")
     assert leaf.parent.tolist() == [NONE, 0, 0]
-    assert leaf.steiner_nodes() == [2]
+    assert helpers.steiner_nodes(leaf) == [2]
 
 
 def _host_outcome(parse, text: str):
@@ -421,7 +450,7 @@ def _reference_serialize(host, form: str) -> str:
     while stack:
         v = stack.pop()
         order.append(v)
-        stack.extend(reversed(host.children(v)))
+        stack.extend(reversed(helpers.host_children(host, v)))
     if form == "text":
         up = [i if i == host.root else int(host.parent[i]) for i in order]
         return "".join(f"{name(i)}:{name(p)}\n" for i, p in zip(order, up))

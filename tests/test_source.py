@@ -62,3 +62,24 @@ PUBLIC = [
 def test_public_surface_is_pinned():
     assert sorted(treehost.__all__) == PUBLIC
     assert all(hasattr(treehost, name) for name in PUBLIC)
+
+
+# The model classes' public attributes, next to the public API: a helper
+# that only the tests use belongs in tests/helpers.py, and comes back into
+# the model only through an edit here.
+MODEL_SURFACE = {
+    "DemandTree": ["child_counts", "child_flat", "child_off", "edges",
+                   "label", "labels", "leaf_count", "n", "parent", "root"],
+    "HostTree": ["is_steiner", "left", "n_vertices", "num_nodes", "owner",
+                 "parent", "right", "root", "steiner_count", "validate"],
+    "UnrootedTree": ["adj_flat", "adj_off", "from_edges",
+                     "from_tree_edges_unchecked", "label", "labels", "n",
+                     "parent0"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_SURFACE))
+def test_model_class_surface_is_pinned(name):
+    cls = getattr(treehost, name)
+    public = sorted(a for a in dir(cls) if not a.startswith("_"))
+    assert public == MODEL_SURFACE[name]

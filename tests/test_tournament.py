@@ -1,12 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treehost import (InvariantViolation, TreeHostError, check_invariants,
-                      evaluate, gen, lb_instance, match_keys, parse_edge_list,
-                      root_at, run_bracket_builder, run_tournament)
+from treehost import (HostTree, HostTreeError, InvariantViolation,
+                      TreeHostError, check_invariants, evaluate, gen,
+                      lb_instance, match_keys, parse_edge_list, root_at,
+                      run_bracket_builder, run_tournament)
 from treehost.generate import prufer_edges
+from treehost.model import DEAD, NONE
 from treehost.tournament import _label_rank
 
 import helpers
@@ -18,7 +22,7 @@ def test_fig_tournament_reproduces_figure(fig_demand):
     before = evaluate(fig_demand, h).total
     res = run_tournament(h, fig_demand, tiebreak="lex", debug=True)
     assert h.steiner_count() == 0
-    assert sorted(h.live_nodes()) == list(range(14))
+    assert sorted(helpers.live_nodes(h)) == list(range(14))
     assert helpers.parent_map(h) == FIG_FINAL_PARENTS
     after = evaluate(fig_demand, h).total
     assert (before, after) == (33, 27)
@@ -54,7 +58,7 @@ def test_match_loser_inherits_winner_subtree():
     assert ledger[ids["b"]] == 3
     assert h.left[ids["u"]] == ids["a"] and h.right[ids["u"]] == -1
     assert h.left[ids["a"]] == ids["b"] and h.right[ids["a"]] == -1
-    assert h.children(ids["b"]) == [ids["p"], ids["q"]]
+    assert helpers.host_children(h, ids["b"]) == [ids["p"], ids["q"]]
     assert h.parent[ids["p"]] == ids["b"]
 
 
@@ -165,7 +169,7 @@ def test_per_match_cost_delta_bounded(rng):
             winner, _, charge = helpers.play_match(h, d, s, keys)
             new_cost = helpers.bfs_cost(d, h)[0]
             delta = new_cost - cost
-            assert delta <= d.child_count(winner) <= charge
+            assert delta <= helpers.child_count(d, winner) <= charge
             cost = new_cost
 
 
@@ -198,7 +202,7 @@ def test_individual_matches_can_raise_cost():
         winner, _, charge = helpers.play_match(h, d, s, keys)
         new_cost = helpers.bfs_cost(d, h)[0]
         deltas.append(new_cost - cost)
-        assert new_cost - cost <= d.child_count(winner) <= charge
+        assert new_cost - cost <= helpers.child_count(d, winner) <= charge
         cost = new_cost
     assert max(deltas) == 1
     assert sum(deltas) <= d.n - 1
@@ -212,9 +216,9 @@ def test_final_tree_shape_properties(rng):
         run_tournament(h, d)
         h.validate()
         assert h.steiner_count() == 0
-        assert sorted(h.live_nodes()) == list(range(n))
+        assert sorted(helpers.live_nodes(h)) == list(range(n))
         assert helpers.max_degree(h) <= 3
-        assert len(h.children(h.root)) <= 1
+        assert len(helpers.host_children(h, h.root)) <= 1
         check_invariants(d, h)  # ancestry still holds; steiner clauses vacuous
         assert evaluate(d, h).total <= 3 * lb_instance(d) + (n - 1)
 
@@ -252,7 +256,7 @@ def _violating_hosts(fig_demand):
     # (i): collapse one steiner match by hand, leaving the steiner in place
     # with a single child (structure stays a valid binary tree)
     h1 = run_bracket_builder(fig_demand)
-    s = next(s for s in h1.steiner_nodes()
+    s = next(s for s in helpers.steiner_nodes(h1)
              if not h1.is_steiner(h1.left[s]) and not h1.is_steiner(h1.right[s])
              and h1.left[h1.left[s]] == -1 and h1.left[h1.right[s]] == -1)
     a, b = h1.left[s], h1.right[s]
@@ -287,6 +291,110 @@ def test_checker_names_violated_invariant(fig_demand):
         with pytest.raises(InvariantViolation) as err:
             check_invariants(fig_demand, host)
         assert err.value.code.startswith(code)
+
+
+@st.composite
+def _damaged_arrays(draw):
+    """A demand tree and its phase-1, part-played or final host, with up
+    to four entries of its arrays or its root overwritten, nodes re-hung
+    with mirrored links, or a node's children swapped."""
+    d = gen(draw(st.sampled_from(["random", "star", "path", "caterpillar",
+                                  "complete_binary"])),
+            draw(st.integers(1, 12)), seed=draw(st.integers(0, 99)))
+    host = run_bracket_builder(d)
+    steiner = range(host.num_nodes() - 1, d.n - 1, -1)
+    keys = match_keys(d)
+    for s in steiner[:draw(st.integers(0, len(steiner)))]:
+        helpers.play_match(host, d, s, keys)
+    size = host.num_nodes()
+    node = st.sampled_from(range(size))
+    for op in draw(st.lists(st.integers(0, 7), max_size=4)):
+        if op < 3:
+            array = getattr(host, draw(st.sampled_from(
+                ["parent", "left", "right", "owner"])))
+            array[draw(node)] = draw(st.integers(-3, size + 1))
+        elif op == 3:
+            host.root = draw(st.integers(-1, size))
+        elif op < 7:  # x moves under p, into p's first free slot or right
+            x, p = draw(node), draw(node)
+            if x == host.root:
+                continue
+            q = host.parent[x]
+            for side in (host.left, host.right):
+                if 0 <= q < size and side[q] == x:
+                    side[q] = NONE
+            host.parent[x] = p
+            (host.left if host.left[p] == NONE else host.right)[p] = x
+        else:
+            v = draw(node)
+            host.left[v], host.right[v] = host.right[v], host.left[v]
+    return d, host
+
+
+def _outcome(check, *args):
+    """The type and message of what ``check`` raises, or None; the
+    references can also crash with IndexError or KeyError."""
+    try:
+        check(*args)
+    except (TreeHostError, IndexError, KeyError) as e:
+        return type(e), str(e)
+    return None
+
+
+def _outside_or_twice(host) -> bool:
+    """Whether a live node has a child id outside [-1, size) or lists one
+    child twice: the hosts that the reference checkers crash on or pass."""
+    live = host.parent != DEAD
+    left, right = host.left[live], host.right[live]
+    size = len(host.parent)
+    return bool(((left < NONE) | (left >= size) | (right < NONE)
+                 | (right >= size) | ((left != NONE) & (left == right))).any())
+
+
+def _entered_just_after(host, message: str) -> bool:
+    """Whether ``message`` names a vertex v and a demand parent u such that
+    the tour enters v just after it leaves u's subtree: the pair that the
+    reference's ancestry test ``tin[v] <= tout[u]`` lets pass."""
+    named = re.search(r"demand parent (\d+) of vertex (\d+) is not", message)
+    tin, tout = helpers.reference_euler_intervals(host)
+    return bool(named) and tin[int(named[2])] == tout[int(named[1])]
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=2000)
+@given(_damaged_arrays())
+def test_tour_checks_match_the_reference_checkers(case):
+    """``validate`` and ``check_invariants`` name the same first fault as
+    the node-by-node checkers, with two kinds of exception.  Where a node
+    links outside the nodes or lists one child twice, they raise a
+    ``HostTreeError`` of their own, and the references crash, pass or name
+    a later fault.  Where a vertex is entered just after its demand
+    parent's subtree, they name it, and the reference does not."""
+    d, host = case
+    for new, ref, args in (
+            (HostTree.validate, helpers.reference_validate, (host,)),
+            (check_invariants, helpers.reference_check_invariants, (d, host))):
+        got, want = _outcome(new, *args), _outcome(ref, *args)
+        assert got is None or issubclass(got[0], TreeHostError)
+        if got == want:
+            continue
+        if _outside_or_twice(host):
+            assert got[0] is HostTreeError
+            assert re.fullmatch(r"child link \d+->-?\d+ not mirrored|"
+                                r"node \d+ lists child \d+ twice", got[1])
+        else:
+            assert got[0] is InvariantViolation
+            assert _entered_just_after(host, got[1])
+
+
+def test_check_invariants_refuses_a_vertex_entered_after_its_parent():
+    """Host 0(1, 2) for the path 0-1-2: vertex 2 is entered just after its
+    demand parent 1 is left, which an off-by-one interval test accepts."""
+    d = root_at(parse_edge_list("0 1\n1 2"), 0)
+    host = HostTree(3, 0, [NONE, 0, 0], [1, NONE, NONE], [2, NONE, NONE],
+                    [NONE] * 3)
+    with pytest.raises(InvariantViolation, match="demand parent 1 of vertex "
+                       "2 is not a host ancestor"):
+        check_invariants(d, host)
 
 
 _RANK_LABELS = st.one_of(
