@@ -18,7 +18,7 @@ from .model import (DemandTree, EdgeListError, HostTree, HostTreeError,
                     InvariantViolation, ParameterError, ResourceCapError,
                     TreeHostError, UnknownVertexError, UnrootedTree,
                     parse_edge_list, parse_host, root_at, serialize)
-from .oracle import enumerate_hosts, opt_cost
+from .oracle import opt_cost
 from .pipeline import SolveReport, SolveResult, solve_instance
 from .tournament import (TournamentResult, check_invariants, match_keys,
                          run_tournament)
@@ -33,7 +33,7 @@ __all__ = [
     "TreeHostError", "UnknownVertexError", "UnrootedTree", "balanced_bst_host",
     "best_case_height", "bracket_cost_bound", "bst_adversarial", "bst_demo",
     "ceil_log2", "check_invariants",
-    "enumerate_hosts", "evaluate", "exhaustive_bst_min",
+    "evaluate", "exhaustive_bst_min",
     "format_table", "gen", "lb_exact", "lb_instance", "lb_simple",
     "match_keys", "opt_cost", "parse_edge_list", "parse_host",
     "root_at", "run_bracket_builder", "run_tournament", "serialize",

@@ -11,6 +11,7 @@ second-to-last-level leaf slots, both in slot order.
 Per child the distance to v is 1 + leaf depth <= ceil(log2 c) + 1, so each
 vertex pays at most ``c * (ceil(log2 c) + 1)`` and the whole construction
 introduces exactly (#childless vertices - 1) steiner nodes in linear time.
+The heap layout is known only here: phase 2 plays the links it is given.
 """
 from __future__ import annotations
 
@@ -19,59 +20,20 @@ import numpy as np
 from .model import NONE, DemandTree, HostTree
 
 
-def _bracket_slots(demand: DemandTree):
-    """Shared slot geometry of every bracket with >= 2 leaves.
-
-    Returns (verts, rep, gs_entry, slot, cc, node, bases): per grouped heap
-    position its bracket owner, group start, 1-based slot index, owner child
-    count and occupant (player vertex at leaf slots, steiner id at inner
-    slots).  ``bases`` is the first steiner id per vertex.
-    """
-    cached = demand._cache.get("bracket_slots")
-    if cached is not None:
-        return cached
-    n = demand.n
-    off, flat = demand.child_off, demand.child_flat
-    c = np.diff(off)
-    s_counts = np.where(c >= 2, c - 1, 0)
-    bases = n + np.concatenate(([0], np.cumsum(s_counts)))[:-1]
-    verts = np.nonzero(c >= 2)[0]
-    if not verts.size:
-        empty = np.empty(0, dtype=np.int64)
-        out = (verts, empty, empty, empty, empty, empty, bases)
-        demand._cache["bracket_slots"] = out
-        return out
-    m = 2 * c[verts] - 1
-    gstart = np.concatenate(([0], np.cumsum(m)))[:-1]
-    rep = np.repeat(verts, m)
-    gs_entry = np.repeat(gstart, m)
-    slot = np.arange(int(m.sum()), dtype=np.int64) - gs_entry + 1
-    cc = c[rep]
-    depth_v = np.frexp((c[verts] - 1).astype(np.float64))[1].astype(np.int64)
-    first_bottom = np.repeat(np.left_shift(1, depth_v), m)
-    is_leaf = slot >= cc
-    j = np.where(slot >= first_bottom, slot - first_bottom,
-                 slot - cc + 2 * cc - first_bottom)
-    leaf_nodes = flat[off[rep] + np.where(is_leaf, j, 0)]
-    node = np.where(is_leaf, leaf_nodes, bases[rep] + slot - 1)
-    out = (verts, rep, gs_entry, slot, cc, node, bases)
-    demand._cache["bracket_slots"] = out
-    return out
-
-
 def run_bracket_builder(demand: DemandTree) -> HostTree:
     """Build the bracket host tree for every vertex of the demand tree.
 
     The result is binary, keeps the demand root as host root, gives every
     vertex with children a single host child (its bracket root), and contains
     exactly ``demand.leaf_count() - 1`` steiner nodes for n >= 2.  All slots
-    of all brackets are linked at once from the shared slot geometry.
+    of all brackets are linked at once from their heap positions.
     """
     n = demand.n
     off, flat = demand.child_off, demand.child_flat
     c = np.diff(off)
-    verts, rep, gs_entry, slot, cc, node, bases = _bracket_slots(demand)
-    total = n + int(np.where(c >= 2, c - 1, 0).sum())
+    s_counts = np.where(c >= 2, c - 1, 0)
+    bases = n + np.concatenate(([0], np.cumsum(s_counts)))[:-1]
+    total = n + int(s_counts.sum())
     par = np.full(total, NONE, dtype=np.int64)
     left = np.full(total, NONE, dtype=np.int64)
     right = np.full(total, NONE, dtype=np.int64)
@@ -83,8 +45,25 @@ def run_bracket_builder(demand: DemandTree) -> HostTree:
         left[ones] = w
         par[w] = ones
 
+    verts = np.nonzero(c >= 2)[0]
     if verts.size:
+        # per heap slot of every bracket, in bracket order: its owner,
+        # group start, 1-based slot index and occupant (the player vertex
+        # at a leaf slot, the steiner id at an inner one)
+        m = 2 * c[verts] - 1
+        gstart = np.concatenate(([0], np.cumsum(m)))[:-1]
+        rep = np.repeat(verts, m)
+        gs_entry = np.repeat(gstart, m)
+        slot = np.arange(int(m.sum()), dtype=np.int64) - gs_entry + 1
+        cc = c[rep]
+        depth_v = np.frexp((c[verts] - 1).astype(np.float64))[1]
+        first_bottom = np.repeat(np.left_shift(1, depth_v.astype(np.int64)), m)
         is_leaf = slot >= cc
+        j = np.where(slot >= first_bottom, slot - first_bottom,
+                     slot + cc - first_bottom)
+        leaf_nodes = flat[off[rep] + np.where(is_leaf, j, 0)]
+        node = np.where(is_leaf, leaf_nodes, bases[rep] + slot - 1)
+
         deep = slot >= 2
         parent_node = node[gs_entry + (slot >> 1) - 1]
         par[node[deep]] = parent_node[deep]

@@ -6,6 +6,8 @@ v climbs the host toward its parent u, all pairs at once, so on a host where
 every parent is an ancestor of its children (every host this pipeline builds)
 the work is proportional to the cost it reports.  Only the pairs the climb
 leaves are scored by vectorized binary lifting, in O(m log m) on m host nodes.
+The demand edges are read off the tree's child arrays on every call; nothing
+is cached on the tree.
 """
 from __future__ import annotations
 
@@ -98,15 +100,8 @@ def evaluate(demand: DemandTree, host: HostTree) -> CostBreakdown:
     if n <= 1:
         return CostBreakdown(0, [0] * n)
 
-    cached = demand._cache.get("edge_queries")
-    if cached is None:
-        off, flat = demand.child_off, demand.child_flat
-        vs = flat.astype(np.int32)
-        us = np.repeat(np.arange(n, dtype=np.int32),
-                       np.diff(off)).astype(np.int32)
-        cached = (us, vs)
-        demand._cache["edge_queries"] = cached
-    us, vs = cached
+    vs = demand.child_flat.astype(np.int32)
+    us = np.repeat(np.arange(n, dtype=np.int32), np.diff(demand.child_off))
 
     # Every child climbs toward its parent, one link a step; a pair that
     # meets after k links is k apart.  The cap is the most levels the lifting

@@ -83,8 +83,11 @@ _RULER_HASH = np.uint64(0x9E3779B97F4A7C15)  # 2^64 / golden ratio
 
 def _list_ranks(succ: np.ndarray, head: int) -> np.ndarray | None:
     """Position of every element on the list head -> succ[head] -> ... -> -1,
-    or None if some element is not on it.  ``succ`` must be a permutation
-    apart from the one -1, so that every walk below ends.
+    or None if some element is not on it, whatever ``succ`` is.  A walk
+    that lands on an element an earlier step reached gives up, so every walk
+    ends.  Two walks that land on one element in the same step go on
+    together; the chain of segments, which must end at -1 without passing
+    one twice, then holds only one of them and comes up short.
 
     Ruling-set list ranking: the head and about one element in k, picked
     by a multiplicative hash of the index so that the input's order does
@@ -111,6 +114,8 @@ def _list_ranks(succ: np.ndarray, head: int) -> np.ndarray | None:
         seg_len[walker[stop]] = step
         seg_next[walker[stop]] = np.where(cur[stop] < 0, -1, seg[cur[stop]])
         walker, cur = walker[~stop], cur[~stop]
+        if (seg[cur] >= 0).any():
+            return None
         seg[cur] = walker
         dist[cur] = step
         cur = succ[cur]
@@ -122,7 +127,7 @@ def _list_ranks(succ: np.ndarray, head: int) -> np.ndarray | None:
         base[r] = pos
         pos += lengths[r]
         r = nxt[r]
-    if pos != size:
+    if pos != size or r >= 0:  # short, or back into itself
         return None
     return _int64(base)[seg] + dist
 
@@ -501,8 +506,7 @@ class DemandTree:
     ``labels is None`` means vertex ``v`` is labelled ``str(v)``.
     """
 
-    __slots__ = ("n", "root", "parent", "child_off", "child_flat", "labels",
-                 "_cache")
+    __slots__ = ("n", "root", "parent", "child_off", "child_flat", "labels")
 
     def __init__(self, n: int, root: int, parent, child_off, child_flat,
                  labels: Labels | list[str] | None):
@@ -512,7 +516,6 @@ class DemandTree:
         self.child_off = _int64(child_off)
         self.child_flat = _int64(child_flat)
         self.labels = Labels.of(labels)
-        self._cache: dict = {}
 
     def label(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
@@ -637,8 +640,9 @@ def _tour(host: HostTree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``live, enter, leave``: the host's live nodes in id order and the
     ranks at which one Euler tour from the root, left child first, enters
     and leaves the node of each slot, so that u is a proper ancestor of v
-    just when enter[u] < enter[v] and leave[v] < leave[u].  The links must
-    pass ``HostTree.validate``'s checks (``_list_ranks``' precondition)."""
+    just when enter[u] < enter[v] and leave[v] < leave[u].  Links that do
+    not make one tree from the root raise ``HostTreeError``; child ids must
+    lie in [-1, size), as ``HostTree.validate``'s masks check first."""
     live = np.flatnonzero(host.parent != DEAD)
     m = len(live)
     slot = np.full(len(host.parent) + 1, NONE, dtype=np.int64)
@@ -908,7 +912,10 @@ def parse_host(text: str) -> HostTree:
     """Inverse of :func:`serialize` (detects JSON by a leading '{')."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except RecursionError:
+            raise HostTreeError("JSON host nested too deeply") from None
         names, parents = doc.get("nodes"), doc.get("parent")
         steiner = doc.get("steiner", [])
         if not (isinstance(names, list) and isinstance(parents, dict)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 
@@ -25,34 +24,6 @@ from .model import (NONE, DemandTree, HostTree, InvariantViolation, Labels,
 
 MAX_N = 9
 _CHUNK = 1 << 18
-
-
-def enumerate_hosts(n: int) -> Iterator[list[tuple[int, int]]]:
-    """Yield every labeled tree on 0..n-1 with maximum degree <= 3.
-
-    Trees come out as edge lists, one per qualifying Prüfer sequence in
-    lexicographic order, each exactly once.
-    """
-    if n > MAX_N:
-        raise ResourceCapError(f"host enumeration capped at n={MAX_N}, got {n}")
-    if n < 2:
-        raise ValueError("host enumeration needs n >= 2")
-    seq = [0] * (n - 2)
-    counts = [0] * n
-
-    def rec(pos: int) -> Iterator[list[tuple[int, int]]]:
-        if pos == n - 2:
-            yield prufer_edges(seq, n)
-            return
-        for label in range(n):
-            if counts[label] == 2:
-                continue
-            counts[label] += 1
-            seq[pos] = label
-            yield from rec(pos + 1)
-            counts[label] -= 1
-
-    yield from rec(0)
 
 
 def _pair_columns(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -17,8 +17,13 @@ Three structural facts hold after phase 1 and survive every rewrite:
 ``check_invariants`` verifies all three on a full tree, as array predicates
 over the steiner nodes and over the demand edges: ancestry is read off the
 ranked Euler tour of the host that ``HostTree.validate`` returns, the same
-tour ``serialize`` writes in preorder.  ``debug=True`` runs the sequential
-sweep, which adds local checks after every single rewrite.
+tour ``serialize`` writes in preorder.
+
+``run_tournament`` plays the host it is given.  By default the replay reads
+each steiner node's two children from the links and plays the matches one
+depth below the brackets' vertices at a time, all brackets at once; it
+knows nothing of the builder's heap layout.  ``debug=True`` runs the
+sequential sweep, which adds local checks after every single rewrite.
 """
 from __future__ import annotations
 
@@ -26,9 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (DEAD, NONE, DemandTree, HostTree, InvariantViolation,
-                    Labels, TreeHostError, UnknownVertexError, _span_order,
-                    _word_view)
+from .model import (DEAD, NONE, DemandTree, HostTree, HostTreeError,
+                    InvariantViolation, Labels, TreeHostError,
+                    UnknownVertexError, _span_order, _word_view)
 
 
 def _settle(order: np.ndarray, tied: np.ndarray,
@@ -162,99 +167,94 @@ def _check_after_match(par, left, right, host: HostTree, demand: DemandTree,
 
 def _replay(host: HostTree, demand: DemandTree,
             tiebreak: str) -> TournamentResult:
-    """Vectorized elimination: replay every bracket analytically.
+    """Vectorized elimination: play every steiner node's match from the
+    host's links, over all brackets at once.
 
-    The winner of a whole bracket is simply its key-minimal player, and each
-    match outcome depends only on static keys, so the final links can be
-    assembled layer by layer over all brackets at once.  Produces exactly the
-    arrays and the ledger of the sequential sweep (verified by tests), in
-    O(n) numpy work.
+    A match depends only on the static keys of its two players, the
+    vertices that come up from its child slots, so the matches are played
+    one depth below the brackets' vertices at a time, deepest first.  Then
+    every link of the final host is set at once from the winners and
+    losers.  Produces exactly the arrays and the ledger of the sequential
+    sweep (verified by tests), in O(n) numpy work per bracket depth.
     """
-    from .bracket import _bracket_slots
-
-    n = demand.n
-    off, flat = demand.child_off, demand.child_flat
-    c = np.diff(off)
+    n, total = demand.n, host.num_nodes()
+    kid_l, kid_r = host.left[n:], host.right[n:]
+    bad = np.flatnonzero((kid_l < 0) | (kid_r < 0))
+    if bad.size:
+        raise InvariantViolation("(i) steiner-degree",
+                                 f"steiner {n + bad[-1]} lacks two children")
     keys = match_keys(demand, tiebreak)
-    total = host.num_nodes()
-    par = np.full(total, NONE, dtype=np.int64)
+    # each steiner node's depth below its vertex, by pointer doubling over
+    # the parents; index m is the sink above every bracket root
+    m = total - n
+    up = np.append(host.parent[n:] - n, m)
+    up[up < 0] = m
+    depth = np.ones(m + 1, dtype=np.int64)
+    depth[m] = 0
+    for _ in range(m.bit_length() + 1):
+        if (up == m).all():
+            break
+        depth += depth[up]
+        up = up[up]
+    else:
+        raise HostTreeError("steiner nodes on a parent cycle")
+    # the player that comes up from each node: a vertex is its own, a
+    # steiner node's is the winner of its match; index -1 reads NONE
+    champ = np.append(np.arange(total, dtype=np.int64), NONE)
+    champ[n:total] = NONE
+    for d in range(int(depth.max()), 0, -1):
+        i = np.flatnonzero(depth[:m] == d)
+        pl, pr = champ[kid_l[i]], champ[kid_r[i]]
+        early = (pl == NONE) | (pr == NONE)
+        if early.any():
+            raise TreeHostError(
+                f"match at {n + i[early.argmax()]} fired before its children")
+        champ[n + i] = np.where(keys[pl] <= keys[pr], pl, pr)
+
+    winner = champ[n:total]
+    pl, pr = champ[kid_l], champ[kid_r]
+    takeleft = winner == pl
+    loser = np.where(takeleft, pr, pl)
+    # a player's host child before it plays: the loser of its last match,
+    # or the winner of its own bracket, or its single child
+    held = np.concatenate([champ[host.left[:n]], loser, [NONE]])
+    a = held[np.where(takeleft, kid_l, kid_r)]
+    b = held[np.where(takeleft, kid_r, kid_l)]
     left = np.full(total, NONE, dtype=np.int64)
     right = np.full(total, NONE, dtype=np.int64)
-    if total > n:
-        par[n:] = DEAD
+    left[:n] = held[:n]
+    # the loser inherits the winner's former child next to its own; the
+    # winner of a whole bracket keeps the loser of its last match
+    got_a = a != NONE
+    left[loser] = np.where(got_a, a, b)
+    right[loser] = np.where(got_a, b, NONE)
+    top = depth[:m] == 1
+    left[winner[top]] = loser[top]
+    par = np.full(total, NONE, dtype=np.int64)
+    par[n:] = DEAD
+    for side in (left, right):
+        has = np.flatnonzero(side >= 0)
+        par[side[has]] = has
 
-    # key-minimal child of every vertex: its host child before it plays,
-    # and the eventual winner of its own bracket
-    base = np.full(n, NONE, dtype=np.int64)
-    has = np.nonzero(c > 0)[0]
-    if has.size:
-        krank = np.empty(n, dtype=np.int64)
-        krank[np.argsort(keys, kind="stable")] = np.arange(n, dtype=np.int64)
-        combo = krank[flat] * n + flat
-        winners = np.minimum.reduceat(combo, off[has]) % n
-        base[has] = winners
-        left[has] = winners
-        par[winners] = has
-
-    losers_arr = np.empty(0, dtype=np.int64)
-    verts, rep, gs_entry, slot, cc, node, _bases = _bracket_slots(demand)
-    if verts.size:
-        current = node.copy()
-        loser_at = np.full(node.size, NONE, dtype=np.int64)
-        int_pos = np.nonzero(slot < cc)[0]
-        sdepth = np.frexp(slot[int_pos].astype(np.float64))[1] - 1
-        for d in range(int(sdepth.max()), -1, -1):
-            pos = int_pos[sdepth == d]
-            if not pos.size:
-                continue
-            pl = gs_entry[pos] + 2 * slot[pos] - 1
-            pr = pl + 1
-            wl = current[pl]
-            wr = current[pr]
-            takeleft = keys[wl] <= keys[wr]
-            x = np.where(takeleft, wl, wr)
-            y = np.where(takeleft, wr, wl)
-            px = np.where(takeleft, pl, pr)
-            py = np.where(takeleft, pr, pl)
-            x_slot = 2 * slot[pos] + np.where(takeleft, 0, 1)
-            y_slot = 2 * slot[pos] + np.where(takeleft, 1, 0)
-            a = np.where(x_slot < cc[pos], loser_at[px], base[x])
-            b = np.where(y_slot < cc[pos], loser_at[py], base[y])
-            left[x] = y
-            par[y] = x
-            got_a = a != NONE
-            ya = y[got_a]
-            left[ya] = a[got_a]
-            right[ya] = b[got_a]
-            par[a[got_a]] = ya
-            left[y[~got_a]] = b[~got_a]
-            got_b = b != NONE
-            par[b[got_b]] = y[got_b]
-            current[pos] = x
-            loser_at[pos] = y
-        # ledger in the sweep's firing order: steiner ids grow with int_pos
-        losers_arr = loser_at[int_pos[::-1]]
-
-    host.parent = par
-    host.left = left
-    host.right = right
-    return TournamentResult(host, losers_arr, c[losers_arr])
+    host.parent, host.left, host.right = par, left, right
+    losers = loser[::-1].copy()  # the sweep's order: descending steiner ids
+    return TournamentResult(host, losers, np.diff(demand.child_off)[losers])
 
 
 def run_tournament(host: HostTree, demand: DemandTree, tiebreak: str = "lex",
                    debug: bool = False) -> TournamentResult:
     """Eliminate every steiner node of a fresh phase-1 host tree, in place.
 
-    By default this is the vectorized replay.  ``debug=True`` runs the
-    sequential sweep instead, the literal reference, and checks every match.
-    Steiner ids are allocated bracket-by-bracket in heap order, so sweeping
-    them in reverse id order fires every match only when both children are
-    already vertices.  The win rule depends only on static child counts,
-    hence any valid firing order yields this same tree.
+    By default this is the vectorized replay, which plays the matches that
+    the links lay out, deepest first.  ``debug=True`` runs the sequential
+    sweep instead, the literal reference, and checks every match.  Steiner
+    ids are allocated bracket-by-bracket in heap order, so sweeping them in
+    reverse id order fires every match only when both children are already
+    vertices.  The win rule depends only on static child counts, hence any
+    valid firing order yields this same tree.
     """
     n = host.n_vertices
-    # the replay reads nothing of the host's links, so a played host would
-    # silently get a second ledger
+    # a played host's steiner slots are dead, with no match left to play
     if (host.parent[n:] == DEAD).any():
         raise TreeHostError("tournament needs a fresh phase-1 host; "
                             "some matches were already played")

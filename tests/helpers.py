@@ -14,7 +14,8 @@ egress went through one column writer; ``reference_parse_host`` is the
 node-by-node host reader as it was before its checks became arrays;
 ``reference_validate`` and ``reference_check_invariants`` are the host and
 invariant checkers as they were before they read one ranked Euler tour.
-The property tests hold the library to them.
+The property tests hold the library to them.  ``enumerate_hosts`` is the
+recursive Prüfer enumeration that the oracle's host bank is held to.
 """
 from __future__ import annotations
 
@@ -22,14 +23,17 @@ import json
 import sys
 from collections import deque
 from json.encoder import encode_basestring_ascii
+from typing import Iterator
 
 import numpy as np
 from hypothesis import example
 
 from treehost import (CostBreakdown, DemandTree, EdgeListError, HostTree,
-                      HostTreeError, InvariantViolation, TreeHostError,
-                      UnknownVertexError, UnrootedTree, gen)
+                      HostTreeError, InvariantViolation, ResourceCapError,
+                      TreeHostError, UnknownVertexError, UnrootedTree, gen)
+from treehost.generate import prufer_edges
 from treehost.model import Labels, _decode, _parse_node_name, _preorder
+from treehost.oracle import MAX_N
 
 NONE = -1
 DEAD = -2
@@ -208,6 +212,35 @@ def play_match(host: HostTree, demand: DemandTree, s: int,
         host.parent[ch] = y
     host.parent[s], host.left[s], host.right[s] = DEAD, NONE, NONE
     return x, y, child_count(demand, y)
+
+
+def enumerate_hosts(n: int) -> Iterator[list[tuple[int, int]]]:
+    """Yield every labeled tree on 0..n-1 with maximum degree <= 3.
+
+    Trees come out as edge lists, one per qualifying Prüfer sequence in
+    lexicographic order, each exactly once: the oracle's bank, one tree at
+    a time by recursion.
+    """
+    if n > MAX_N:
+        raise ResourceCapError(f"host enumeration capped at n={MAX_N}, got {n}")
+    if n < 2:
+        raise ValueError("host enumeration needs n >= 2")
+    seq = [0] * (n - 2)
+    counts = [0] * n
+
+    def rec(pos: int) -> Iterator[list[tuple[int, int]]]:
+        if pos == n - 2:
+            yield prufer_edges(seq, n)
+            return
+        for label in range(n):
+            if counts[label] == 2:
+                continue
+            counts[label] += 1
+            seq[pos] = label
+            yield from rec(pos + 1)
+            counts[label] -= 1
+
+    yield from rec(0)
 
 
 def host_adjacency(host: HostTree) -> dict[int, list[int]]:

@@ -1,4 +1,5 @@
 import json
+import random
 import re
 
 import numpy as np
@@ -96,6 +97,37 @@ def test_serialize_single_vertex():
     d = gen("path", 1)
     h = run_bracket_builder(d)
     assert serialize(h) == "0:0\n"
+
+
+def test_serialize_refuses_a_node_that_lists_one_child_twice():
+    """A path host whose node 4998 lists 4999 as left and right child: the
+    tour walks into 4999 twice, which must end in an error, not a loop."""
+    n = 5000
+    parent = np.arange(-1, n - 1)
+    left = np.append(np.arange(1, n), NONE)
+    right = np.full(n, NONE)
+    right[n - 2] = n - 1
+    host = HostTree(n, 0, parent, left, right, np.full(n, NONE))
+    with pytest.raises(HostTreeError, match="not connected from root"):
+        serialize(host)
+
+
+@pytest.mark.parametrize("size", [5, 5000])
+def test_list_ranks_gives_up_off_a_simple_list(size):
+    """A list in shuffled order is ranked; with one successor redirected
+    (a cut, a cycle or two predecessors of one element) it is refused."""
+    rnd = random.Random(size)
+    order = list(range(size))
+    rnd.shuffle(order)
+    succ = np.full(size, NONE)
+    succ[order[:-1]] = order[1:]
+    ranks = model._list_ranks(succ, order[0])
+    assert np.array_equal(ranks[order], np.arange(size))
+    for _ in range(30):
+        bent = succ.copy()
+        bent[rnd.randrange(size)] = rnd.choice([NONE, rnd.randrange(size)])
+        got = model._list_ranks(bent, order[0])
+        assert (got is None) == (not np.array_equal(bent, succ))
 
 
 def _assert_roundtrip(host):

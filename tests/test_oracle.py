@@ -3,12 +3,12 @@ import sys
 
 import pytest
 
-from treehost import (ResourceCapError, enumerate_hosts, evaluate, gen,
-                      lb_instance, opt_cost, parse_edge_list, root_at,
-                      solve_instance)
+from treehost import (ResourceCapError, evaluate, gen, lb_instance, opt_cost,
+                      parse_edge_list, root_at, solve_instance)
 from treehost.oracle import _bank
 
 import helpers
+from helpers import enumerate_hosts
 
 
 @pytest.mark.parametrize("n,count", [(3, 3), (4, 16), (5, 120)])

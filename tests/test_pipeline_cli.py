@@ -355,6 +355,20 @@ def test_cli_bad_arguments_are_typed_errors(argv, tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", ["eval", "check"])
+def test_cli_deeply_nested_json_host_is_an_input_error(command, tmp_path,
+                                                       capsys):
+    """``json.loads`` gives up on deep nesting with a ``RecursionError``."""
+    edges, host = tmp_path / "t.edges", tmp_path / "host.json"
+    edges.write_text("0 1\n")
+    host.write_text('{"a":' * 100_000)
+    code, out, err = _run([command, str(edges), "--host", str(host)],
+                          capsys=capsys)
+    assert code == 1
+    assert err == "error: JSON host nested too deeply\n"
+    assert out == ""
+
+
 @pytest.mark.parametrize("label", ["²", "١"])
 def test_cli_solve_unicode_digit_labels(label, tmp_path, capsys):
     """'²' passes str.isdigit but int() rejects it; int() reads '١' as 1.

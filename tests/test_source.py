@@ -51,7 +51,7 @@ PUBLIC = [
     "SolveResult", "TournamentResult", "TreeHostError", "UnknownVertexError",
     "UnrootedTree", "balanced_bst_host", "best_case_height",
     "bracket_cost_bound", "bst_adversarial", "bst_demo", "ceil_log2",
-    "check_invariants", "enumerate_hosts", "evaluate", "exhaustive_bst_min",
+    "check_invariants", "evaluate", "exhaustive_bst_min",
     "format_table", "gen", "lb_exact", "lb_instance", "lb_simple",
     "match_keys", "opt_cost", "parse_edge_list", "parse_host", "root_at",
     "run_bracket_builder", "run_tournament", "serialize", "solve_instance",
@@ -83,3 +83,33 @@ def test_model_class_surface_is_pinned(name):
     cls = getattr(treehost, name)
     public = sorted(a for a in dir(cls) if not a.startswith("_"))
     assert public == MODEL_SURFACE[name]
+
+
+def _private_imports(tree: ast.Module) -> list[tuple[str, str]]:
+    """(module, name) of every relative import of a private name, at any
+    depth, function bodies included."""
+    return sorted((node.module or "", alias.name) for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.level
+                  for alias in node.names if alias.name.startswith("_"))
+
+
+def test_private_import_scan_finds_a_nested_import():
+    tree = ast.parse("from .model import NONE, _span_order\nimport _thread\n"
+                     "from os import _exit\n"
+                     "def f():\n    from .bracket import _slots\n")
+    assert _private_imports(tree) == [("bracket", "_slots"),
+                                      ("model", "_span_order")]
+
+
+# The package's modules that reach into another module's private names.
+# A new coupling joins only through an edit here.
+PRIVATE_IMPORTS = {
+    "tournament": [("model", "_span_order"), ("model", "_word_view")],
+}
+
+
+def test_cross_module_private_imports_are_pinned():
+    found = {path.stem: _private_imports(ast.parse(
+        path.read_text(encoding="utf-8"))) for path in sorted(SRC.glob("*.py"))}
+    pinned = {name: pairs for name, pairs in found.items() if pairs}
+    assert pinned == PRIVATE_IMPORTS

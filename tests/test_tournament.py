@@ -1,3 +1,4 @@
+import random
 import re
 
 import numpy as np
@@ -144,6 +145,68 @@ def test_vectorized_tournament_equals_sweep(rng):
             assert np.array_equal(h_vec.right, h_ref.right)
             assert vec.losers.tolist() == ref.losers.tolist()
             assert vec.charges.tolist() == ref.charges.tolist()
+
+
+def _reshaped_phase1(d, rnd):
+    """A phase-1 host of ``d`` whose vertices are shuffled among the leaf
+    slots of their own bracket, with mirrored parents: still a valid
+    phase-1 host, but not the builder's layout."""
+    h = run_bracket_builder(d)
+    slots = [(s, side) for s in helpers.steiner_nodes(h)
+             for side in (h.left, h.right) if side[s] < d.n]
+    for v in range(d.n):
+        mine = [(s, side) for s, side in slots if h.owner[s] == v]
+        players = [side[s] for s, side in mine]
+        rnd.shuffle(players)
+        for (s, side), w in zip(mine, players):
+            side[s] = w
+            h.parent[w] = s
+    check_invariants(d, h)
+    return h
+
+
+@pytest.mark.parametrize("tiebreak", ["lex", "id"])
+@pytest.mark.parametrize("kind", ["star", "random", "caterpillar"])
+def test_replay_plays_the_host_it_is_given(kind, tiebreak):
+    for seed in range(5):
+        d = gen(kind, 300, seed=seed)
+        h_ref = _reshaped_phase1(d, random.Random(seed))
+        h_vec = helpers.copy_host(h_ref)
+        ref = run_tournament(h_ref, d, tiebreak, debug=True)
+        vec = run_tournament(h_vec, d, tiebreak)
+        assert np.array_equal(h_vec.parent, h_ref.parent)
+        assert np.array_equal(h_vec.left, h_ref.left)
+        assert np.array_equal(h_vec.right, h_ref.right)
+        assert vec.losers.tolist() == ref.losers.tolist()
+        assert vec.charges.tolist() == ref.charges.tolist()
+
+
+@pytest.mark.parametrize("debug", [False, True])
+def test_steiner_node_missing_a_child_is_refused(fig_demand, debug):
+    h = run_bracket_builder(fig_demand)
+    s = helpers.steiner_nodes(h)[0]
+    h.parent[h.right[s]] = NONE
+    h.right[s] = NONE
+    with pytest.raises(InvariantViolation, match=f"steiner {s} ") as err:
+        run_tournament(h, fig_demand, debug=debug)
+    assert err.value.code == "(i) steiner-degree"
+
+
+def test_replay_refuses_steiner_parents_it_cannot_order():
+    """The replay orders the matches by the steiner nodes' parents: a
+    steiner child whose parent is a vertex would play after its parent's
+    match, and steiner nodes on a parent cycle have no depth."""
+    d = gen("star", 9)
+    h = run_bracket_builder(d)
+    root = h.left[0]
+    h.parent[h.left[root]] = 0
+    with pytest.raises(TreeHostError,
+                       match=f"match at {root} fired before its children"):
+        run_tournament(h, d)
+    h = run_bracket_builder(d)
+    h.parent[root] = h.left[root]
+    with pytest.raises(HostTreeError, match="parent cycle"):
+        run_tournament(h, d)
 
 
 def test_invariants_hold_after_every_match(rng):
