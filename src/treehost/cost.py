@@ -6,6 +6,8 @@ v climbs the host toward its parent u, all pairs at once, so on a host where
 every parent is an ancestor of its children (every host this pipeline builds)
 the work is proportional to the cost it reports.  Only the pairs the climb
 leaves are scored by vectorized binary lifting, in O(m log m) on m host nodes.
+When the climb leaves none, the demand root climbs to a host root as well,
+so a host whose vertices sit on a parent cycle is refused either way.
 The demand edges are read off the tree's child arrays on every call; nothing
 is cached on the tree.
 """
@@ -108,9 +110,10 @@ def evaluate(demand: DemandTree, host: HostTree) -> CostBreakdown:
     # tables can need; the pairs the climb leaves (the parent is no ancestor
     # within the cap) take the lifting.
     par = host.parent.astype(np.int32)
+    cap = len(par).bit_length()
     dist = np.full(len(us), -1, dtype=np.int32)
     pair, cur, target = np.arange(len(us), dtype=np.int32), vs, us
-    for step in range(1, len(par).bit_length() + 1):
+    for step in range(1, cap + 1):
         cur = par[cur]
         met = cur == target
         dist[pair[met]] = step
@@ -121,6 +124,17 @@ def evaluate(demand: DemandTree, host: HostTree) -> CostBreakdown:
     left = np.flatnonzero(dist < 0)
     if left.size:
         dist[left] = _lifted_distances(host.parent, us[left], vs[left])
+    else:
+        # every child met its parent, so the host is a tree over the
+        # vertices once the demand root, too, reaches a host root; if it
+        # does not within the cap, the lifting tables refuse a cycle
+        node = demand.root
+        for _ in range(cap):
+            node = par[node]
+            if node < 0:
+                break
+        else:
+            _lifting_tables(host.parent)
 
     per = np.bincount(us, weights=dist, minlength=n)
     per_vertex = per.astype(np.int64).tolist()

@@ -5,12 +5,17 @@ sequences, so high-degree vertices (the interesting regime) appear naturally.
 The keyed path assigns keys in the alternating order 1, n/2+1, 2, n/2+2, ...
 which forces every vertex to have a neighbor whose key differs by exactly
 n/2; it is the instance on which search-tree-shaped hosts are provably bad
-while the path itself costs only n-1.
+while the path itself costs only n-1.  ``exhaustive_bst_min`` scores every
+search tree on the keys at once from one table of key depths (n <= 12).
+``gen`` and ``bst_adversarial`` refuse n above ``MAX_GEN_N`` before they
+allocate.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+
+import numpy as np
 
 from .cost import evaluate
 from .model import (NONE, DemandTree, HostTree, ParameterError,
@@ -18,6 +23,7 @@ from .model import (NONE, DemandTree, HostTree, ParameterError,
 
 KINDS = ("path", "star", "caterpillar", "complete_binary", "random")
 BST_ENUM_CAP = 12
+MAX_GEN_N = 10**7  # gen peaks at about 300 MB for n = 10^6
 
 
 def prufer_edges(seq: list[int], n: int) -> list[tuple[int, int]]:
@@ -51,6 +57,8 @@ def gen(kind: str, n: int, seed: int | None = None) -> DemandTree:
     """Deterministic demand-tree generator, rooted at vertex 0."""
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
+    if n > MAX_GEN_N:
+        raise ResourceCapError(f"generators capped at n={MAX_GEN_N}, got {n}")
     if kind not in KINDS:
         raise ParameterError(f"unknown kind {kind!r}; pick one of {KINDS}")
     if kind == "random" and seed is None:
@@ -94,97 +102,60 @@ def bst_adversarial(n: int) -> KeyedPath:
         raise ParameterError(f"the alternating key pattern needs even n, got {n}")
     if n < 4:
         raise ParameterError(f"need n >= 4, got {n}")
-    keys = [0] * n
-    half = n // 2
-    for k in range(half):
-        keys[2 * k] = k + 1
-        keys[2 * k + 1] = half + k + 1
-    return KeyedPath(gen("path", n), keys)
+    tree = gen("path", n)  # checks the size cap before keys are allocated
+    return KeyedPath(tree, [v // 2 + 1 + v % 2 * (n // 2) for v in range(n)])
 
 
 def balanced_bst_host(keyed: KeyedPath) -> HostTree:
     """Search-tree host over the keyed path: midpoint-root recursion."""
     n = keyed.tree.n
     vert = keyed.vertex_of_key()
-    root = vert[(1 + n) // 2]
     up, left, right = ([NONE] * n for _ in range(3))
-    stack = [(1, n, -1, False)]
-    while stack:
-        lo, hi, parent, is_right = stack.pop()
+
+    def hang(lo: int, hi: int, parent: int) -> int:
+        """Hang the keys lo..hi under ``parent``; the vertex at their top."""
         if lo > hi:
-            continue
+            return NONE
         mid = (lo + hi) // 2
         v = vert[mid]
-        if parent >= 0:
-            if is_right:
-                right[parent] = v
-            else:
-                left[parent] = v
-            up[v] = parent
-        stack.append((mid + 1, hi, v, True))
-        stack.append((lo, mid - 1, v, False))
-    return HostTree(n, root, up, left, right, [NONE] * n)
+        up[v] = parent
+        left[v] = hang(lo, mid - 1, v)
+        right[v] = hang(mid + 1, hi, v)
+        return v
 
-
-def _all_bst_parents(par: list[int], lo: int, hi: int, parent: int):
-    """Yield once per search-tree shape on keys lo..hi, with ``par`` filled.
-
-    ``par`` maps key -> parent key (root key maps to 0) and is mutated in
-    place; consume it before advancing the generator.
-    """
-    if lo > hi:
-        yield None
-        return
-    for root in range(lo, hi + 1):
-        par[root] = parent
-        for _ in _all_bst_parents(par, lo, root - 1, root):
-            yield from _all_bst_parents(par, root + 1, hi, root)
+    return HostTree(n, hang(1, n, NONE), up, left, right, [NONE] * n)
 
 
 def exhaustive_bst_min(keyed: KeyedPath) -> int:
-    """Exact minimum cost over every search tree on the instance's keys."""
+    """Exact minimum cost over every search tree on the instance's keys.
+
+    One int8 table holds the key depths of every search tree on n keys,
+    built bottom-up: the trees on k keys are, for each root r, every tree
+    on the r keys below it beside every tree on the k - 1 - r keys above
+    it, both one level down.  In a search tree keys a < b meet at the
+    shallowest key in a..b, so each demand edge scores all trees at once.
+    """
     n = keyed.tree.n
     if n > BST_ENUM_CAP:
         raise ResourceCapError(
             f"exhaustive search-tree scan capped at n={BST_ENUM_CAP}")
-    demand_key_pairs = [(keyed.keys[v], keyed.keys[v + 1]) for v in range(n - 1)]
-    par = [0] * (n + 1)
-    depth = [0] * (n + 1)
-    best = None
-    for _ in _all_bst_parents(par, 1, n, 0):
-        depth[0] = -1
-        done = [False] * (n + 1)
-        done[0] = True
-        for k in range(1, n + 1):
-            chain = []
-            node = k
-            while not done[node]:
-                chain.append(node)
-                node = par[node]
-            d = depth[node]
-            for node in reversed(chain):
-                d += 1
-                depth[node] = d
-                done[node] = True
-        cost = 0
-        for ka, kb in demand_key_pairs:
-            a, b = ka, kb
-            da, db = depth[a], depth[b]
-            while da > db:
-                a = par[a]
-                da -= 1
-            while db > da:
-                b = par[b]
-                db -= 1
-            while a != b:
-                a = par[a]
-                b = par[b]
-                da -= 1
-            cost += depth[ka] + depth[kb] - 2 * da
-        if best is None or cost < best:
-            best = cost
-    assert best is not None
-    return best
+    tables = [np.zeros((1, 0), dtype=np.int8)]
+    for k in range(1, n + 1):
+        blocks = []
+        for r in range(k):
+            below, above = tables[r], tables[k - 1 - r]
+            block = np.zeros((len(below) * len(above), k), dtype=np.int8)
+            block[:, :r] = np.repeat(below + 1, len(above), axis=0)
+            block[:, r + 1:] = np.tile(above + 1, (len(below), 1))
+            blocks.append(block)
+        tables.append(np.concatenate(blocks))
+    depth = tables[n]
+    keys = np.asarray(keyed.keys) - 1
+    cost = np.zeros(len(depth), dtype=np.int64)
+    for a, b in zip(np.minimum(keys[:-1], keys[1:]),
+                    np.maximum(keys[:-1], keys[1:])):
+        cost += depth[:, a] + depth[:, b] - 2 * depth[:, a:b + 1].min(axis=1)
+    return int(cost.min())
 
 
 @dataclass

@@ -15,8 +15,8 @@ faster than numpy scalars.
 Ingest and egress work on whole arrays and whole strings.  The edge-list
 parser checks the line shape of the entire text in one numpy pass, numbers
 the labels with one exact sort of the tokens' code units (``_span_order``,
-which also orders the labels for the ``lex`` tiebreak; no hash, no
-fallback), and proves the n - 1 edges connected
+which ``Labels.lex_rank`` also uses to order the labels for the ``lex``
+tiebreak; no hash, no fallback), and proves the n - 1 edges connected
 with one Euler tour from vertex 0, ranked in numpy (``_list_ranks``);
 ``root_at`` reuses the parent array of that tour.
 One routine walks a host, ``_tour``, also ranked by ``_list_ranks``:
@@ -269,6 +269,34 @@ def _span_order(view: np.ndarray, start: np.ndarray, nbytes: np.ndarray,
     return order, tied
 
 
+def _settle(order: np.ndarray, tied: np.ndarray,
+            nbytes: np.ndarray) -> np.ndarray:
+    """``_span_order``'s order with the spans equal in every word put the
+    shorter first, then by index: for code units, Python's ``str`` order,
+    stable.  The length comes after the words, so that "a" and "a\\0",
+    equal in zero-padded words, stay apart."""
+    pos = np.flatnonzero(tied | np.append(tied[1:], False))
+    if pos.size:
+        group = np.cumsum(~tied[pos])
+        spans = order[pos]
+        order[pos] = spans[np.lexsort((spans, nbytes[spans], group))]
+    return order
+
+
+def _leading_zeros(digits: np.ndarray, start: np.ndarray,
+                   length: np.ndarray) -> np.ndarray:
+    """Number of leading "0" bytes of each span, from the runs of "0"."""
+    lead = np.zeros(len(start), dtype=np.int64)
+    led = np.flatnonzero(digits[start] == ord("0"))
+    if led.size:
+        zero = digits == ord("0")
+        run_end = np.flatnonzero(zero & np.append(~zero[1:], True)) + 1
+        s = start[led]
+        end = run_end[np.searchsorted(run_end, s, side="right")]
+        lead[led] = np.minimum(end, s + length[led]) - s
+    return lead
+
+
 class Labels:
     """Vertex labels as one array of code units (``_code_units``) and
     n + 1 offsets: label v is ``units[off[v]:off[v + 1]]``.  A ``str`` is
@@ -312,6 +340,39 @@ class Labels:
                 == _span_words(own, 0, nbytes, k))
         found = found[same.all(axis=1)]
         return int(found[0]) if found.size else -1
+
+    def lex_rank(self) -> np.ndarray:
+        """Rank of each label in the ``lex`` tiebreak order: labels made of
+        ASCII digits first, by integer value, then all other labels in
+        Python's ``str`` order; ties keep id order.
+
+        Numerals are sorted by their digit count without the leading
+        zeros, then by those digits in 8-byte words; other labels by their
+        code units in big-endian words, then by length.
+        """
+        units, off = self.units, self.off
+        start, length = off[:-1], np.diff(off)
+        nondigit = np.append((units < ord("0")) | (units > ord("9")), True)
+        numeric = (length > 0) & ~np.logical_or.reduceat(nondigit, off)[:-1]
+        del nondigit
+        num = np.flatnonzero(numeric)
+        # the digits are ASCII, so the low byte of every unit spells them
+        digits = units if units.dtype == np.uint8 else units.astype(np.uint8)
+        lead = _leading_zeros(digits, start[num], length[num])
+        width = length[num] - lead
+        order, tied = _span_order(_word_view(digits), start[num] + lead,
+                                  width, width)
+        by_value = num[_settle(order, tied, width)]
+        del digits
+        text = np.flatnonzero(~numeric)
+        nbytes = length[text] * units.itemsize
+        order, tied = _span_order(_word_view(units),
+                                  start[text] * units.itemsize, nbytes)
+        by_text = text[_settle(order, tied, nbytes)]
+        rank = np.empty(len(self), dtype=np.int64)
+        rank[np.concatenate([by_value, by_text])] = np.arange(
+            len(self), dtype=np.int64)
+        return rank
 
 
 class UnrootedTree:

@@ -33,82 +33,22 @@ import numpy as np
 
 from .model import (DEAD, NONE, DemandTree, HostTree, HostTreeError,
                     InvariantViolation, Labels, TreeHostError,
-                    UnknownVertexError, _span_order, _word_view)
-
-
-def _settle(order: np.ndarray, tied: np.ndarray,
-            nbytes: np.ndarray) -> np.ndarray:
-    """``_span_order``'s order with the spans equal in every word put the
-    shorter first, then by index: for code units, Python's ``str`` order,
-    stable.  The length comes after the words, so that "a" and "a\\0",
-    equal in zero-padded words, stay apart."""
-    pos = np.flatnonzero(tied | np.append(tied[1:], False))
-    if pos.size:
-        group = np.cumsum(~tied[pos])
-        spans = order[pos]
-        order[pos] = spans[np.lexsort((spans, nbytes[spans], group))]
-    return order
-
-
-def _leading_zeros(digits: np.ndarray, start: np.ndarray,
-                   length: np.ndarray) -> np.ndarray:
-    """Number of leading "0" bytes of each span, from the runs of "0"."""
-    lead = np.zeros(len(start), dtype=np.int64)
-    led = np.flatnonzero(digits[start] == ord("0"))
-    if led.size:
-        zero = digits == ord("0")
-        run_end = np.flatnonzero(zero & np.append(~zero[1:], True)) + 1
-        s = start[led]
-        end = run_end[np.searchsorted(run_end, s, side="right")]
-        lead[led] = np.minimum(end, s + length[led]) - s
-    return lead
-
-
-def _label_rank(demand: DemandTree, mode: str) -> np.ndarray:
-    """Rank of each vertex under the tiebreak order.
-
-    "lex" puts labels made of ASCII digits first, by integer value, and all
-    other labels after them in Python's ``str`` order; ties keep id order.
-    "id" keeps the input id order.  With default labels both coincide.
-
-    The labels are sorted as arrays: numerals by their digit count without
-    the leading zeros, then by those digits in 8-byte words; other labels by
-    their code units in big-endian words, then by length.  A label list set
-    by a caller is encoded once and sorted the same way.
-    """
-    if mode not in ("id", "lex"):
-        raise ValueError(f"unknown tiebreak {mode!r}")
-    n = demand.n
-    rank = np.arange(n, dtype=np.int64)
-    if mode == "id" or demand.labels is None:
-        return rank
-    labels = Labels.of(demand.labels)
-    units, off = labels.units, labels.off
-    start, length = off[:-1], np.diff(off)
-    nondigit = np.append((units < ord("0")) | (units > ord("9")), True)
-    numeric = (length > 0) & ~np.logical_or.reduceat(nondigit, off)[:-1]
-    del nondigit
-    num = np.flatnonzero(numeric)
-    # the digits are ASCII, so the low byte of every unit spells them
-    digits = units if units.dtype == np.uint8 else units.astype(np.uint8)
-    lead = _leading_zeros(digits, start[num], length[num])
-    width = length[num] - lead
-    order, tied = _span_order(_word_view(digits), start[num] + lead, width,
-                              width)
-    by_value = num[_settle(order, tied, width)]
-    del digits
-    text = np.flatnonzero(~numeric)
-    nbytes = length[text] * units.itemsize
-    order, tied = _span_order(_word_view(units), start[text] * units.itemsize,
-                              nbytes)
-    by_text = text[_settle(order, tied, nbytes)]
-    rank[np.concatenate([by_value, by_text])] = np.arange(n, dtype=np.int64)
-    return rank
+                    UnknownVertexError)
 
 
 def match_keys(demand: DemandTree, tiebreak: str = "lex") -> np.ndarray:
-    """Single-integer match priority per vertex: child count, then tiebreak."""
-    return np.diff(demand.child_off) * demand.n + _label_rank(demand, tiebreak)
+    """Single-integer match priority per vertex: child count, then tiebreak.
+
+    "lex" ranks the labels by ``Labels.lex_rank``; "id" keeps the input id
+    order.  With default labels both coincide.
+    """
+    if tiebreak not in ("id", "lex"):
+        raise ValueError(f"unknown tiebreak {tiebreak!r}")
+    if tiebreak == "id" or demand.labels is None:
+        rank = np.arange(demand.n, dtype=np.int64)
+    else:
+        rank = Labels.of(demand.labels).lex_rank()
+    return np.diff(demand.child_off) * demand.n + rank
 
 
 @dataclass

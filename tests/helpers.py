@@ -15,7 +15,10 @@ node-by-node host reader as it was before its checks became arrays;
 ``reference_validate`` and ``reference_check_invariants`` are the host and
 invariant checkers as they were before they read one ranked Euler tour.
 The property tests hold the library to them.  ``enumerate_hosts`` is the
-recursive Prüfer enumeration that the oracle's host bank is held to.
+recursive Prüfer enumeration that the oracle's host bank is held to, and
+``reference_exhaustive_bst_min`` the shape-by-shape search-tree scan, with
+a depth pass and an LCA walk per shape, that ``exhaustive_bst_min``'s
+table of key depths is held to.
 """
 from __future__ import annotations
 
@@ -31,7 +34,7 @@ from hypothesis import example
 from treehost import (CostBreakdown, DemandTree, EdgeListError, HostTree,
                       HostTreeError, InvariantViolation, ResourceCapError,
                       TreeHostError, UnknownVertexError, UnrootedTree, gen)
-from treehost.generate import prufer_edges
+from treehost.generate import BST_ENUM_CAP, KeyedPath, prufer_edges
 from treehost.model import Labels, _decode, _parse_node_name, _preorder
 from treehost.oracle import MAX_N
 
@@ -241,6 +244,67 @@ def enumerate_hosts(n: int) -> Iterator[list[tuple[int, int]]]:
             counts[label] -= 1
 
     yield from rec(0)
+
+
+def _reference_bst_parents(par: list[int], lo: int, hi: int, parent: int):
+    """Yield once per search-tree shape on keys lo..hi, with ``par`` filled.
+
+    ``par`` maps key -> parent key (root key maps to 0) and is mutated in
+    place; consume it before advancing the generator.
+    """
+    if lo > hi:
+        yield None
+        return
+    for root in range(lo, hi + 1):
+        par[root] = parent
+        for _ in _reference_bst_parents(par, lo, root - 1, root):
+            yield from _reference_bst_parents(par, root + 1, hi, root)
+
+
+def reference_exhaustive_bst_min(keyed: KeyedPath) -> int:
+    """Exact minimum cost over every search tree on the instance's keys."""
+    n = keyed.tree.n
+    if n > BST_ENUM_CAP:
+        raise ResourceCapError(
+            f"exhaustive search-tree scan capped at n={BST_ENUM_CAP}")
+    demand_key_pairs = [(keyed.keys[v], keyed.keys[v + 1]) for v in range(n - 1)]
+    par = [0] * (n + 1)
+    depth = [0] * (n + 1)
+    best = None
+    for _ in _reference_bst_parents(par, 1, n, 0):
+        depth[0] = -1
+        done = [False] * (n + 1)
+        done[0] = True
+        for k in range(1, n + 1):
+            chain = []
+            node = k
+            while not done[node]:
+                chain.append(node)
+                node = par[node]
+            d = depth[node]
+            for node in reversed(chain):
+                d += 1
+                depth[node] = d
+                done[node] = True
+        cost = 0
+        for ka, kb in demand_key_pairs:
+            a, b = ka, kb
+            da, db = depth[a], depth[b]
+            while da > db:
+                a = par[a]
+                da -= 1
+            while db > da:
+                b = par[b]
+                db -= 1
+            while a != b:
+                a = par[a]
+                b = par[b]
+                da -= 1
+            cost += depth[ka] + depth[kb] - 2 * da
+        if best is None or cost < best:
+            best = cost
+    assert best is not None
+    return best
 
 
 def host_adjacency(host: HostTree) -> dict[int, list[int]]:

@@ -187,6 +187,37 @@ def test_evaluate_cyclic_host(parent):
         evaluate(d, host)
 
 
+def test_evaluate_refuses_a_demand_root_on_a_parent_cycle():
+    """Each child's climb meets its parent in one link, but the vertices
+    sit on the cycle 0 -> 2 -> 1 -> 0 and none reaches a root."""
+    host = HostTree(3, 0, [2, 0, 1], [1, 2, 0], [-1] * 3, [-1] * 3)
+    with pytest.raises(HostTreeError, match="cycle"):
+        evaluate(gen("path", 3), host)
+
+
+def test_evaluate_scores_a_demand_root_below_a_long_steiner_chain(
+        monkeypatch):
+    """The demand root hangs 20 steiner links below the host root, more
+    than the climb's cap of 23.bit_length() = 5: the lifting tables find
+    no cycle, and the climbs' cost stands."""
+    calls = []
+    real = cost._lifting_tables
+    monkeypatch.setattr(cost, "_lifting_tables",
+                        lambda par: calls.append(len(par)) or real(par))
+    m = 23
+    par = np.arange(1, m + 1)  # steiner k hangs below k + 1
+    par[m - 1] = -1
+    par[:3] = [3, 0, 1]
+    left = np.arange(-1, m - 1)
+    left[:4] = [1, 2, -1, 0]
+    host = HostTree(3, m - 1, par, left, [-1] * m, [-1] * m)
+    demand = gen("path", 3)
+    got = evaluate(demand, host)
+    assert calls == [m]
+    assert got.total == 2
+    assert got == helpers.reference_evaluate(demand, host)
+
+
 def _raise(*args):
     raise AssertionError("a pipeline host took the lifting fallback")
 

@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from treehost import (balanced_bst_host, bst_adversarial, bst_demo,
-                      evaluate, exhaustive_bst_min, gen, run_bracket_builder)
+from treehost import (KeyedPath, balanced_bst_host, bst_adversarial,
+                      bst_demo, evaluate, exhaustive_bst_min, gen,
+                      run_bracket_builder)
 
 import helpers
 
@@ -150,3 +153,17 @@ def test_bst_demo_ratio_grows():
 def test_exhaustive_bst_min_cap():
     with pytest.raises(ValueError):
         exhaustive_bst_min(bst_adversarial(14))
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=200)
+@given(st.integers(1, 9).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_exhaustive_bst_min_matches_the_shape_by_shape_scan(keys):
+    keyed = KeyedPath(gen("path", len(keys)), list(keys))
+    assert (exhaustive_bst_min(keyed)
+            == helpers.reference_exhaustive_bst_min(keyed))
+
+
+@pytest.mark.parametrize("n, minimum",
+                         [(4, 4), (6, 10), (8, 18), (10, 26), (12, 36)])
+def test_exhaustive_bst_min_on_the_adversarial_path(n, minimum):
+    assert exhaustive_bst_min(bst_adversarial(n)) == minimum

@@ -355,6 +355,20 @@ def test_cli_bad_arguments_are_typed_errors(argv, tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "--kind", "path", "--n", "100000000000"],
+    ["bst-demo", "--n", "1099511627776"],
+    ["check", "--random", "100000000000", "1", "1"],
+], ids=["gen", "bst-demo", "check-random"])
+def test_cli_generators_refuse_n_above_the_cap(argv, capsys):
+    """An n past ``MAX_GEN_N`` exits 3 before the generator allocates, and
+    nothing is written."""
+    code, out, err = _run(argv, capsys=capsys)
+    assert code == 3
+    assert err.startswith("error: generators capped at n=10000000, got ")
+    assert out == ""
+
+
 @pytest.mark.parametrize("command", ["eval", "check"])
 def test_cli_deeply_nested_json_host_is_an_input_error(command, tmp_path,
                                                        capsys):

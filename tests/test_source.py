@@ -103,9 +103,7 @@ def test_private_import_scan_finds_a_nested_import():
 
 # The package's modules that reach into another module's private names.
 # A new coupling joins only through an edit here.
-PRIVATE_IMPORTS = {
-    "tournament": [("model", "_span_order"), ("model", "_word_view")],
-}
+PRIVATE_IMPORTS = {}
 
 
 def test_cross_module_private_imports_are_pinned():
@@ -113,3 +111,47 @@ def test_cross_module_private_imports_are_pinned():
         path.read_text(encoding="utf-8"))) for path in sorted(SRC.glob("*.py"))}
     pinned = {name: pairs for name, pairs in found.items() if pairs}
     assert pinned == PRIVATE_IMPORTS
+
+
+def _unreferenced_privates(trees: dict[str, ast.Module]) -> list[str]:
+    """Module-level private functions and classes that nothing names
+    outside their own definition: not their own module, not a relative
+    import from it, not an attribute access anywhere."""
+    defined, named, attrs = [], set(), set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            names = {(module, n.id) for n in ast.walk(node)
+                     if isinstance(n, ast.Name)}
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names.discard((module, node.name))
+                if node.name.startswith("_"):
+                    defined.append((module, node.name))
+            named |= names
+        for n in ast.walk(tree):
+            if isinstance(n, ast.ImportFrom) and n.level:
+                named |= {(n.module or "", a.name) for a in n.names}
+            elif isinstance(n, ast.Attribute):
+                attrs.add(n.attr)
+    return [f"{module}.{name}" for module, name in defined
+            if (module, name) not in named and name not in attrs]
+
+
+def test_unreferenced_private_scan_finds_a_left_behind_routine():
+    trees = {"a": ast.parse("def _walk(n):\n    return _walk(n - 1)\n"
+                            "def _used():\n    pass\n"
+                            "class _Spare:\n    pass\n"
+                            "def _imported():\n    pass\n"
+                            "def _looked_up():\n    pass\n"
+                            "def public():\n    return _used()\n"),
+             "b": ast.parse("from .a import _imported\n"
+                            "def _used():\n    pass\n"
+                            "x = a._looked_up\n")}
+    assert _unreferenced_privates(trees) == ["a._walk", "a._Spare",
+                                             "b._used"]
+
+
+def test_no_private_routine_is_left_behind():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert _unreferenced_privates(trees) == []

@@ -11,8 +11,7 @@ from treehost import (HostTree, HostTreeError, InvariantViolation,
                       lb_instance, match_keys, parse_edge_list, root_at,
                       run_bracket_builder, run_tournament)
 from treehost.generate import prufer_edges
-from treehost.model import DEAD, NONE
-from treehost.tournament import _label_rank
+from treehost.model import DEAD, NONE, Labels
 
 import helpers
 from helpers import FIG_FINAL_PARENTS
@@ -490,7 +489,5 @@ _RANK_LABELS = st.one_of(
 @helpers.examples([list(dict.fromkeys(text.split()))
                    for text in helpers.LABEL_TEXTS])
 def test_lex_rank_matches_the_key_function_sort(labels):
-    d = gen("path", len(labels))
-    d.labels = labels
-    assert np.array_equal(_label_rank(d, "lex"),
+    assert np.array_equal(Labels.of(labels).lex_rank(),
                           helpers.reference_label_rank(labels))
