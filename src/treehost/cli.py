@@ -91,7 +91,7 @@ def _eval_listing(demand: DemandTree, breakdown: CostBreakdown,
                   as_json: bool) -> list[str]:
     """The total, then the cost of every vertex as a JSON object, or of
     every vertex that has one as ``label cost`` lines, in pieces."""
-    cost = np.asarray(breakdown.per_vertex, dtype=np.int64)
+    cost = breakdown.costs
     if as_json:
         rows = write_rows('    "', (demand.labels, np.arange(demand.n)), '": ',
                           (cost, None), ",\n")
@@ -205,21 +205,20 @@ def cmd_check(args) -> int:
         print("host ok")
         return EXIT_OK
 
-    instances: list[DemandTree] = []
     if args.random is not None:
         max_n, seed, count = args.random
         if count < 1:
             raise ParameterError(f"--random COUNT must be >= 1, got {count}")
         rng = random.Random(seed)
-        for _ in range(count):
-            n = rng.randint(3, max(3, max_n))
-            instances.append(gen("random", n, seed=rng.randrange(2 ** 31)))
+        # one instance at a time: made, solved, let go
+        instances = (gen("random", rng.randint(3, max(3, max_n)),
+                         seed=rng.randrange(2 ** 31)) for _ in range(count))
     elif args.input is not None:
-        instances.append(_load_demand(args.input, args.root))
+        instances = [_load_demand(args.input, args.root)]
     else:
         raise TreeHostError("check needs INPUT or --random N SEED COUNT")
 
-    max_ratio = 0.0
+    checked, max_ratio = 0, 0.0
     for demand in instances:
         # on by default here, the oracle scores the instances it can
         result = solve_instance(demand, debug=True, with_oracle=(
@@ -227,7 +226,8 @@ def cmd_check(args) -> int:
         ratio = result.report.ratio_vs_opt
         if ratio is not None:
             max_ratio = max(max_ratio, ratio)
-    print(f"checked {len(instances)} instance(s): all invariants hold")
+        checked += 1
+    print(f"checked {checked} instance(s): all invariants hold")
     if max_ratio:
         print(f"max observed cost/opt ratio: {max_ratio:.4f}")
     return EXIT_OK

@@ -13,7 +13,7 @@ is cached on the tree.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,10 +22,17 @@ from .model import DEAD, DemandTree, HostTree, HostTreeError, UnknownVertexError
 
 @dataclass
 class CostBreakdown:
-    """Total demand cost plus the per-parent-vertex contributions."""
+    """Total demand cost plus the per-parent-vertex contributions, as a
+    list and as the int64 array ``costs``, which the callers that need no
+    list read; it is made from the list unless given."""
 
     total: int
     per_vertex: list[int]
+    costs: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.costs is None:
+            self.costs = np.asarray(self.per_vertex, dtype=np.int64)
 
 
 def _lifting_tables(par: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], int]:
@@ -136,6 +143,5 @@ def evaluate(demand: DemandTree, host: HostTree) -> CostBreakdown:
         else:
             _lifting_tables(host.parent)
 
-    per = np.bincount(us, weights=dist, minlength=n)
-    per_vertex = per.astype(np.int64).tolist()
-    return CostBreakdown(int(dist.sum(dtype=np.int64)), per_vertex)
+    per = np.bincount(us, weights=dist, minlength=n).astype(np.int64)
+    return CostBreakdown(int(dist.sum(dtype=np.int64)), per.tolist(), per)

@@ -13,12 +13,17 @@ sequential walks run over local ``tolist()`` copies, which Python indexes
 faster than numpy scalars.
 
 Ingest and egress work on whole arrays and whole strings.  The edge-list
-parser checks the line shape of the entire text in one numpy pass, numbers
-the labels with one exact sort of the tokens' code units (``_span_order``,
-which ``Labels.lex_rank`` also uses to order the labels for the ``lex``
-tiebreak; no hash, no fallback), and proves the n - 1 edges connected
-with one Euler tour from vertex 0, ranked in numpy (``_list_ranks``);
-``root_at`` reuses the parent array of that tour.
+parser classifies every character of the text once, which gives each
+token's span, tells the numerals apart and checks the line shape.  It sorts
+the tokens once, by the ``lex`` key itself (``_lex_order``: numerals by
+digit count and digits, other tokens by their code units; no hash, no
+fallback), so equal tokens are adjacent and their groups come in ``lex``
+order: the labels are numbered by first appearance and keep their ``lex``
+rank (``Labels.rank``), which ``match_keys`` reads; labels from elsewhere
+are ranked by the same routine.  The parser then proves the n - 1 edges
+connected with one Euler tour from vertex 0, ranked in numpy
+(``_list_ranks``, one int64 state per element); ``root_at`` reuses the
+parent array of that tour.
 One routine walks a host, ``_tour``, also ranked by ``_list_ranks``:
 ``serialize`` writes it in preorder, ``HostTree.validate`` checks the links
 as masks and returns it, and ``check_invariants`` reads ancestry off it.
@@ -83,11 +88,12 @@ _RULER_HASH = np.uint64(0x9E3779B97F4A7C15)  # 2^64 / golden ratio
 
 def _list_ranks(succ: np.ndarray, head: int) -> np.ndarray | None:
     """Position of every element on the list head -> succ[head] -> ... -> -1,
-    or None if some element is not on it, whatever ``succ`` is.  A walk
-    that lands on an element an earlier step reached gives up, so every walk
-    ends.  Two walks that land on one element in the same step go on
-    together; the chain of segments, which must end at -1 without passing
-    one twice, then holds only one of them and comes up short.
+    or None if some element is not on it, for any ``succ`` with values in
+    [-1, len(succ)).  A walk that lands on an element an earlier step
+    reached gives up, so every walk ends.  Two walks that land on one
+    element in the same step go on together; the chain of segments, which
+    must end at -1 without passing one twice, then holds only one of them
+    and comes up short.
 
     Ruling-set list ranking: the head and about one element in k, picked
     by a multiplicative hash of the index so that the input's order does
@@ -95,6 +101,11 @@ def _list_ranks(succ: np.ndarray, head: int) -> np.ndarray | None:
     one numpy step per element of the longest segment (about k ln(size / k)
     steps); one Python pass over the segments then chains them from the
     head's.  k grows with the size up to 32, which balances the two loops.
+
+    Each element has one int64 state, so a step reads it with one gather:
+    -1 unvisited, r for ruler r, ``step << bits | r`` once walker r has
+    reached it in that step.  A last slot, which succ's -1 indexes, holds
+    the number of rulers and stands for the list's end.
     """
     size = len(succ)
     k = min(32, math.isqrt(size // 512) + 1)
@@ -102,34 +113,41 @@ def _list_ranks(succ: np.ndarray, head: int) -> np.ndarray | None:
              >> np.uint64(58)) < 64 // k
     ruler[head] = True
     rulers = np.flatnonzero(ruler)
-    seg = np.full(size, -1, dtype=np.int64)  # the ruler each element follows
-    seg[rulers] = np.arange(len(rulers))
-    dist = np.zeros(size, dtype=np.int64)    # and its distance from it
-    seg_len = np.zeros(len(rulers), dtype=np.int64)
-    seg_next = np.full(len(rulers), -1, dtype=np.int64)
-    walker, cur, step = np.arange(len(rulers)), succ[rulers], 1
+    del ruler
+    count = len(rulers)
+    bits = count.bit_length()
+    state = np.full(size + 1, -1, dtype=np.int64)
+    state[rulers] = np.arange(count)
+    state[-1] = count
+    seg_len = np.zeros(count, dtype=np.int64)
+    seg_next = np.zeros(count, dtype=np.int64)  # count: the list's end
+    walker, cur, step = np.arange(count), succ[rulers], 1
     while cur.size:
-        stop = cur < 0
-        stop[~stop] = ruler[cur[~stop]]
-        seg_len[walker[stop]] = step
-        seg_next[walker[stop]] = np.where(cur[stop] < 0, -1, seg[cur[stop]])
-        walker, cur = walker[~stop], cur[~stop]
-        if (seg[cur] >= 0).any():
+        seen = state[cur]
+        stop = seen.view(np.uint64) <= count  # a ruler or the end
+        if stop.any():
+            seg_len[walker[stop]] = step
+            seg_next[walker[stop]] = seen[stop]
+            go = ~stop
+            walker, cur, seen = walker[go], cur[go], seen[go]
+        if (seen >= 0).any():
             return None
-        seg[cur] = walker
-        dist[cur] = step
+        state[cur] = step << bits | walker
         cur = succ[cur]
         step += 1
-    base = [-1] * len(rulers)
+    base = [-1] * count
     nxt, lengths = seg_next.tolist(), seg_len.tolist()
-    r, pos = int(seg[head]), 0
-    while r >= 0 and base[r] < 0:
+    r, pos = int(state[head]), 0
+    while r < count and base[r] < 0:
         base[r] = pos
         pos += lengths[r]
         r = nxt[r]
-    if pos != size or r >= 0:  # short, or back into itself
+    if pos != size or r < count:  # short, or back into itself
         return None
-    return _int64(base)[seg] + dist
+    state = state[:size]
+    ranks = _int64(base)[state & ((1 << bits) - 1)]
+    ranks += state >> bits
+    return ranks
 
 
 def _tour_parent(off: np.ndarray, flat: np.ndarray,
@@ -149,14 +167,17 @@ def _tour_parent(off: np.ndarray, flat: np.ndarray,
     twin = np.empty_like(perm)
     twin[perm] = np.arange(len(perm))
     twin = twin[perm ^ 1]
-    succ = twin + 1
-    wrap = succ == off[flat + 1]
-    succ[wrap] = off[flat[wrap]]
+    # the position after each in its vertex's adjacency, cyclically
+    after = np.arange(1, len(perm) + 1)
+    some = np.flatnonzero(off[1:] > off[:-1])
+    after[off[some + 1] - 1] = off[some]
+    succ = after[twin]
+    del after, some
     succ[twin[off[1] - 1]] = -1  # the tour ends where it would restart
     ranks = _list_ranks(succ, 0)
     if ranks is None:
         return None
-    away = ranks < ranks[twin]
+    away = np.flatnonzero(ranks < ranks[twin])
     parent[flat[away]] = flat[twin[away]]
     if np.count_nonzero(parent == NONE) != 1:  # a vertex without edges
         return None
@@ -195,47 +216,47 @@ def _word_view(units: np.ndarray) -> np.ndarray:
     return np.ndarray((size + 1,), ">u8", padded, 0, (1,))
 
 
+# the first j bytes of a big-endian word, for j = 0 .. 8
+_WORD_HEAD = np.array([(1 << 64) - (1 << (64 - 8 * j)) for j in range(9)],
+                      dtype=np.uint64)
+
+
 def _span_words(view: np.ndarray, start, nbytes, k) -> np.ndarray:
     """Word k (bytes 8k..8k+7) of each byte span of a ``_word_view``, with
     the bytes past the span's end zeroed; k may be an array.  Every span
-    must be longer than 8k bytes."""
+    must be longer than 8k bytes, or empty with k = 0, which reads 0."""
     word = view[start + 8 * k].astype(np.uint64)
-    cut = (8 * np.maximum(8 * (k + 1) - nbytes, 0)).astype(np.uint64)
-    return word >> cut << cut
+    word &= _WORD_HEAD[np.clip(nbytes - 8 * k, 0, 8)]
+    return word
 
 
 _ROUND_WORDS = 1 << 20  # the most words one round of _span_order reads
 
 
 def _span_order(view: np.ndarray, start: np.ndarray, nbytes: np.ndarray,
-                first: np.ndarray | None = None
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Order of byte spans of a ``_word_view`` by ``first`` if given, then
-    by their 8-byte words, zero-padded; and ``tied``, true where the i-th
-    span in that order equals the one before it in ``first`` and in every
-    word.  Spans tied in every word are left in no set order.
+                first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Order of byte spans of a ``_word_view`` by ``first``, then by their
+    8-byte words, zero-padded; and ``tied``, true where the i-th span in
+    that order equals the one before it in ``first`` and in every word.
+    Spans tied in every word are left in no set order.
 
-    All spans are sorted by word 0.  Then, in rounds, the tied groups that
-    hold a span longer than 8k bytes are sorted by words k .. 2k - 1 (fewer
-    if that would read more than ``_ROUND_WORDS`` words), so that a run of
-    equal words costs a number of rounds logarithmic in its length."""
+    All spans are sorted by word 0, then stably by ``first`` (by radix if
+    it is 16 bits wide).  Then, in rounds, the tied groups that hold a span
+    longer than 8k bytes are sorted by words k .. 2k - 1 (fewer if that
+    would read more than ``_ROUND_WORDS`` words), so that a run of equal
+    words costs a number of rounds logarithmic in its length."""
     m = len(start)
     w = _span_words(view, start, nbytes, 0)
-    w[nbytes == 0] = 0  # the shift above wants spans of one byte or more
     order = np.argsort(w)
-    if first is not None:
-        narrow = first.max(initial=0) < 1 << 16  # a stable sort: radix
-        key = (first.astype(np.uint16) if narrow else first)[order]
-        perm = np.argsort(key, kind="stable")
-        order = order[perm]
+    key = first[order]
+    perm = np.argsort(key, kind="stable")
+    order = order[perm]
     w = w[order]
+    key = key[perm]
+    del perm
     tied = np.zeros(m, dtype=bool)
-    tied[1:] = w[1:] == w[:-1]
-    del w
-    if first is not None:
-        key = key[perm]
-        tied[1:] &= key[1:] == key[:-1]
-        del key, perm
+    tied[1:] = (w[1:] == w[:-1]) & (key[1:] == key[:-1])
+    del w, key
     # the sorted positions of the tied groups that hold a span longer than
     # one word: only they have later words to compare
     group = np.cumsum(~tied)
@@ -270,43 +291,109 @@ def _span_order(view: np.ndarray, start: np.ndarray, nbytes: np.ndarray,
 
 
 def _settle(order: np.ndarray, tied: np.ndarray,
-            nbytes: np.ndarray) -> np.ndarray:
-    """``_span_order``'s order with the spans equal in every word put the
-    shorter first, then by index: for code units, Python's ``str`` order,
-    stable.  The length comes after the words, so that "a" and "a\\0",
-    equal in zero-padded words, stay apart."""
+            key: np.ndarray | None = None) -> np.ndarray:
+    """``order`` with each run of tied entries (``tied[i]``: entry i ties
+    with entry i - 1) sorted by ``key`` of the entry if given, then by the
+    entry itself; in place."""
     pos = np.flatnonzero(tied | np.append(tied[1:], False))
     if pos.size:
         group = np.cumsum(~tied[pos])
         spans = order[pos]
-        order[pos] = spans[np.lexsort((spans, nbytes[spans], group))]
+        keys = (spans, group) if key is None else (spans, key[spans], group)
+        order[pos] = spans[np.lexsort(keys)]
     return order
 
 
-def _leading_zeros(digits: np.ndarray, start: np.ndarray,
-                   length: np.ndarray) -> np.ndarray:
-    """Number of leading "0" bytes of each span, from the runs of "0"."""
-    lead = np.zeros(len(start), dtype=np.int64)
-    led = np.flatnonzero(digits[start] == ord("0"))
-    if led.size:
-        zero = digits == ord("0")
-        run_end = np.flatnonzero(zero & np.append(~zero[1:], True)) + 1
-        s = start[led]
-        end = run_end[np.searchsorted(run_end, s, side="right")]
-        lead[led] = np.minimum(end, s + length[led]) - s
-    return lead
+def _leading_zeros(units: np.ndarray, start: np.ndarray,
+                   length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which of the spans, none of them empty, start with "0", and the
+    number of leading "0" units of each; only those spans are read."""
+    led = np.flatnonzero(units[start] == ord("0"))
+    span = length[led]
+    digits = _gather(units, start[led], span)
+    at = np.cumsum(span) - span
+    other = np.flatnonzero(digits != ord("0"))
+    end = np.append(other, len(digits))[np.searchsorted(other, at)]
+    return led, np.minimum(end - at, span)
+
+
+def _numerals(units: np.ndarray, start: np.ndarray,
+              length: np.ndarray) -> np.ndarray:
+    """Where the span ``units[start:start + length]`` is a numeral: one or
+    more ASCII digits.  The spans must be in increasing order."""
+    nondigit = np.append((units - np.array(ord("0"), units.dtype)) > 9, True)
+    bounds = np.empty(2 * len(start), dtype=np.int64)
+    bounds[0::2], bounds[1::2] = start, start + length
+    return (length > 0) & ~np.logical_or.reduceat(nondigit, bounds)[0::2]
+
+
+def _lex_order(units: np.ndarray, start: np.ndarray, length: np.ndarray,
+               numeric: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                              np.ndarray]:
+    """The spans ``units[start:start + length]`` in the order of the ``lex``
+    key, by one ``_span_order``:
+
+    - numerals (``numeric``) first, by their digit count without the
+      leading zeros, then by those digits in 8-byte words, exact at any
+      length;
+    - all other spans by their code units in big-endian words, zero-padded.
+
+    Spans tied in that key come shorter first, so that equal spans are
+    adjacent and spans that are not numerals are in Python's ``str`` order
+    ("a" and "a\\0", equal in zero-padded words, stay apart); spans of one
+    length in a tie are left in no set order.  Returns the order, ``tied``
+    (the i-th span in the order ties with the one before it in the key)
+    and ``same`` (it equals the one before it).
+    """
+    num = np.flatnonzero(numeric)
+    led, lead = _leading_zeros(units, start[num], length[num])
+    led = num[led]
+    at, nbytes = start.copy(), length.copy()
+    at[led] += lead
+    nbytes[led] -= lead
+    # the digit count, and past every digit count for the other spans;
+    # 16 bits where they suffice, which _span_order sorts by radix
+    top = length[num].max(initial=0) + 1
+    first = np.full(len(start), top, np.uint16 if top < 1 << 16 else np.int64)
+    first[num] = nbytes[num]
+    del num, led, lead
+    at *= units.itemsize
+    nbytes *= units.itemsize
+    order, tied = _span_order(_word_view(units), at, nbytes, first)
+    del at, nbytes, first
+    same = _same_length(order, tied, length)
+    if (same != tied).any():
+        # settle by length only the ties that hold more than one length:
+        # most ties are a span and its repeats
+        run = np.cumsum(~tied)
+        mixed = np.zeros(run[-1] + 1, dtype=bool)
+        mixed[run[same != tied]] = True
+        _settle(order, tied & mixed[run], length)
+        same = _same_length(order, tied, length)
+    return order, tied, same
+
+
+def _same_length(order: np.ndarray, tied: np.ndarray,
+                 length: np.ndarray) -> np.ndarray:
+    """``tied`` where the span also has the length of the one before it."""
+    sorted_length = length[order]
+    same = tied.copy()
+    same[1:] &= sorted_length[1:] == sorted_length[:-1]
+    return same
 
 
 class Labels:
     """Vertex labels as one array of code units (``_code_units``) and
     n + 1 offsets: label v is ``units[off[v]:off[v + 1]]``.  A ``str`` is
-    made only for the labels asked for."""
+    made only for the labels asked for.  ``rank`` is the labels' ``lex``
+    rank where it is known already (the parser's), else None."""
 
-    __slots__ = ("units", "off")
+    __slots__ = ("units", "off", "rank")
 
-    def __init__(self, units: np.ndarray, off):
+    def __init__(self, units: np.ndarray, off, rank: np.ndarray | None = None):
         self.units = units
         self.off = _int64(off)
+        self.rank = rank
 
     @classmethod
     def of(cls, labels: "Labels | list[str] | None") -> "Labels | None":
@@ -344,34 +431,17 @@ class Labels:
     def lex_rank(self) -> np.ndarray:
         """Rank of each label in the ``lex`` tiebreak order: labels made of
         ASCII digits first, by integer value, then all other labels in
-        Python's ``str`` order; ties keep id order.
-
-        Numerals are sorted by their digit count without the leading
-        zeros, then by those digits in 8-byte words; other labels by their
-        code units in big-endian words, then by length.
-        """
-        units, off = self.units, self.off
-        start, length = off[:-1], np.diff(off)
-        nondigit = np.append((units < ord("0")) | (units > ord("9")), True)
-        numeric = (length > 0) & ~np.logical_or.reduceat(nondigit, off)[:-1]
-        del nondigit
-        num = np.flatnonzero(numeric)
-        # the digits are ASCII, so the low byte of every unit spells them
-        digits = units if units.dtype == np.uint8 else units.astype(np.uint8)
-        lead = _leading_zeros(digits, start[num], length[num])
-        width = length[num] - lead
-        order, tied = _span_order(_word_view(digits), start[num] + lead,
-                                  width, width)
-        by_value = num[_settle(order, tied, width)]
-        del digits
-        text = np.flatnonzero(~numeric)
-        nbytes = length[text] * units.itemsize
-        order, tied = _span_order(_word_view(units),
-                                  start[text] * units.itemsize, nbytes)
-        by_text = text[_settle(order, tied, nbytes)]
+        Python's ``str`` order; ties keep id order.  ``rank`` if known,
+        else ``_lex_order`` of the labels' spans, with equal labels and
+        numerals of one value put in id order."""
+        if self.rank is not None:
+            return self.rank
+        start, length = self.off[:-1], np.diff(self.off)
+        numeric = _numerals(self.units, start, length)
+        order, tied, same = _lex_order(self.units, start, length, numeric)
+        _settle(order, same | (tied & numeric[order]))  # by id
         rank = np.empty(len(self), dtype=np.int64)
-        rank[np.concatenate([by_value, by_text])] = np.arange(
-            len(self), dtype=np.int64)
+        rank[order] = np.arange(len(self), dtype=np.int64)
         return rank
 
 
@@ -444,12 +514,11 @@ class UnrootedTree:
         Also hangs the tree from vertex 0; ``parent0`` is None if the edges
         do not connect the vertices."""
         n = max(n, 1)
-        e = _int64(edges).reshape(-1, 2)
-        src = e.ravel()
-        # stable by source: sort the unique keys source * arcs + position
-        arcs = max(len(src), 1)
-        perm = np.sort(src * arcs + np.arange(len(src))) % arcs
-        flat = e[:, ::-1].ravel()[perm]
+        src = _int64(edges).ravel()  # arcs 2i and 2i + 1: edge i both ways
+        # stable by source: sort the unique keys source << bits | position
+        bits = len(src).bit_length()
+        perm = np.sort(src << bits | np.arange(len(src))) & ((1 << bits) - 1)
+        flat = src[perm ^ 1]  # the other end of each arc
         off = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=off[1:])
         return cls(n, off, flat, labels, _tour_parent(off, flat, perm))
@@ -465,64 +534,79 @@ _SPACE_CHARS = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
                 "\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
 _BREAK_CHARS = "\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029"
 _COMMENT = re.compile(f"#[^{_BREAK_CHARS}]*")
-# code point -> 0 token character, 1 space, 2 line break; code points
-# above U+FFFF are clipped to U+FFFF, a token character
-_CHAR_KIND = np.zeros(0x10000, dtype=np.uint8)
-_CHAR_KIND[[ord(c) for c in _SPACE_CHARS]] = 1
-_CHAR_KIND[[ord(c) for c in _BREAK_CHARS]] = 2
+# code point -> 1 for a line break, 2 for a token character, plus 4 for a
+# token character that is not an ASCII digit; 0 for other whitespace.
+# Code points above U+FFFF are clipped to U+FFFF, a token character.
+_CHAR_KIND = np.full(0x10000, 6, dtype=np.uint8)
+_CHAR_KIND[ord("0"):ord("9") + 1] = 2
+_CHAR_KIND[[ord(c) for c in _SPACE_CHARS]] = 0
+_CHAR_KIND[[ord(c) for c in _BREAK_CHARS]] = 1
+_BYTE_KIND = _CHAR_KIND[:0x100].tobytes()  # for bytes.translate
 
 
-def _check_line_shape(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Raise for the first line that is neither blank nor two tokens, found
-    by classifying every character of the text at once.  Returns the code
-    units, their kinds and the start of every token."""
+def _scan_tokens(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                     np.ndarray]:
+    """The text's code units, and the start and length of every token and
+    whether it is a numeral, from one classification of every character;
+    raises for the first line that is neither blank nor two tokens.
+
+    The tokens are in that shape just when there is an even number of
+    them and a line break lies in every other gap between two: after the
+    second token, the fourth, and so on.  One OR over each token and the
+    gap after it tells both.  Only a text that fails is split into lines,
+    to name the first bad one."""
     codes = _code_units(text)
-    kind = _CHAR_KIND[codes if codes.itemsize < 4 else
-                      np.minimum(codes, 0xFFFF)]
-    ends = kind == 2
-    ends[1:] &= (codes[1:] != 10) | (codes[:-1] != 13)  # "\r\n" ends once
-    starts = kind == 0
-    starts[1:] &= kind[:-1] != 0
-    starts = np.flatnonzero(starts)
-    per_line = np.bincount(np.searchsorted(np.flatnonzero(ends), starts))
-    bad = np.flatnonzero((per_line != 0) & (per_line != 2))
-    if bad.size:
-        line = int(bad[0])
+    kind = (np.frombuffer(codes.tobytes().translate(_BYTE_KIND), np.uint8)
+            if codes.itemsize == 1 else
+            _CHAR_KIND[codes if codes.itemsize < 4 else
+                       np.minimum(codes, 0xFFFF)])
+    token = np.zeros(len(codes) + 2, dtype=bool)
+    np.greater_equal(kind, 2, out=token[1:-1])
+    bounds = np.flatnonzero(token[1:] != token[:-1])
+    del token
+    start, stop = bounds[0::2], bounds[1::2]
+    seen = np.bitwise_or.reduceat(kind, start)
+    broken = (seen[:-1] & 1).view(bool)  # gap j follows token j
+    if len(start) % 2 or broken[0::2].any() or not broken[1::2].all():
+        ends = kind == 1
+        ends[1:] &= (codes[1:] != 10) | (codes[:-1] != 13)  # "\r\n" ends once
+        per_line = np.bincount(np.searchsorted(np.flatnonzero(ends), start))
+        line = int(np.flatnonzero((per_line != 0) & (per_line != 2))[0])
         raise EdgeListError(f"line {line + 1}: expected two tokens 'u v', "
                             f"got {per_line[line]}")
-    return codes, kind, starts
+    return codes, start, stop - start, (seen & 4) == 0
 
 
-def _intern(codes: np.ndarray, start: np.ndarray, length: np.ndarray
-            ) -> tuple[np.ndarray, Labels]:
-    """Number the tokens ``codes[start:start + length]`` by first appearance
-    of their text and collect the labels.
+def _intern(codes: np.ndarray, start: np.ndarray, length: np.ndarray,
+            numeric: np.ndarray) -> tuple[np.ndarray, Labels]:
+    """Number the tokens ``codes[start:start + length]`` by first
+    appearance of their text and collect the labels, with their ``lex``
+    rank.
 
-    The tokens are sorted by byte length, then by their 8-byte words
-    (``_span_order``), so the tokens of a group tied in every word are
-    equal; each group's least index is its first appearance.
-    """
-    nbytes = length * codes.itemsize
-    order, tied = _span_order(_word_view(codes), start * codes.itemsize,
-                              nbytes, nbytes)
-    heads = np.flatnonzero(~tied)
+    ``_lex_order`` puts equal tokens next to each other and their groups
+    in ``lex`` order, but for numerals of one value, which go by id here.
+    The labels' units are gathered from the first tokens' spans, which are
+    in id order."""
+    order, tied, same = _lex_order(codes, start, length, numeric)
+    m = len(order)
+    heads = np.flatnonzero(~same)
+    del same
     first = np.minimum.reduceat(order, heads)
-    is_first = np.zeros(len(order), dtype=bool)
+    is_first = np.zeros(m, dtype=bool)
     is_first[first] = True
-    ids = np.empty(len(order), dtype=np.int64)
-    ids[order] = np.repeat((np.cumsum(is_first) - 1)[first],
-                           np.diff(np.append(heads, len(order))))
-    del order, tied, heads, first
+    group_id = (np.cumsum(is_first) - 1)[first]
+    ids = np.empty(m, dtype=np.int64)
+    ids[order] = np.repeat(group_id, np.diff(np.append(heads, m)))
+    del order
+    by_lex = _settle(group_id, tied[heads] & numeric[first])
+    rank = np.empty(len(heads), dtype=np.int64)
+    rank[by_lex] = np.arange(len(heads), dtype=np.int64)
+    del tied, heads, first, by_lex
     firsts = np.flatnonzero(is_first)  # each label's first token, by id
-
-    # the labels' units: the first tokens' spans, which are in id order
-    inside = np.zeros(len(codes) + 1, dtype=np.int8)
-    inside[start[firsts]] = 1
-    inside[start[firsts] + length[firsts]] = -1
-    units = codes[np.cumsum(inside[:-1], dtype=np.int8).view(bool)]
     off = np.zeros(len(firsts) + 1, dtype=np.int64)
     np.cumsum(length[firsts], out=off[1:])
-    return ids, Labels(units, off)
+    return ids, Labels(_gather(codes, start[firsts], length[firsts]), off,
+                       rank)
 
 
 def parse_edge_list(text: str) -> UnrootedTree:
@@ -536,15 +620,11 @@ def parse_edge_list(text: str) -> UnrootedTree:
     """
     if "#" in text:
         text = _COMMENT.sub("", text)
-    codes, kind, start = _check_line_shape(text)
+    codes, start, length, numeric = _scan_tokens(text)
     if not start.size:
         return UnrootedTree.from_tree_edges_unchecked([], 1, ["0"])
-    token = kind == 0
-    del kind
-    stop = np.flatnonzero(token & np.append(~token[1:], True)) + 1
-    del token
-    edges, labels = _intern(codes, start, stop - start)
-    del codes, start, stop
+    edges, labels = _intern(codes, start, length, numeric)
+    del codes, start, length, numeric
     edges = edges.reshape(-1, 2)
     n = len(labels)
     # n - 1 edges that connect n vertices are a tree: no cycle, no self-loop
@@ -709,16 +789,21 @@ def _tour(host: HostTree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     slot = np.full(len(host.parent) + 1, NONE, dtype=np.int64)
     slot[live] = np.arange(m)  # and slot[NONE] stays NONE
     left, right = slot[host.left[live]], slot[host.right[live]]
-    node = np.arange(m)
-    up = np.full(m, NONE, dtype=np.int64)  # parent by the child links
-    up[left[left >= 0]] = node[left >= 0]
-    up[right[right >= 0]] = node[right >= 0]
-    # element e < m enters node e, element m + e leaves it
-    first = np.where(left >= 0, left, right)
-    succ = np.empty(2 * m, dtype=np.int64)
-    succ[:m] = np.where(first >= 0, first, node + m)
-    to_right = (up >= 0) & (left[up] == node) & (right[up] >= 0)
-    succ[m:] = np.where(to_right, right[up], np.where(up >= 0, up + m, -1))
+    # element e < m enters node e, element m + e leaves it: after entering
+    # comes the first child, else the leaving; after leaving a right child
+    # comes leaving its parent, and after a left child the right child if
+    # any, else leaving the parent, written last, so that a node listing
+    # one child twice loops; after leaving the root, the end
+    succ = np.full(2 * m, -1, dtype=np.int64)
+    succ[:m] = np.where(left >= 0, left, right)
+    leaf = np.flatnonzero(succ[:m] < 0)
+    succ[leaf] = leaf + m
+    kid = np.flatnonzero(right >= 0)
+    succ[m + right[kid]] = kid + m
+    kid = np.flatnonzero(left >= 0)
+    after = right[kid]
+    succ[m + left[kid]] = np.where(after >= 0, after, kid + m)
+    del left, right, leaf, kid, after
     ranks = _list_ranks(succ, int(slot[host.root]))
     if ranks is None:
         raise HostTreeError("host not connected from root")
@@ -754,21 +839,31 @@ def _splice(outer: np.ndarray, outer_len: np.ndarray, inner: np.ndarray,
     return out
 
 
-def _gather(labels: Labels, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _gather(units: np.ndarray, start: np.ndarray,
+            length: np.ndarray) -> np.ndarray:
+    """The spans ``units[start:start + length]`` one after another."""
+    some = length > 0
+    if not some.all():
+        start, length = start[some], length[some]
+    # the index of every unit: +1 within a span, a jump at each span's
+    # start; 32 bits where they suffice
+    step = np.ones(int(length.sum()), dtype=np.int32
+                   if len(units) < 2 ** 31 else np.int64)
+    jump = np.diff(start)
+    jump -= length[:-1]
+    jump += 1
+    step[np.cumsum(length[:-1])] = jump
+    step[:1] = start[:1]
+    return units[np.cumsum(step, out=step)]
+
+
+def _label_units(labels: Labels, ids: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """The code units of the labels of ``ids`` one after another, and each
     label's length."""
     start = labels.off[ids]
     length = labels.off[ids + 1] - start
-    some = length > 0
-    start, span = start[some], length[some]
-    # the index of every unit: +1 within a label, a jump at each label's
-    # start; 32 bits where they suffice
-    step = np.ones(int(span.sum()), dtype=np.int32
-                   if len(labels.units) < 2 ** 31 else np.int64)
-    at = np.cumsum(span) - span
-    step[at[:1]] = start[:1]
-    step[at[1:]] = start[1:] - start[:-1] - span[:-1] + 1
-    return labels.units[np.cumsum(step, out=step)], length
+    return _gather(labels.units, start, length), length
 
 
 def _json_escape(units: np.ndarray) -> tuple[np.ndarray, np.ndarray,
@@ -788,7 +883,7 @@ def _json_escape(units: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     new = np.append(True, code[1:] != code[:-1])
     which = np.empty(len(hit), dtype=np.int64)
     which[order] = np.cumsum(new) - 1
-    escapes, width = _gather(Labels.of(
+    escapes, width = _label_units(Labels.of(
         [json.dumps(chr(c))[1:-1] for c in code[new].tolist()]), which)
     gaps = np.diff(hit, prepend=-1, append=len(units)) - 1
     return (_splice(units[plain].astype(np.uint8), gaps, escapes, width),
@@ -882,7 +977,7 @@ def _row_piece(fixed: list, label: tuple | None, rows: slice,
     if label is None:
         return text.decode("ascii")
     labels, ids, at = label
-    units, length = _gather(labels, ids[rows])
+    units, length = _label_units(labels, ids[rows])
     if not raw:
         units, hit, extra = _json_escape(units)
         row = np.searchsorted(np.cumsum(length), hit, side="right")

@@ -89,14 +89,14 @@ def check_accounting(report: SolveReport, leaves: int,
     report.validate()
 
 
-def _check_bracket_cost(demand: DemandTree, per_vertex: list[int]) -> None:
+def _check_bracket_cost(demand: DemandTree, per_vertex: np.ndarray) -> None:
     """O(n) certificate of phase 1: every vertex pays its closed-form cost.
 
     A function of its own so that its n-sized arrays are freed before the
     rest of the solve, which is where its memory peaks.
     """
     closed = bracket_cost(np.diff(demand.child_off))
-    wrong = np.flatnonzero(np.asarray(per_vertex) != closed)
+    wrong = np.flatnonzero(per_vertex != closed)
     if wrong.size:
         v = int(wrong[0])
         raise InvariantViolation(
@@ -131,7 +131,9 @@ def solve_instance(demand: DemandTree, tiebreak: str = "lex",
         check_invariants(demand, host)
     t1 = time.perf_counter()
     phase1 = evaluate(demand, host)
-    _check_bracket_cost(demand, phase1.per_vertex)
+    _check_bracket_cost(demand, phase1.costs)
+    phase1_cost = phase1.total
+    del phase1  # and its n-sized costs, before the tournament
     steiner_count = host.num_nodes() - demand.n
     lb = lb_instance(demand, 3)
     trivial = max(demand.n - 1, 0)
@@ -140,7 +142,7 @@ def solve_instance(demand: DemandTree, tiebreak: str = "lex",
         n=demand.n,
         root=demand.label(demand.root),
         tiebreak=tiebreak,
-        phase1_cost=phase1.total,
+        phase1_cost=phase1_cost,
         steiner_count=steiner_count,
         lb=lb,
         trivial_lb=trivial,

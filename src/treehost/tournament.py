@@ -32,22 +32,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (DEAD, NONE, DemandTree, HostTree, HostTreeError,
-                    InvariantViolation, Labels, TreeHostError,
-                    UnknownVertexError)
+                    InvariantViolation, TreeHostError, UnknownVertexError)
 
 
 def match_keys(demand: DemandTree, tiebreak: str = "lex") -> np.ndarray:
     """Single-integer match priority per vertex: child count, then tiebreak.
 
-    "lex" ranks the labels by ``Labels.lex_rank``; "id" keeps the input id
-    order.  With default labels both coincide.
+    "lex" ranks the labels by ``Labels.lex_rank``, which reads the rank a
+    parsed tree's labels keep from the parser's sort; "id" keeps the input
+    id order.  With default labels both coincide.
     """
     if tiebreak not in ("id", "lex"):
         raise ValueError(f"unknown tiebreak {tiebreak!r}")
     if tiebreak == "id" or demand.labels is None:
         rank = np.arange(demand.n, dtype=np.int64)
     else:
-        rank = Labels.of(demand.labels).lex_rank()
+        rank = demand.labels.lex_rank()
     return np.diff(demand.child_off) * demand.n + rank
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import re
 
@@ -112,10 +113,21 @@ def test_serialize_refuses_a_node_that_lists_one_child_twice():
         serialize(host)
 
 
-@pytest.mark.parametrize("size", [5, 5000])
+def _rulers(size: int) -> np.ndarray:
+    """Where ``_list_ranks`` puts a ruler besides the head: about one
+    element in k, by a multiplicative hash of the index."""
+    k = min(32, math.isqrt(size // 512) + 1)
+    return (np.arange(size, dtype=np.uint64) * model._RULER_HASH
+            >> np.uint64(58)) < 64 // k
+
+
+# 500 000 elements: the ruler spacing k is at its cap, 32, from 492 032 on
+@pytest.mark.parametrize("size", [5, 5000, 500_000])
 def test_list_ranks_gives_up_off_a_simple_list(size):
     """A list in shuffled order is ranked; with one successor redirected
-    (a cut, a cycle or two predecessors of one element) it is refused."""
+    (a cut, a cycle or two predecessors of one element) it is refused.
+    So it is when two rulers' walks land on one element in the same step
+    and go on together."""
     rnd = random.Random(size)
     order = list(range(size))
     rnd.shuffle(order)
@@ -128,6 +140,16 @@ def test_list_ranks_gives_up_off_a_simple_list(size):
         bent[rnd.randrange(size)] = rnd.choice([NONE, rnd.randrange(size)])
         got = model._list_ranks(bent, order[0])
         assert (got is None) == (not np.array_equal(bent, succ))
+    ruler = _rulers(size)
+    ruler[order[0]] = True
+    # rulers (not the head) whose successors are neither rulers nor the end
+    walks = [r for r in order[1:-1] if ruler[r] and not ruler[succ[r]]]
+    for first, second in zip(walks[:10], walks[1:11]):
+        bent = succ.copy()
+        bent[second] = succ[first]  # both walks reach it in their first step
+        assert model._list_ranks(bent, order[0]) is None
+    if size > 5:
+        assert len(walks) > 10
 
 
 def _assert_roundtrip(host):
@@ -415,6 +437,9 @@ def test_parser_matches_the_line_by_line_reference(text):
     ("a b\r\nb c x\r\n", "line 2: expected two tokens 'u v', got 3"),
     ("a b\n\n  # c d e\nc\n", "line 4: expected two tokens 'u v', got 1"),
     ("a b\x85b c d", "line 2: expected two tokens 'u v', got 3"),
+    # an even number of tokens, with four on a line
+    ("a b c d\n", "line 1: expected two tokens 'u v', got 4"),
+    ("a b\r\n\r\nb c d e\r\nd f", "line 3: expected two tokens 'u v', got 4"),
     ("a\x00 a\x00\x00\na\x00 a\x00\x00", "duplicate edge 'a\x00 a\x00\x00'"),
 ])
 def test_parse_error_messages(text, message):

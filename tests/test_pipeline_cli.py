@@ -1,5 +1,6 @@
 import io
 import json
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treehost import (CostBreakdown, DemandTree, InvariantViolation,
-                      TournamentResult, gen, model, serialize, solve_instance)
+                      TournamentResult, cli, gen, model, serialize,
+                      solve_instance)
 from treehost.cli import _eval_listing, _ledger, main
 from treehost.pipeline import REPORT_SCHEMA, check_accounting
 
@@ -215,6 +217,33 @@ def test_cli_check_random(capsys, monkeypatch):
     assert code == 0
     assert "checked 25 instance(s)" in out
     assert "max observed cost/opt" in out
+
+
+def test_cli_check_random_solves_each_instance_as_it_is_made(capsys,
+                                                             monkeypatch):
+    """``check --random`` makes an instance, solves it and only then makes
+    the next, so its memory does not grow with COUNT; the instances are
+    the ones the seed's RNG draws, in order."""
+    calls = []
+
+    def traced(name, fn):
+        def call(*args, **kwargs):
+            calls.append((name, args[:2] if name == "gen" else None,
+                          kwargs.get("seed")))
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(cli, "gen", traced("gen", cli.gen))
+    monkeypatch.setattr(cli, "solve_instance",
+                        traced("solve", cli.solve_instance))
+    code, out, _ = _run(["check", "--random", "8", "11", "4"], capsys=capsys)
+    assert code == 0
+    assert "checked 4 instance(s): all invariants hold" in out
+    rng = random.Random(11)
+    drawn = [(rng.randint(3, 8), rng.randrange(2 ** 31)) for _ in range(4)]
+    assert calls == [call for n, seed in drawn
+                     for call in (("gen", ("random", n), seed),
+                                  ("solve", None, None))]
 
 
 def test_cli_check_rejects_bad_host(fig_text, tmp_path, capsys, monkeypatch):
@@ -508,7 +537,7 @@ def test_solve_and_check_certify_each_phase1_cost(fig_demand, fig_text,
     def off_by_one(demand, host):
         breakdown = real(demand, host)
         breakdown.per_vertex[0] += 1
-        return breakdown
+        return CostBreakdown(breakdown.total + 1, breakdown.per_vertex)
 
     monkeypatch.setattr(pipeline, "evaluate", off_by_one)
     with pytest.raises(InvariantViolation, match="bracket-cost") as exc:

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -6,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treehost import (HostTree, HostTreeError, InvariantViolation,
+from treehost import (DemandTree, HostTree, HostTreeError, InvariantViolation,
                       TreeHostError, check_invariants, evaluate, gen,
                       lb_instance, match_keys, parse_edge_list, root_at,
                       run_bracket_builder, run_tournament)
 from treehost.generate import prufer_edges
-from treehost.model import DEAD, NONE, Labels
+from treehost.model import _SPACE_CHARS, DEAD, NONE, Labels
 
 import helpers
 from helpers import FIG_FINAL_PARENTS
@@ -491,3 +492,44 @@ _RANK_LABELS = st.one_of(
 def test_lex_rank_matches_the_key_function_sort(labels):
     assert np.array_equal(Labels.of(labels).lex_rank(),
                           helpers.reference_label_rank(labels))
+
+
+# _RANK_LABELS as edge-list tokens: no whitespace and no "#"
+_TOKENS = _RANK_LABELS.map(lambda label: "".join(
+    "x" if c in _SPACE_CHARS or c == "#" else c for c in label))
+# numerals apart only in leading zeros, and labels apart only in trailing
+# NULs, in every order of first appearance
+_FIRST_APPEARANCES = [
+    list(p) for group in (["7", "07", "007"], ["0", "00", "000"],
+                          ["a", "a\x00", "a\x00\x00"])
+    for p in itertools.permutations(group)]
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=300)
+@given(st.tuples(st.lists(_TOKENS, min_size=2, max_size=40, unique=True),
+                 st.integers(0, 2 ** 32)))
+@helpers.examples([(labels + ["x" * 17, "1" * 19], seed)
+                   for seed, labels in enumerate(_FIRST_APPEARANCES)])
+def test_parsed_labels_carry_their_lex_rank(case):
+    """The parser's one sort of the tokens leaves the labels' ``lex`` rank
+    with them, and ``match_keys`` reads the same keys off it as off the
+    labels given as a list."""
+    labels, seed = case
+    rnd = random.Random(seed)
+    lines = []
+    for i in range(1, len(labels)):
+        pair = [labels[rnd.randrange(i)], labels[i]]
+        if i > 1:  # an earlier label first or second: the same ids
+            rnd.shuffle(pair)
+        lines.append(" ".join(pair))
+    tree = parse_edge_list("\n".join(lines))
+    assert helpers.label_list(tree.labels) == labels
+    assert tree.labels.rank is not None
+    assert np.array_equal(tree.labels.lex_rank(),
+                          helpers.reference_label_rank(labels))
+    demand = root_at(tree, seed % len(labels))
+    listed = DemandTree(demand.n, demand.root, demand.parent,
+                        demand.child_off, demand.child_flat, labels)
+    assert listed.labels.rank is None
+    assert np.array_equal(match_keys(demand, "lex"),
+                          match_keys(listed, "lex"))
