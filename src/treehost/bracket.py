@@ -61,8 +61,11 @@ def run_bracket_builder(demand: DemandTree) -> HostTree:
         is_leaf = slot >= cc
         j = np.where(slot >= first_bottom, slot - first_bottom,
                      slot + cc - first_bottom)
+        del cc, first_bottom  # each slot array is n-sized: free them early
         leaf_nodes = flat[off[rep] + np.where(is_leaf, j, 0)]
+        del j
         node = np.where(is_leaf, leaf_nodes, bases[rep] + slot - 1)
+        del leaf_nodes
 
         deep = slot >= 2
         parent_node = node[gs_entry + (slot >> 1) - 1]

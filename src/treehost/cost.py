@@ -22,17 +22,19 @@ from .model import DEAD, DemandTree, HostTree, HostTreeError, UnknownVertexError
 
 @dataclass
 class CostBreakdown:
-    """Total demand cost plus the per-parent-vertex contributions, as a
-    list and as the int64 array ``costs``, which the callers that need no
-    list read; it is made from the list unless given."""
+    """Total demand cost plus the per-parent-vertex contributions."""
 
     total: int
     per_vertex: list[int]
-    costs: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # per_vertex as an int64 array, set by ``evaluate`` for the solve
+    costs: np.ndarray | None = field(default=None, init=False, repr=False,
+                                     compare=False)
 
-    def __post_init__(self):
-        if self.costs is None:
-            self.costs = np.asarray(self.per_vertex, dtype=np.int64)
+
+def _breakdown(total: int, per: np.ndarray) -> CostBreakdown:
+    breakdown = CostBreakdown(total, per.tolist())
+    breakdown.costs = per
+    return breakdown
 
 
 def _lifting_tables(par: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], int]:
@@ -107,7 +109,7 @@ def evaluate(demand: DemandTree, host: HostTree) -> CostBreakdown:
         raise UnknownVertexError(
             f"demand vertex {int(missing.argmax())} missing from host")
     if n <= 1:
-        return CostBreakdown(0, [0] * n)
+        return _breakdown(0, np.zeros(n, dtype=np.int64))
 
     vs = demand.child_flat.astype(np.int32)
     us = np.repeat(np.arange(n, dtype=np.int32), np.diff(demand.child_off))
@@ -144,4 +146,4 @@ def evaluate(demand: DemandTree, host: HostTree) -> CostBreakdown:
             _lifting_tables(host.parent)
 
     per = np.bincount(us, weights=dist, minlength=n).astype(np.int64)
-    return CostBreakdown(int(dist.sum(dtype=np.int64)), per.tolist(), per)
+    return _breakdown(int(dist.sum(dtype=np.int64)), per)

@@ -86,6 +86,18 @@ def _int64(values) -> np.ndarray:
 _RULER_HASH = np.uint64(0x9E3779B97F4A7C15)  # 2^64 / golden ratio
 
 
+def _rulers(size: int, head: int) -> np.ndarray:
+    """The rulers of ``_list_ranks``, ascending: the head and about one
+    element in k, picked by a multiplicative hash of the index so that the
+    input's order does not bunch them.  k grows with the size up to 32,
+    which balances ``_list_ranks``' two loops."""
+    k = min(32, math.isqrt(size // 512) + 1)
+    ruler = (np.arange(size, dtype=np.uint64) * _RULER_HASH
+             >> np.uint64(58)) < 64 // k
+    ruler[head] = True
+    return np.flatnonzero(ruler)
+
+
 def _list_ranks(succ: np.ndarray, head: int) -> np.ndarray | None:
     """Position of every element on the list head -> succ[head] -> ... -> -1,
     or None if some element is not on it, for any ``succ`` with values in
@@ -95,12 +107,11 @@ def _list_ranks(succ: np.ndarray, head: int) -> np.ndarray | None:
     must end at -1 without passing one twice, then holds only one of them
     and comes up short.
 
-    Ruling-set list ranking: the head and about one element in k, picked
-    by a multiplicative hash of the index so that the input's order does
-    not bunch them, are rulers.  All rulers walk their segments at once,
-    one numpy step per element of the longest segment (about k ln(size / k)
+    Ruling-set list ranking: the head and about one element in k are
+    rulers (``_rulers``).  All rulers walk their segments at once, one
+    numpy step per element of the longest segment (about k ln(size / k)
     steps); one Python pass over the segments then chains them from the
-    head's.  k grows with the size up to 32, which balances the two loops.
+    head's.
 
     Each element has one int64 state, so a step reads it with one gather:
     -1 unvisited, r for ruler r, ``step << bits | r`` once walker r has
@@ -108,12 +119,7 @@ def _list_ranks(succ: np.ndarray, head: int) -> np.ndarray | None:
     the number of rulers and stands for the list's end.
     """
     size = len(succ)
-    k = min(32, math.isqrt(size // 512) + 1)
-    ruler = (np.arange(size, dtype=np.uint64) * _RULER_HASH
-             >> np.uint64(58)) < 64 // k
-    ruler[head] = True
-    rulers = np.flatnonzero(ruler)
-    del ruler
+    rulers = _rulers(size, head)
     count = len(rulers)
     bits = count.bit_length()
     state = np.full(size + 1, -1, dtype=np.int64)
@@ -386,7 +392,7 @@ class Labels:
     """Vertex labels as one array of code units (``_code_units``) and
     n + 1 offsets: label v is ``units[off[v]:off[v + 1]]``.  A ``str`` is
     made only for the labels asked for.  ``rank`` is the labels' ``lex``
-    rank where it is known already (the parser's), else None."""
+    rank (int32) where it is known already (the parser's), else None."""
 
     __slots__ = ("units", "off", "rank")
 
@@ -440,8 +446,8 @@ class Labels:
         numeric = _numerals(self.units, start, length)
         order, tied, same = _lex_order(self.units, start, length, numeric)
         _settle(order, same | (tied & numeric[order]))  # by id
-        rank = np.empty(len(self), dtype=np.int64)
-        rank[order] = np.arange(len(self), dtype=np.int64)
+        rank = np.empty(len(self), dtype=np.int32)
+        rank[order] = np.arange(len(self), dtype=np.int32)
         return rank
 
 
@@ -541,7 +547,6 @@ _CHAR_KIND = np.full(0x10000, 6, dtype=np.uint8)
 _CHAR_KIND[ord("0"):ord("9") + 1] = 2
 _CHAR_KIND[[ord(c) for c in _SPACE_CHARS]] = 0
 _CHAR_KIND[[ord(c) for c in _BREAK_CHARS]] = 1
-_BYTE_KIND = _CHAR_KIND[:0x100].tobytes()  # for bytes.translate
 
 
 def _scan_tokens(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray,
@@ -556,10 +561,8 @@ def _scan_tokens(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     gap after it tells both.  Only a text that fails is split into lines,
     to name the first bad one."""
     codes = _code_units(text)
-    kind = (np.frombuffer(codes.tobytes().translate(_BYTE_KIND), np.uint8)
-            if codes.itemsize == 1 else
-            _CHAR_KIND[codes if codes.itemsize < 4 else
-                       np.minimum(codes, 0xFFFF)])
+    kind = _CHAR_KIND[codes if codes.itemsize < 4 else
+                      np.minimum(codes, 0xFFFF)]
     token = np.zeros(len(codes) + 2, dtype=bool)
     np.greater_equal(kind, 2, out=token[1:-1])
     bounds = np.flatnonzero(token[1:] != token[:-1])
@@ -599,8 +602,9 @@ def _intern(codes: np.ndarray, start: np.ndarray, length: np.ndarray,
     ids[order] = np.repeat(group_id, np.diff(np.append(heads, m)))
     del order
     by_lex = _settle(group_id, tied[heads] & numeric[first])
-    rank = np.empty(len(heads), dtype=np.int64)
-    rank[by_lex] = np.arange(len(heads), dtype=np.int64)
+    # int32, as the solve keeps it: 2^31 labels take 2^33 characters
+    rank = np.empty(len(heads), dtype=np.int32)
+    rank[by_lex] = np.arange(len(heads), dtype=np.int32)
     del tied, heads, first, by_lex
     firsts = np.flatnonzero(is_first)  # each label's first token, by id
     off = np.zeros(len(firsts) + 1, dtype=np.int64)

@@ -1,5 +1,4 @@
 import json
-import math
 import random
 import re
 
@@ -113,14 +112,6 @@ def test_serialize_refuses_a_node_that_lists_one_child_twice():
         serialize(host)
 
 
-def _rulers(size: int) -> np.ndarray:
-    """Where ``_list_ranks`` puts a ruler besides the head: about one
-    element in k, by a multiplicative hash of the index."""
-    k = min(32, math.isqrt(size // 512) + 1)
-    return (np.arange(size, dtype=np.uint64) * model._RULER_HASH
-            >> np.uint64(58)) < 64 // k
-
-
 # 500 000 elements: the ruler spacing k is at its cap, 32, from 492 032 on
 @pytest.mark.parametrize("size", [5, 5000, 500_000])
 def test_list_ranks_gives_up_off_a_simple_list(size):
@@ -140,8 +131,8 @@ def test_list_ranks_gives_up_off_a_simple_list(size):
         bent[rnd.randrange(size)] = rnd.choice([NONE, rnd.randrange(size)])
         got = model._list_ranks(bent, order[0])
         assert (got is None) == (not np.array_equal(bent, succ))
-    ruler = _rulers(size)
-    ruler[order[0]] = True
+    ruler = np.zeros(size, dtype=bool)
+    ruler[model._rulers(size, order[0])] = True
     # rulers (not the head) whose successors are neither rulers nor the end
     walks = [r for r in order[1:-1] if ruler[r] and not ruler[succ[r]]]
     for first, second in zip(walks[:10], walks[1:11]):
