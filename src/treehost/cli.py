@@ -91,7 +91,8 @@ def _eval_listing(demand: DemandTree, breakdown: CostBreakdown,
                   as_json: bool) -> list[str]:
     """The total, then the cost of every vertex as a JSON object, or of
     every vertex that has one as ``label cost`` lines, in pieces."""
-    cost = np.asarray(breakdown.per_vertex, dtype=np.int64)
+    cost = (breakdown.costs if breakdown.costs is not None
+            else np.asarray(breakdown.per_vertex, dtype=np.int64))
     if as_json:
         rows = write_rows('    "', (demand.labels, np.arange(demand.n)), '": ',
                           (cost, None), ",\n")

@@ -22,18 +22,30 @@ from .model import DEAD, DemandTree, HostTree, HostTreeError, UnknownVertexError
 
 @dataclass
 class CostBreakdown:
-    """Total demand cost plus the per-parent-vertex contributions."""
+    """Total demand cost plus the per-parent-vertex contributions.
+
+    A breakdown from ``evaluate`` holds them as the int64 array ``costs``
+    and makes the list ``per_vertex`` on its first read; a solve reads only
+    the array."""
 
     total: int
     per_vertex: list[int]
-    # per_vertex as an int64 array, set by ``evaluate`` for the solve
+    # per_vertex as an int64 array, set by ``evaluate``
     costs: np.ndarray | None = field(default=None, init=False, repr=False,
                                      compare=False)
 
+    def __getattr__(self, name: str):
+        # only reached while the attribute is unset
+        if name != "per_vertex" or self.costs is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.per_vertex = self.costs.tolist()
+        return self.per_vertex
+
 
 def _breakdown(total: int, per: np.ndarray) -> CostBreakdown:
-    breakdown = CostBreakdown(total, per.tolist())
-    breakdown.costs = per
+    breakdown = object.__new__(CostBreakdown)  # per_vertex on first read
+    breakdown.total, breakdown.costs = total, per
     return breakdown
 
 

@@ -17,13 +17,17 @@ parser classifies every character of the text once, which gives each
 token's span, tells the numerals apart and checks the line shape.  It sorts
 the tokens once, by the ``lex`` key itself (``_lex_order``: numerals by
 digit count and digits, other tokens by their code units; no hash, no
-fallback), so equal tokens are adjacent and their groups come in ``lex``
-order: the labels are numbered by first appearance and keep their ``lex``
-rank (``Labels.rank``), which ``match_keys`` reads; labels from elsewhere
-are ranked by the same routine.  The parser then proves the n - 1 edges
-connected with one Euler tour from vertex 0, ranked in numpy
-(``_list_ranks``, one int64 state per element); ``root_at`` reuses the
-parent array of that tour.
+fallback), the digit count and first word as packed uint64 keys that all
+differ however often a label repeats (``_span_order``), so equal tokens
+are adjacent, in input order, and their groups come in ``lex`` order: the
+labels are numbered by first appearance and keep their ``lex`` rank
+(``Labels.rank``), which ``match_keys`` reads; labels from elsewhere are
+ranked by the same routine.  The parser then proves the n - 1 edges
+connected: every vertex of degree 1 but vertex 0 hangs from its one
+neighbour, and one Euler tour from vertex 0, ranked in numpy
+(``_list_ranks``, one int64 state per element), hangs the rest, so the
+tour's work follows the inner vertices; ``root_at`` reuses the parent
+array.
 One routine walks a host, ``_tour``, also ranked by ``_list_ranks``:
 ``serialize`` writes it in preorder, ``HostTree.validate`` checks the links
 as masks and returns it, and ``check_invariants`` reads ancestry off it.
@@ -92,10 +96,11 @@ def _rulers(size: int, head: int) -> np.ndarray:
     input's order does not bunch them.  k grows with the size up to 32,
     which balances ``_list_ranks``' two loops."""
     k = min(32, math.isqrt(size // 512) + 1)
+    # the hash's top 6 bits below 64 // k
     ruler = (np.arange(size, dtype=np.uint64) * _RULER_HASH
-             >> np.uint64(58)) < 64 // k
+             <= np.uint64((64 // k << 58) - 1))
     ruler[head] = True
-    return np.flatnonzero(ruler)
+    return ruler.nonzero()[0]
 
 
 def _list_ranks(succ: np.ndarray, head: int) -> np.ndarray | None:
@@ -131,12 +136,15 @@ def _list_ranks(succ: np.ndarray, head: int) -> np.ndarray | None:
     while cur.size:
         seen = state[cur]
         stop = seen.view(np.uint64) <= count  # a ruler or the end
-        if stop.any():
-            seg_len[walker[stop]] = step
-            seg_next[walker[stop]] = seen[stop]
+        if np.count_nonzero(stop):
+            done = walker[stop]
+            seg_len[done] = step
+            seg_next[done] = seen[stop]
             go = ~stop
             walker, cur, seen = walker[go], cur[go], seen[go]
-        if (seen >= 0).any():
+            if not cur.size:
+                break
+        if np.count_nonzero(seen >= 0):
             return None
         state[cur] = step << bits | walker
         cur = succ[cur]
@@ -156,38 +164,46 @@ def _list_ranks(succ: np.ndarray, head: int) -> np.ndarray | None:
     return ranks
 
 
-def _tour_parent(off: np.ndarray, flat: np.ndarray,
-                 perm: np.ndarray) -> np.ndarray | None:
-    """Parent of every vertex with the tree hung from vertex 0 (-1 there),
-    or None if the edges do not connect the vertices.
+def _tour_parent(arcs: np.ndarray, parent: np.ndarray) -> bool:
+    """Hang the edges from vertex 0: write the parent of every vertex on an
+    edge into ``parent``, or return False if vertex 0 has no edge or one
+    Euler tour from it misses an edge.  ``arcs`` holds edge i both ways as
+    arcs 2i and 2i + 1; with no edge there is nothing to hang.
 
-    The CSR position p holds arc ``perm[p]`` of the edge list, whose arcs
-    2i and 2i + 1 are edge i both ways.  One Euler tour from vertex 0 leaves
-    each vertex by the arc after the one it came in by; an arc ranked
-    before its twin points away from vertex 0.
+    The arcs are sorted stably by the vertex they leave (``head``).  The
+    tour leaves each vertex by the arc after the one it came in by, in that
+    order and cyclically; an arc ranked before its twin points away from
+    vertex 0.
     """
-    n = len(off) - 1
-    parent = np.full(n, NONE, dtype=np.int64)
-    if off[1] == 0:  # vertex 0 has no edge
-        return parent if n == 1 else None
+    size = len(arcs)
+    if not size:
+        return True
+    bits = size.bit_length()
+    perm = arcs << bits
+    perm |= np.arange(size)
+    perm.sort()
+    head = perm >> bits
+    if head[0]:  # vertex 0 has no edge
+        return False
+    perm &= (1 << bits) - 1
     twin = np.empty_like(perm)
-    twin[perm] = np.arange(len(perm))
-    twin = twin[perm ^ 1]
-    # the position after each in its vertex's adjacency, cyclically
-    after = np.arange(1, len(perm) + 1)
-    some = np.flatnonzero(off[1:] > off[:-1])
-    after[off[some + 1] - 1] = off[some]
-    succ = after[twin]
-    del after, some
-    succ[twin[off[1] - 1]] = -1  # the tour ends where it would restart
+    twin[perm] = np.arange(size)
+    twin = twin[perm ^ 1]  # an involution
+    del perm
+    # the tour goes on from arc q by the arc after twin[q] among its
+    # vertex's arcs, cyclically: after a vertex's last arc comes its first,
+    # which follows the last arc of the vertex before it.  Vertex 0 comes
+    # first, and the tour ends where it would restart.
+    last = np.append((head[1:] != head[:-1]).nonzero()[0], size - 1)
+    succ = twin + 1
+    succ[twin[last[1:]]] = last[:-1] + 1
+    succ[twin[last[0]]] = -1
     ranks = _list_ranks(succ, 0)
     if ranks is None:
-        return None
-    away = np.flatnonzero(ranks < ranks[twin])
-    parent[flat[away]] = flat[twin[away]]
-    if np.count_nonzero(parent == NONE) != 1:  # a vertex without edges
-        return None
-    return parent
+        return False
+    away = (ranks < ranks[twin]).nonzero()[0]
+    parent[head[twin[away]]] = head[away]
+    return True
 
 
 _UTF32 = np.dtype("<u4")
@@ -241,28 +257,57 @@ _ROUND_WORDS = 1 << 20  # the most words one round of _span_order reads
 
 def _span_order(view: np.ndarray, start: np.ndarray, nbytes: np.ndarray,
                 first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Order of byte spans of a ``_word_view`` by ``first``, then by their
-    8-byte words, zero-padded; and ``tied``, true where the i-th span in
-    that order equals the one before it in ``first`` and in every word.
-    Spans tied in every word are left in no set order.
+    """Order of byte spans of a ``_word_view`` by ``first`` (non-negative
+    integers), then by their 8-byte words, zero-padded, spans tied in all
+    of them in input order; and ``tied``, true where the i-th span in that
+    order equals the one before it in ``first`` and in every word.
 
-    All spans are sorted by word 0, then stably by ``first`` (by radix if
-    it is 16 bits wide).  Then, in rounds, the tied groups that hold a span
-    longer than 8k bytes are sorted by words k .. 2k - 1 (fewer if that
-    would read more than ``_ROUND_WORDS`` words), so that a run of equal
-    words costs a number of rounds logarithmic in its length."""
+    All spans are sorted by ``first`` and word 0 in LSD rounds of packed
+    keys: with b the bit length of the span count, each round sorts the
+    uint64 keys ``chunk << b | position``, where chunk is the next 64 - b
+    bits of ``first * 2^64 + word 0`` from the bottom and position is the
+    span's place in the order so far.  The keys all differ, so repeated
+    labels do not slow the sort, and the position keeps each round stable.
+    Then, in rounds, the tied groups that hold a span longer than
+    8k bytes are sorted stably by words k .. 2k - 1 (fewer if that would
+    read more than ``_ROUND_WORDS`` words), so that a run of equal words
+    costs a number of rounds logarithmic in its length."""
     m = len(start)
+    bits = m.bit_length()
+    b, low = np.uint64(bits), np.uint64((1 << bits) - 1)
     w = _span_words(view, start, nbytes, 0)
-    order = np.argsort(w)
-    key = first[order]
-    perm = np.argsort(key, kind="stable")
-    order = order[perm]
-    w = w[order]
-    key = key[perm]
-    del perm
+    order = None
+    top = 64 + int(first.max(initial=0)).bit_length()
+    for lo in range(0, top, 64 - bits):
+        # bits lo .. of first * 2^64 + w, mod 2^64, in the order so far;
+        # the shift by b drops all but the round's 64 - b of them
+        if lo == 0:
+            key = w << b
+        else:
+            hi = first[order].astype(np.uint64)
+            if lo < 64:
+                key = w[order]
+                key >>= np.uint64(lo)
+                hi <<= np.uint64(64 - lo)
+                key |= hi
+            else:
+                key = hi
+                key >>= np.uint64(lo - 64)
+            del hi
+            key <<= b
+        key |= np.arange(m, dtype=np.uint64)
+        key.sort()
+        key &= low
+        key = key.view(np.int64)
+        order = key if order is None else order[key]
+        del key
     tied = np.zeros(m, dtype=bool)
-    tied[1:] = (w[1:] == w[:-1]) & (key[1:] == key[:-1])
-    del w, key
+    w = w[order]
+    tied[1:] = w[1:] == w[:-1]
+    del w
+    key = first[order]
+    tied[1:] &= key[1:] == key[:-1]
+    del key
     # the sorted positions of the tied groups that hold a span longer than
     # one word: only they have later words to compare
     group = np.cumsum(~tied)
@@ -347,7 +392,7 @@ def _lex_order(units: np.ndarray, start: np.ndarray, length: np.ndarray,
     Spans tied in that key come shorter first, so that equal spans are
     adjacent and spans that are not numerals are in Python's ``str`` order
     ("a" and "a\\0", equal in zero-padded words, stay apart); spans of one
-    length in a tie are left in no set order.  Returns the order, ``tied``
+    length in a tie keep their input order.  Returns the order, ``tied``
     (the i-th span in the order ties with the one before it in the key)
     and ``same`` (it equals the one before it).
     """
@@ -438,14 +483,14 @@ class Labels:
         """Rank of each label in the ``lex`` tiebreak order: labels made of
         ASCII digits first, by integer value, then all other labels in
         Python's ``str`` order; ties keep id order.  ``rank`` if known,
-        else ``_lex_order`` of the labels' spans, with equal labels and
-        numerals of one value put in id order."""
+        else ``_lex_order`` of the labels' spans, with numerals of one
+        value put in id order (equal labels are in it already)."""
         if self.rank is not None:
             return self.rank
         start, length = self.off[:-1], np.diff(self.off)
         numeric = _numerals(self.units, start, length)
-        order, tied, same = _lex_order(self.units, start, length, numeric)
-        _settle(order, same | (tied & numeric[order]))  # by id
+        order, tied, _ = _lex_order(self.units, start, length, numeric)
+        _settle(order, tied & numeric[order])  # by id
         rank = np.empty(len(self), dtype=np.int32)
         rank[order] = np.arange(len(self), dtype=np.int32)
         return rank
@@ -518,16 +563,40 @@ class UnrootedTree:
         """CSR adjacency in edge-input order, without validation: for edges
         already known to be a tree (validated input, generator output).
         Also hangs the tree from vertex 0; ``parent0`` is None if the edges
-        do not connect the vertices."""
+        do not connect the vertices.
+
+        Every vertex of degree 1 but vertex 0 hangs from its one neighbour,
+        and one Euler tour (``_tour_parent``) hangs the rest, the inner
+        tree, so that the tour's work follows the inner vertices.  At most
+        n - 1 edges connect the vertices just when no edge joins two such
+        leaves, the tour takes every other edge and every vertex but 0
+        gets a parent."""
         n = max(n, 1)
         src = _int64(edges).ravel()  # arcs 2i and 2i + 1: edge i both ways
         # stable by source: sort the unique keys source << bits | position
         bits = len(src).bit_length()
-        perm = np.sort(src << bits | np.arange(len(src))) & ((1 << bits) - 1)
+        perm = src << bits
+        perm |= np.arange(len(src))
+        perm.sort()
+        perm &= (1 << bits) - 1
         flat = src[perm ^ 1]  # the other end of each arc
+        del perm
+        deg = np.bincount(src, minlength=n)
         off = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=off[1:])
-        return cls(n, off, flat, labels, _tour_parent(off, flat, perm))
+        np.add.accumulate(deg, out=off[1:])
+        leaf = deg == 1
+        leaf[0] = False
+        del deg
+        hang = leaf[src]  # the arcs that leave a leaf
+        out = hang.nonzero()[0]
+        up = src[out ^ 1]
+        parent = np.full(n, NONE, dtype=np.int64)
+        parent[src[out]] = up
+        inner = src.reshape(-1, 2)[~(hang[0::2] | hang[1::2])].ravel()
+        if (np.count_nonzero(leaf[up]) or not _tour_parent(inner, parent)
+                or np.count_nonzero(parent == NONE) != 1):
+            parent = None
+        return cls(n, off, flat, labels, parent)
 
     def label(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
@@ -586,15 +655,15 @@ def _intern(codes: np.ndarray, start: np.ndarray, length: np.ndarray,
     appearance of their text and collect the labels, with their ``lex``
     rank.
 
-    ``_lex_order`` puts equal tokens next to each other and their groups
-    in ``lex`` order, but for numerals of one value, which go by id here.
-    The labels' units are gathered from the first tokens' spans, which are
-    in id order."""
+    ``_lex_order`` puts equal tokens next to each other, in input order,
+    and their groups in ``lex`` order, but for numerals of one value, which
+    go by id here.  The labels' units are gathered from the first tokens'
+    spans, which are in id order."""
     order, tied, same = _lex_order(codes, start, length, numeric)
     m = len(order)
     heads = np.flatnonzero(~same)
     del same
-    first = np.minimum.reduceat(order, heads)
+    first = order[heads]
     is_first = np.zeros(m, dtype=bool)
     is_first[first] = True
     group_id = (np.cumsum(is_first) - 1)[first]

@@ -13,7 +13,9 @@ the ``solve --json`` ledger and the ``eval`` listings as they were before
 egress went through one column writer; ``reference_parse_host`` is the
 node-by-node host reader as it was before its checks became arrays;
 ``reference_validate`` and ``reference_check_invariants`` are the host and
-invariant checkers as they were before they read one ranked Euler tour.
+invariant checkers as they were before they read one ranked Euler tour;
+``reference_parent0`` hangs a tree from vertex 0 by one Euler tour over
+every edge, as the parser did before its leaves were hung apart.
 The property tests hold the library to them.  ``enumerate_hosts`` is the
 recursive Prüfer enumeration that the oracle's host bank is held to, and
 ``reference_exhaustive_bst_min`` the shape-by-shape search-tree scan, with
@@ -35,7 +37,8 @@ from treehost import (CostBreakdown, DemandTree, EdgeListError, HostTree,
                       HostTreeError, InvariantViolation, ResourceCapError,
                       TreeHostError, UnknownVertexError, UnrootedTree, gen)
 from treehost.generate import BST_ENUM_CAP, KeyedPath, prufer_edges
-from treehost.model import Labels, _decode, _parse_node_name, _preorder
+from treehost.model import (Labels, _decode, _list_ranks, _parse_node_name,
+                            _preorder)
 from treehost.oracle import MAX_N
 
 NONE = -1
@@ -547,6 +550,45 @@ def _reference_csr(edges, n: int, labels) -> UnrootedTree:
     off = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=off[1:])
     return UnrootedTree(n, off, flat, labels)
+
+
+def reference_parent0(edges, n: int) -> np.ndarray | None:
+    """Parent of every vertex with the edges hung from vertex 0 (-1 there),
+    or None if they do not connect the n vertices, by one Euler tour over
+    the CSR adjacency of every edge.
+
+    The CSR position p holds arc ``perm[p]`` of the edge list, whose arcs
+    2i and 2i + 1 are edge i both ways.  The tour leaves each vertex by the
+    arc after the one it came in by; an arc ranked before its twin points
+    away from vertex 0.
+    """
+    n = max(n, 1)
+    src = np.asarray(edges, dtype=np.int64).ravel()
+    bits = len(src).bit_length()
+    perm = np.sort(src << bits | np.arange(len(src))) & ((1 << bits) - 1)
+    flat = src[perm ^ 1]
+    off = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=off[1:])
+    parent = np.full(n, NONE, dtype=np.int64)
+    if off[1] == 0:  # vertex 0 has no edge
+        return parent if n == 1 else None
+    twin = np.empty_like(perm)
+    twin[perm] = np.arange(len(perm))
+    twin = twin[perm ^ 1]
+    # the position after each in its vertex's adjacency, cyclically
+    after = np.arange(1, len(perm) + 1)
+    some = np.flatnonzero(off[1:] > off[:-1])
+    after[off[some + 1] - 1] = off[some]
+    succ = after[twin]
+    succ[twin[off[1] - 1]] = -1  # the tour ends where it would restart
+    ranks = _list_ranks(succ, 0)
+    if ranks is None:
+        return None
+    away = np.flatnonzero(ranks < ranks[twin])
+    parent[flat[away]] = flat[twin[away]]
+    if np.count_nonzero(parent == NONE) != 1:  # a vertex without edges
+        return None
+    return parent
 
 
 def reference_root_at(tree: UnrootedTree, root: int) -> DemandTree:

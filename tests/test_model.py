@@ -490,6 +490,106 @@ def test_tour_orientation_matches_bfs_at_scale(kind):
         assert np.array_equal(new.child_flat, ref.child_flat)
 
 
+@st.composite
+def _edge_lists(draw):
+    """n - 1 edges on n vertices, each either way round, in any order: a
+    tree, relabelled so that vertex 0 may be a leaf, the hub or anything
+    between, or any n - 1 pairs, which give cycles, self-loops, duplicate
+    edges, isolated vertices and components of two leaves."""
+    n = draw(st.integers(1, 12))
+    if n > 1 and draw(st.booleans()):
+        seq = draw(st.lists(st.integers(0, n - 1), min_size=n - 2,
+                            max_size=n - 2))
+        name = draw(st.permutations(range(n)))
+        edges = [(name[u], name[v]) for u, v in prufer_edges(seq, n)]
+    else:
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        edges = draw(st.lists(pair, min_size=n - 1, max_size=n - 1))
+    edges = draw(st.permutations(edges))
+    flip = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    return n, [(v, u) if f else (u, v) for (u, v), f in zip(edges, flip)]
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=400)
+@given(_edge_lists())
+@helpers.examples([
+    (1, []), (2, [(0, 1)]), (2, [(1, 0)]),
+    (3, [(0, 1), (1, 2)]), (3, [(1, 0), (0, 2)]), (3, [(2, 1), (0, 2)]),
+    (6, [(0, i) for i in range(1, 6)]),               # vertex 0 the hub
+    (4, [(1, 0), (1, 2), (3, 1)]),                    # vertex 0 a leaf
+    (2, [(1, 1)]), (2, [(0, 0)]), (3, [(1, 1), (1, 0)]),   # self-loops
+    (3, [(0, 1), (1, 0)]), (4, [(0, 1), (0, 1), (3, 2)]),  # duplicates
+    (4, [(0, 1), (1, 2), (2, 0)]),                    # an isolated vertex
+    (5, [(0, 1), (1, 2), (2, 0), (3, 4)]),            # two leaves apart
+    (5, [(3, 4), (0, 1), (1, 1), (1, 2)]),
+    (5, [(0, 4), (1, 2), (2, 3), (3, 1)]),            # 0 hangs one leaf
+    (6, [(0, 1), (1, 2), (2, 0), (3, 4), (3, 5)]),    # leaves of no tour
+    (6, [(4, 3), (3, 5), (0, 1), (1, 2), (2, 0)]),
+])
+def test_leaves_hang_apart_as_the_whole_tour_hangs_them(case):
+    """``parent0`` matches one Euler tour over every edge, on trees and on
+    n - 1 edges that are none, and the parser words the same diagnostic as
+    the line-by-line reference."""
+    n, edges = case
+    got = UnrootedTree.from_tree_edges_unchecked(edges, n).parent0
+    want = helpers.reference_parent0(edges, n)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert np.array_equal(got, want)
+    text = "".join(f"{u} {v}\n" for u, v in edges)
+    assert (_parsed(parse_edge_list, text)
+            == _parsed(helpers.reference_parse_edge_list, text))
+
+
+@st.composite
+def _byte_spans(draw):
+    """Spans of one unit width, 0-17 units from a few values, NUL among
+    them, some repeated, and a ``first`` key 2, 17, 21 or 63 bits wide."""
+    dtype = draw(st.sampled_from([np.uint8, np.uint16, np.uint32]))
+    unit = st.sampled_from([0, 1, 2, int(np.iinfo(dtype).max)])
+    spans = draw(st.lists(st.lists(unit, max_size=17), max_size=30))
+    if spans:
+        spans += draw(st.lists(st.sampled_from(spans), max_size=15))
+    spans = draw(st.permutations(spans))
+    wide = draw(st.sampled_from([3, 1 << 16, 1 << 20, (1 << 63) - 1]))
+    keys = draw(st.lists(st.integers(0, wide), min_size=1, max_size=3))
+    first = [draw(st.sampled_from(keys)) for _ in spans]
+    return dtype, spans, first, wide
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=300)
+@given(_byte_spans())
+def test_span_order_matches_a_sorted_tuple_reference(case):
+    """``_span_order`` is Python's stable sort by ``first``, then by the
+    span's big-endian bytes zero-padded to one length, so "a" and "a\\0"
+    tie; ``tied`` marks each span equal to the one before it in that key."""
+    dtype, spans, first, wide = case
+    length = np.array([len(span) for span in spans], dtype=np.int64)
+    start = np.cumsum(length) - length
+    units = np.array([u for span in spans for u in span], dtype=dtype)
+    size = units.itemsize
+    order, tied = model._span_order(
+        model._word_view(units), start * size, length * size,
+        np.array(first, np.uint16 if wide < 1 << 16 else np.int64))
+    pad = size * int(length.max(initial=0))
+    key = [(f, np.array(span, dtype).astype(np.dtype(dtype).newbyteorder(">"))
+            .tobytes().ljust(pad, b"\0")) for f, span in zip(first, spans)]
+    want = sorted(range(len(spans)), key=key.__getitem__)
+    assert order.tolist() == want
+    assert tied.tolist() == [i > 0 and key[want[i]] == key[want[i - 1]]
+                             for i in range(len(want))]
+
+
+def test_lex_rank_orders_numerals_past_16_bit_digit_counts():
+    """Numerals of more than 65 535 digits, some with leading zeros, put
+    the digit count that ``_span_order`` sorts first above 16 bits."""
+    big = "1" * 65_536
+    labels = [big, "0" + big, "9" * 65_535, big[:-1] + "2", "00" + big,
+              "7", "007", "a", big + "a", "0", "000", "2" + "0" * 70_000]
+    assert np.array_equal(Labels.of(labels).lex_rank(),
+                          helpers.reference_label_rank(labels))
+
+
 def _reference_serialize(host, form: str) -> str:
     """The host as a preorder walk and ``json.dumps`` write it."""
     def name(i):

@@ -551,6 +551,27 @@ def test_solve_and_check_certify_each_phase1_cost(fig_demand, fig_text,
     assert out == ""
 
 
+def test_a_solve_never_lists_its_costs(monkeypatch):
+    """Both evaluations of a solve hand their costs over as an array; the
+    10^6-entry list ``per_vertex`` is made only when something reads it."""
+    import treehost.pipeline as pipeline
+    real, made = pipeline.evaluate, []
+
+    def kept(demand, host):
+        made.append(real(demand, host))
+        return made[-1]
+
+    monkeypatch.setattr(pipeline, "evaluate", kept)
+    result = solve_instance(gen("random", 2000, seed=4))
+    assert len(made) == 2
+    assert not any("per_vertex" in vars(breakdown) for breakdown in made)
+    final = made[-1]
+    assert final.total == result.report.final_cost
+    assert final.per_vertex == final.costs.tolist() == helpers.bfs_cost(
+        gen("random", 2000, seed=4), result.host)[1]
+    assert "per_vertex" in vars(final)
+
+
 # Labels json.dumps escapes: quote, backslash, control characters (none of
 # them whitespace, which would split the token), DEL, and non-ASCII text,
 # one of it outside the BMP (written as a surrogate pair).
