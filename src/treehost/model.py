@@ -158,9 +158,15 @@ def _list_ranks(succ: np.ndarray, head: int) -> np.ndarray | None:
         r = nxt[r]
     if pos != size or r < count:  # short, or back into itself
         return None
-    state = state[:size]
-    ranks = _int64(base)[state & ((1 << bits) - 1)]
-    ranks += state >> bits
+    # a rank is the base of the walker's segment plus the step; the bases
+    # are gathered into ``walker`` itself, so that no other n-sized array
+    # is made ("clip" mode lets take write straight to ``out``; every
+    # walker is a valid index)
+    ranks = state[:size]
+    walker = ranks & ((1 << bits) - 1)
+    np.take(_int64(base), walker, out=walker, mode="clip")
+    ranks >>= bits
+    ranks += walker
     return ranks
 
 
