@@ -91,8 +91,7 @@ def _eval_listing(demand: DemandTree, breakdown: CostBreakdown,
                   as_json: bool) -> list[str]:
     """The total, then the cost of every vertex as a JSON object, or of
     every vertex that has one as ``label cost`` lines, in pieces."""
-    cost = (breakdown.costs if breakdown.costs is not None
-            else np.asarray(breakdown.per_vertex, dtype=np.int64))
+    cost = np.asarray(breakdown.per_vertex, dtype=np.int64)
     if as_json:
         rows = write_rows('    "', (demand.labels, np.arange(demand.n)), '": ',
                           (cost, None), ",\n")

@@ -96,9 +96,8 @@ def _rulers(size: int, head: int) -> np.ndarray:
     input's order does not bunch them.  k grows with the size up to 32,
     which balances ``_list_ranks``' two loops."""
     k = min(32, math.isqrt(size // 512) + 1)
-    # the hash's top 6 bits below 64 // k
     ruler = (np.arange(size, dtype=np.uint64) * _RULER_HASH
-             <= np.uint64((64 // k << 58) - 1))
+             >> np.uint64(58)) < 64 // k
     ruler[head] = True
     return ruler.nonzero()[0]
 
@@ -160,8 +159,11 @@ def _list_ranks(succ: np.ndarray, head: int) -> np.ndarray | None:
         return None
     # a rank is the base of the walker's segment plus the step; the bases
     # are gathered into ``walker`` itself, so that no other n-sized array
-    # is made ("clip" mode lets take write straight to ``out``; every
-    # walker is a valid index)
+    # is made.  "clip" mode lets take write straight to ``out``; every
+    # walker is a valid index, since every element was reached.  Writing
+    # over the indices relies on take's loop reading index j before it
+    # writes element j, which numpy does but does not document;
+    # test_list_ranks_gives_up_off_a_simple_list checks the ranks
     ranks = state[:size]
     walker = ranks & ((1 << bits) - 1)
     np.take(_int64(base), walker, out=walker, mode="clip")
@@ -200,7 +202,7 @@ def _tour_parent(arcs: np.ndarray, parent: np.ndarray) -> bool:
     # vertex's arcs, cyclically: after a vertex's last arc comes its first,
     # which follows the last arc of the vertex before it.  Vertex 0 comes
     # first, and the tour ends where it would restart.
-    last = np.append((head[1:] != head[:-1]).nonzero()[0], size - 1)
+    last = np.concatenate(((head[1:] != head[:-1]).nonzero()[0], [size - 1]))
     succ = twin + 1
     succ[twin[last[1:]]] = last[:-1] + 1
     succ[twin[last[0]]] = -1

@@ -115,8 +115,10 @@ def test_serialize_refuses_a_node_that_lists_one_child_twice():
 # 500 000 elements: the ruler spacing k is at its cap, 32, from 492 032 on
 @pytest.mark.parametrize("size", [5, 5000, 500_000])
 def test_list_ranks_gives_up_off_a_simple_list(size):
-    """A list in shuffled order is ranked; with one successor redirected
-    (a cut, a cycle or two predecessors of one element) it is refused.
+    """A list in shuffled order is ranked, with thousands of rulers at the
+    larger sizes, so the segment bases gathered in place over the walkers
+    are checked; with one successor redirected (a cut, a cycle or two
+    predecessors of one element) it is refused.
     So it is when two rulers' walks land on one element in the same step
     and go on together."""
     rnd = random.Random(size)
