@@ -1,11 +1,13 @@
 """Command-line interface.
 
 Subcommands: gen, solve, eval, lb, table, oracle, check, bst-demo.
-Exit codes: 0 success, 1 input error, 2 invariant violation, 3 resource cap.
+Exit codes: 0 success, 1 input error, 2 invariant violation, 3 resource cap
+or memory exhausted.
 """
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import random
 import sys
@@ -35,9 +37,15 @@ class _CliParser(argparse.ArgumentParser):
 
 
 def _read_input(path: str) -> str:
+    """The UTF-8 text of the file, or of standard input's bytes for
+    ``-``, decoded alike."""
     try:
         if path == "-":
-            return sys.stdin.read()
+            stdin = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8")
+            try:
+                return stdin.read()
+            finally:
+                stdin.detach()  # sys.stdin stays open
         with open(path, "r", encoding="utf-8") as f:
             return f.read()
     except UnicodeDecodeError as exc:
@@ -323,6 +331,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INVARIANT
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError as exc:  # numpy's allocation failures included
+        print(f"error: out of memory: {exc or 'allocation failed'}",
+              file=sys.stderr)
         return EXIT_RESOURCE
     except (TreeHostError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

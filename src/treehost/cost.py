@@ -4,12 +4,16 @@
 u-v path in the host tree and groups the result by parent vertex.  Each child
 v climbs the host toward its parent u, all pairs at once, so on a host where
 every parent is an ancestor of its children (every host this pipeline builds)
-the work is proportional to the cost it reports.  Only the pairs the climb
-leaves are scored by vectorized binary lifting, in O(m log m) on m host nodes.
-When the climb leaves none, the demand root climbs to a host root as well,
-so a host whose vertices sit on a parent cycle is refused either way.
-The demand edges are read off the tree's child arrays on every call; nothing
-is cached on the tree.
+the work is proportional to the cost it reports.  A pair that meets its
+parent, or falls off a root, is parked at a sink that is its own parent, and
+the pairs still climbing are gathered out only once half of them are parked,
+so a step costs one gather and one compare per pair, not a compaction.  Only
+the pairs the climb leaves are scored by vectorized binary lifting, in
+O(m log m) on m host nodes.  When the climb leaves none, the demand root
+climbs to a host root as well, so a host whose vertices sit on a parent cycle
+is refused either way.  The demand edges are read off the tree's child arrays
+on every call, in child order, so each vertex's cost is one ``reduceat``
+segment; nothing is cached on the tree.
 """
 from __future__ import annotations
 
@@ -123,28 +127,38 @@ def evaluate(demand: DemandTree, host: HostTree) -> CostBreakdown:
     if n <= 1:
         return _breakdown(0, np.zeros(n, dtype=np.int64))
 
-    vs = demand.child_flat.astype(np.int32)
-    us = np.repeat(np.arange(n, dtype=np.int32), np.diff(demand.child_off))
+    us = np.repeat(np.arange(n), np.diff(demand.child_off))
 
     # Every child climbs toward its parent, one link a step; a pair that
     # meets after k links is k apart.  The cap is the most levels the lifting
     # tables can need; the pairs the climb leaves (the parent is no ancestor
-    # within the cap) take the lifting.
-    par = host.parent.astype(np.int32)
-    cap = len(par).bit_length()
+    # within the cap) take the lifting.  A pair that meets its parent, or
+    # falls off a root, is parked at the sink, which is its own parent and
+    # no pair's target; the pairs still climbing are gathered out only once
+    # half of them are parked.
+    sink = len(host.parent)
+    par = np.append(host.parent, sink)
+    par[par < 0] = sink
+    cap = sink.bit_length()
     dist = np.full(len(us), -1, dtype=np.int32)
-    pair, cur, target = np.arange(len(us), dtype=np.int32), vs, us
+    # pair None: every pair, in order
+    pair, cur, target = None, demand.child_flat, us
     for step in range(1, cap + 1):
         cur = par[cur]
-        met = cur == target
-        dist[pair[met]] = step
-        climbing = ~met & (cur >= 0)
-        pair, cur, target = pair[climbing], cur[climbing], target[climbing]
-        if not pair.size:
-            break
+        met = np.flatnonzero(cur == target)
+        dist[met if pair is None else pair[met]] = step
+        cur[met] = sink
+        climbing = cur != sink
+        if 2 * np.count_nonzero(climbing) <= len(cur):
+            keep = np.flatnonzero(climbing)
+            pair = keep if pair is None else pair[keep]
+            cur, target = cur[keep], target[keep]
+            if not len(cur):
+                break
     left = np.flatnonzero(dist < 0)
     if left.size:
-        dist[left] = _lifted_distances(host.parent, us[left], vs[left])
+        dist[left] = _lifted_distances(host.parent, us[left],
+                                       demand.child_flat[left])
     else:
         # every child met its parent, so the host is a tree over the
         # vertices once the demand root, too, reaches a host root; if it
@@ -152,10 +166,13 @@ def evaluate(demand: DemandTree, host: HostTree) -> CostBreakdown:
         node = demand.root
         for _ in range(cap):
             node = par[node]
-            if node < 0:
+            if node == sink:
                 break
         else:
             _lifting_tables(host.parent)
 
-    per = np.bincount(us, weights=dist, minlength=n).astype(np.int64)
-    return _breakdown(int(dist.sum(dtype=np.int64)), per)
+    # each vertex's children are one run of the pairs
+    per = np.zeros(n, dtype=np.int64)
+    has = np.flatnonzero(np.diff(demand.child_off))
+    per[has] = np.add.reduceat(dist, demand.child_off[has], dtype=np.int64)
+    return _breakdown(int(per.sum()), per)

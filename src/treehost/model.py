@@ -34,7 +34,12 @@ as masks and returns it, and ``check_invariants`` reads ancestry off it.
 The host text, the ``solve --json`` ledger and the ``eval`` listings are
 written by one column writer (``write_rows``) from arrays: node names,
 numbers and labels' code units, the JSON directly in the layout of
-``json.dumps(indent=2)``.
+``json.dumps(indent=2)``.  Rows without a label (the host) are laid out in
+a zero-padded block, one contiguous write per constant byte and digit
+place, then transposed and stripped of the pad; rows with a label (the
+ledger and the listings) are laid out by offset, each row at the sum of
+the widths before it, every constant, digit place and label stored once
+at its place.
 """
 from __future__ import annotations
 
@@ -570,15 +575,14 @@ class UnrootedTree:
                                   ) -> "UnrootedTree":
         """CSR adjacency in edge-input order, without validation: for edges
         already known to be a tree (validated input, generator output).
-        Also hangs the tree from vertex 0; ``parent0`` is None if the edges
-        do not connect the vertices.
+        Also hangs the tree from vertex 0; ``parent0`` is None unless the
+        edges are n - 1 edges that connect the vertices, a tree.
 
         Every vertex of degree 1 but vertex 0 hangs from its one neighbour,
         and one Euler tour (``_tour_parent``) hangs the rest, the inner
-        tree, so that the tour's work follows the inner vertices.  At most
-        n - 1 edges connect the vertices just when no edge joins two such
-        leaves, the tour takes every other edge and every vertex but 0
-        gets a parent."""
+        tree, so that the tour's work follows the inner vertices.  n - 1
+        edges are a tree just when no edge joins two such leaves, the tour
+        takes every other edge and every vertex but 0 gets a parent."""
         n = max(n, 1)
         src = _int64(edges).ravel()  # arcs 2i and 2i + 1: edge i both ways
         # stable by source: sort the unique keys source << bits | position
@@ -601,7 +605,8 @@ class UnrootedTree:
         parent = np.full(n, NONE, dtype=np.int64)
         parent[src[out]] = up
         inner = src.reshape(-1, 2)[~(hang[0::2] | hang[1::2])].ravel()
-        if (np.count_nonzero(leaf[up]) or not _tour_parent(inner, parent)
+        if (len(src) != 2 * (n - 1) or np.count_nonzero(leaf[up])
+                or not _tour_parent(inner, parent)
                 or np.count_nonzero(parent == NONE) != 1):
             parent = None
         return cls(n, off, flat, labels, parent)
@@ -920,22 +925,28 @@ def _splice(outer: np.ndarray, outer_len: np.ndarray, inner: np.ndarray,
     return out
 
 
-def _gather(units: np.ndarray, start: np.ndarray,
-            length: np.ndarray) -> np.ndarray:
-    """The spans ``units[start:start + length]`` one after another."""
+def _spans(start: np.ndarray, length: np.ndarray, bound: int) -> np.ndarray:
+    """The indices ``start[i]:start[i] + length[i]`` of every span, one
+    span after another, as 32-bit integers where ``bound``, the end of the
+    indexed array, allows."""
     some = length > 0
     if not some.all():
         start, length = start[some], length[some]
-    # the index of every unit: +1 within a span, a jump at each span's
-    # start; 32 bits where they suffice
-    step = np.ones(int(length.sum()), dtype=np.int32
-                   if len(units) < 2 ** 31 else np.int64)
+    # +1 within a span, a jump at each span's start
+    step = np.ones(int(length.sum()),
+                   dtype=np.int32 if bound < 2 ** 31 else np.int64)
     jump = np.diff(start)
     jump -= length[:-1]
     jump += 1
     step[np.cumsum(length[:-1])] = jump
     step[:1] = start[:1]
-    return units[np.cumsum(step, out=step)]
+    return np.cumsum(step, out=step)
+
+
+def _gather(units: np.ndarray, start: np.ndarray,
+            length: np.ndarray) -> np.ndarray:
+    """The spans ``units[start:start + length]`` one after another."""
+    return units[_spans(start, length, len(units))]
 
 
 def _label_units(labels: Labels, ids: np.ndarray
@@ -947,13 +958,18 @@ def _label_units(labels: Labels, ids: np.ndarray
     return _gather(labels.units, start, length), length
 
 
+def _plain(units: np.ndarray) -> np.ndarray:
+    """Where the units are ASCII that ``json.dumps`` does not escape."""
+    return ((units >= 0x20) & (units <= 0x7E)
+            & (units != ord('"')) & (units != ord("\\")))
+
+
 def _json_escape(units: np.ndarray) -> tuple[np.ndarray, np.ndarray,
                                              np.ndarray]:
     """The units as ASCII bytes escaped as ``json.dumps`` escapes text, the
     position of every escaped unit and the bytes its escape adds.  Each
     distinct escaped code point is escaped once, by ``json.dumps``."""
-    plain = ((units >= 0x20) & (units <= 0x7E)
-             & (units != ord('"')) & (units != ord("\\")))
+    plain = _plain(units)
     hit = np.flatnonzero(~plain)
     if not hit.size:
         return units.astype(np.uint8, copy=False), hit, hit
@@ -1003,11 +1019,11 @@ def write_rows(*columns, raw: bool = False) -> list[str]:
       their code units, escaped as ``json.dumps`` escapes them, or as they
       are with ``raw=True``; a None ``labels`` writes the ids' digits.
 
-    The other columns are laid out one at a time in a (width, rows)
-    block, each constant byte and digit place one contiguous write, with
-    zero bytes as the pad of shorter names; ``_compact`` drops the pad and
-    ``_splice`` lays the labels between the rows' fixed bytes.  No label
-    is padded, so the memory stays proportional to the output.
+    Without a label, the columns are laid out one at a time in a
+    (width, rows) block, each constant byte and digit place one contiguous
+    write, with zero bytes as the pad of shorter names, which ``_compact``
+    drops.  With one, ``_labelled_rows`` stores every part at its offset.
+    No label is padded, so the memory stays proportional to the output.
     """
     label, fixed = None, []
     for col in columns:
@@ -1029,6 +1045,8 @@ def _row_piece(fixed: list, label: tuple | None, rows: slice,
     """The ``rows`` of ``write_rows``."""
     fixed = [col if isinstance(col, str) else tuple(a[rows] for a in col)
              for col in fixed]
+    if label is not None:
+        return _labelled_rows(fixed, label, rows, raw)
     size = rows.stop - rows.start
     block = np.zeros((sum(len(col) if isinstance(col, str) else
                           int(col[1].max(initial=0)) + bool(col[2].any())
@@ -1053,22 +1071,104 @@ def _row_piece(fixed: list, label: tuple | None, rows: slice,
             if place >= shortest:
                 row[count <= place] = 0
         j += places
-    text = _compact(block)
-    del block
-    if label is None:
-        return text.decode("ascii")
+    return _compact(block).decode("ascii")
+
+
+def _runs(units: np.ndarray, width: int) -> np.ndarray:
+    """Every ``width`` consecutive units as one unsigned integer, at every
+    unit offset: an unaligned view that gathers or scatters a short run
+    of units as one element."""
+    if width == 1:
+        return units
+    return np.ndarray((max(len(units) - width + 1, 0),),
+                      f"u{units.itemsize * width}", units,
+                      strides=(units.itemsize,))
+
+
+def _labelled_rows(fixed: list, label: tuple, rows: slice, raw: bool) -> str:
+    """``_row_piece``'s rows with a label column: each row starts at the
+    cumulative sum of the row widths before it, and every constant, digit
+    place and label is stored at its place.  A constant or a label of up
+    to 16 bytes moves as two runs of a word's width, the first and the
+    last of it; longer labels, and labels that JSON escapes, are spliced
+    unit by unit."""
     labels, ids, at = label
-    units, length = _label_units(labels, ids[rows])
+    ids = ids[rows]
+    start = labels.off[ids]
+    length = labels.off[ids + 1] - start
+    itemsize = labels.units.itemsize
+    widths = [w // itemsize for w in (1, 2, 4, 8) if w >= itemsize]
+    moved = []  # (rows, first run, last run, width) of the short labels
+    slow = length > 2 * widths[-1]
+    for k, width in enumerate(widths):
+        lo = 2 * widths[k - 1] if k else 0  # lengths (lo, 2 width]
+        sel = np.flatnonzero((length > lo) & (length <= 2 * width))
+        if not sel.size:
+            continue
+        src = _runs(labels.units, width)
+        head = src[start[sel]]
+        tail = src[start[sel] + length[sel] - width]
+        plain = raw or (_plain(head.view(labels.units.dtype)).all()
+                        and _plain(tail.view(labels.units.dtype)).all())
+        if not plain:  # the labels that hold a unit to escape
+            shape = (len(sel), width)
+            keep = (_plain(head.view(labels.units.dtype).reshape(shape))
+                    & _plain(tail.view(labels.units.dtype).reshape(shape))
+                    ).all(axis=1)
+            slow[sel[~keep]] = True
+            sel, head, tail = sel[keep], head[keep], tail[keep]
+        moved.append((sel, head, tail, width))
+    slow = np.flatnonzero(slow)
+    units, spliced = _label_units(labels, ids[slow])
     if not raw:
         units, hit, extra = _json_escape(units)
-        row = np.searchsorted(np.cumsum(length), hit, side="right")
-        length += np.bincount(row, extra, size).astype(np.int64)
-    gap = np.zeros(size + 1, dtype=np.int64)  # the fixed bytes between labels
-    for k, col in enumerate(fixed):
-        part = gap[:-1] if k < at else gap[1:]
-        part += len(col) if isinstance(col, str) else col[1] + col[2]
-    return _decode(_splice(np.frombuffer(text, dtype=np.uint8), gap,
-                           units, length))
+        row = np.searchsorted(np.cumsum(spliced), hit, side="right")
+        spliced += np.bincount(row, extra, len(slow)).astype(np.int64)
+    length[slow] = spliced
+
+    pos = length.copy()  # the row widths, then each row's next place
+    for col in fixed:
+        pos += len(col) if isinstance(col, str) else col[1] + col[2]
+    out = np.empty(int(pos.sum()), dtype=labels.units.dtype)
+    np.cumsum(pos[:-1], out=pos[1:])
+    pos[0] = 0
+    for k, col in enumerate([*fixed, None]):
+        if k == at:
+            for sel, head, tail, width in moved:
+                put = _runs(out, width)
+                put[pos[sel]] = head
+                put[pos[sel] + length[sel] - width] = tail
+            out[_spans(pos[slow], spliced, len(out))] = units
+            pos += length
+        if col is None:
+            break
+        if isinstance(col, str):
+            const = np.frombuffer(col.encode("ascii"), dtype=np.uint8
+                                  ).astype(out.dtype)
+            if len(const):  # runs of the widest width that fits, the
+                # last one flush with the end
+                width = max(w for w in widths if w <= len(const))
+                put, runs = _runs(out, width), _runs(const, width)
+                for j in [*range(0, len(const) - width, width),
+                          len(const) - width]:
+                    put[pos + j] = runs[j]
+            pos += len(const)
+            continue
+        value, count, steiner = col
+        if steiner.any():
+            out[pos[steiner]] = ord("s")
+            pos += steiner
+        pos += count
+        shortest = int(count.min(initial=0))
+        for place in range(int(count.max(initial=0))):  # from the last digit
+            value, digit = np.divmod(value, value.dtype.type(10))
+            digit += ord("0")
+            if place < shortest:
+                out[pos - (place + 1)] = digit
+            else:
+                more = count > place
+                out[pos[more] - (place + 1)] = digit[more]
+    return _decode(out)
 
 
 def json_block(rows: list[str], open_: str, close: str,

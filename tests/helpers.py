@@ -355,9 +355,13 @@ def _reference_lifting_tables(par: np.ndarray):
     depth = (ext != n_nodes).astype(np.int32)
     depth[n_nodes] = 0
     jump = ext.copy()
-    while (jump[:n_nodes] != n_nodes).any():
+    for _ in range(n_nodes.bit_length() + 1):
+        if not (jump[:n_nodes] != n_nodes).any():
+            break
         depth += depth[jump]
         jump = jump[jump]
+    else:
+        raise HostTreeError("host tree has a parent cycle")
 
     max_depth = int(depth[:n_nodes].max(initial=0))
     levels = max(1, max_depth.bit_length())
@@ -368,8 +372,9 @@ def _reference_lifting_tables(par: np.ndarray):
 
 
 def reference_evaluate(demand: DemandTree, host: HostTree) -> CostBreakdown:
-    """``evaluate`` by binary lifting over every demand edge (it loops
-    forever on a parent cycle)."""
+    """``evaluate`` by binary lifting over every demand edge.  It refuses
+    a parent cycle anywhere in the host, where ``evaluate`` refuses those
+    that some vertex's path to the root runs into."""
     n = demand.n
     if host.n_vertices != n:
         raise UnknownVertexError(

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from treehost import (bracket_cost_bound, ceil_log2, check_invariants,
-                      evaluate, gen, run_bracket_builder)
+from treehost import (DemandTree, bracket_cost_bound, ceil_log2,
+                      check_invariants, evaluate, gen, run_bracket_builder)
 from treehost.bounds import bracket_cost
 from treehost.generate import KINDS
 
@@ -158,3 +160,56 @@ def test_builder_matches_slot_rule(rng):
         for name in ("parent", "left", "right", "owner"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
         assert a.root == b.root and a.n_vertices == b.n_vertices
+
+
+# child counts around the bracket shapes: none, one, and 2^k - 1, 2^k and
+# 2^k + 1 leaves, where the first bottom slot moves
+_CHILD_COUNTS = [0, 1, 2, 3] + [(1 << k) + d for k in range(2, 7)
+                                for d in (-1, 0, 1)]
+
+
+@st.composite
+def _child_count_profiles(draw):
+    """A demand tree given by the child count of each vertex in BFS
+    order (a vertex past the list has none), its ids shuffled."""
+    counts = draw(st.lists(st.sampled_from(_CHILD_COUNTS), min_size=1,
+                           max_size=24))
+    children, size = [], 1
+    while len(children) < size:
+        v = len(children)
+        c = counts[v] if v < len(counts) else 0
+        children.append(list(range(size, size + c)))
+        size += c
+    name = np.random.default_rng(draw(st.integers(0, 2 ** 30))
+                                 ).permutation(size)
+    kids = [[] for _ in range(size)]
+    for v, ch in enumerate(children):
+        kids[name[v]] = name[ch].tolist()
+    return _demand_of(kids)
+
+
+def _demand_of(kids: list[list[int]]) -> DemandTree:
+    """The demand tree in which vertex v has the children ``kids[v]``."""
+    n = len(kids)
+    counts = np.array([len(ch) for ch in kids], dtype=np.int64)
+    off = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=off[1:])
+    flat = np.array([w for ch in kids for w in ch], dtype=np.int64)
+    parent = np.full(n, -1, dtype=np.int64)
+    parent[flat] = np.repeat(np.arange(n), counts)
+    root = int(np.flatnonzero(parent < 0)[0])
+    return DemandTree(n, root, parent, off, flat, None)
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=200)
+@given(_child_count_profiles())
+@helpers.examples([_demand_of([list(range(1, 4098))] + [[]] * 4097)])
+def test_builder_matches_the_slot_rule_on_child_count_profiles(demand):
+    """The builder's links from slot arithmetic equal the bracket built
+    slot by slot, on every child count whose first bottom slot or leaf
+    split differs, and on one bracket of 4097 leaves."""
+    got = run_bracket_builder(demand)
+    want = helpers.bracket_host_by_slot_rule(demand)
+    for name in ("parent", "left", "right", "owner"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.steiner_count() == max(demand.leaf_count() - 1, 0)

@@ -1,16 +1,18 @@
 import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treehost import (HostTree, HostTreeError, UnknownVertexError,
-                      balanced_bst_host, bst_adversarial, evaluate, gen,
-                      opt_cost, parse_edge_list, root_at, run_bracket_builder,
-                      run_tournament, solve_instance)
+from treehost import (HostTree, HostTreeError, TreeHostError,
+                      UnknownVertexError, balanced_bst_host, bst_adversarial,
+                      evaluate, gen, opt_cost, parse_edge_list, root_at,
+                      run_bracket_builder, run_tournament, solve_instance)
 from treehost import cost
 from treehost.generate import KINDS
+from treehost.model import DEAD
 
 import helpers
 
@@ -116,11 +118,38 @@ def _path_host(order) -> HostTree:
     return HostTree(n, int(order[0]), par, left, right, owner)
 
 
+def _damage(draw, demand, host) -> HostTree:
+    """A copy of the host with one node on the path from a vertex v up to
+    the root damaged, so that v's climb or one above it runs into it: a
+    DEAD or -1 parent, a two-cycle with a child, or a cycle from a
+    steiner node down to v."""
+    host = helpers.copy_host(host)
+    par = host.parent
+    v = draw(st.integers(0, demand.n - 1))
+    path = [v]
+    while par[path[-1]] >= 0:
+        path.append(int(par[path[-1]]))
+    how = draw(st.sampled_from(["dead", "root", "two-cycle",
+                                "steiner-cycle"]))
+    at = draw(st.sampled_from(path))
+    if how == "dead":
+        par[at] = DEAD
+    elif how == "root":
+        par[at] = -1
+    elif how == "two-cycle" and at != v:
+        par[at] = path[path.index(at) - 1]
+    elif how == "steiner-cycle":
+        above = [s for s in path if s >= demand.n]
+        if above:
+            par[draw(st.sampled_from(above))] = v
+    return host
+
+
 @st.composite
 def _scored_hosts(draw):
     """A demand tree and a host to score: a phase-1 or final host of a
-    ``gen`` tree, a search-tree host (non-ancestral), or a path host in a
-    random order, deeper than the climb's cap."""
+    ``gen`` tree, intact or damaged, a search-tree host (non-ancestral),
+    or a path host in a random order, deeper than the climb's cap."""
     family = draw(st.sampled_from(["phase1", "final", "bst", "path"]))
     if family == "bst":
         keyed = bst_adversarial(2 * draw(st.integers(2, 100)))
@@ -134,14 +163,24 @@ def _scored_hosts(draw):
     host = run_bracket_builder(demand)
     if family == "final":
         run_tournament(host, demand, draw(st.sampled_from(["lex", "id"])))
+    if draw(st.booleans()):
+        host = _damage(draw, demand, host)
     return demand, host
 
 
-@settings(database=None, derandomize=True, deadline=None, max_examples=300)
+@settings(database=None, derandomize=True, deadline=None, max_examples=400)
 @given(_scored_hosts())
 def test_evaluate_matches_the_lifting_reference(case):
+    """The parked climb scores every host as the lifting over every edge
+    does, and refuses the damaged ones with the same error."""
     demand, host = case
-    got, want = evaluate(demand, host), helpers.reference_evaluate(demand, host)
+    try:
+        want = helpers.reference_evaluate(demand, host)
+    except TreeHostError as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            evaluate(demand, host)
+        return
+    got = evaluate(demand, host)
     assert got.total == want.total
     assert got.per_vertex == want.per_vertex
 

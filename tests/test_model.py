@@ -477,6 +477,17 @@ def test_unchecked_edges_that_do_not_connect_cannot_be_rooted():
             root_at(t, 0)
 
 
+def test_more_than_n_minus_1_edges_cannot_be_rooted():
+    """Three copies of the edge 0-2 leave vertex 1 alone; a tree with one
+    edge repeated is no tree either."""
+    for edges, n in (([(0, 2)] * 3, 3), ([(0, 1), (1, 2), (1, 2)], 3),
+                     ([(0, 1), (0, 1)], 2), ([(0, 0)], 1)):
+        t = UnrootedTree.from_tree_edges_unchecked(edges, n)
+        assert t.parent0 is None
+        with pytest.raises(EdgeListError):
+            root_at(t, 0)
+
+
 @pytest.mark.parametrize("kind", ["path", "star", "caterpillar",
                                   "complete_binary", "random"])
 def test_tour_orientation_matches_bfs_at_scale(kind):

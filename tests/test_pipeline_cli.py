@@ -1,10 +1,13 @@
 import io
 import json
+import os
 import random
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -50,8 +53,15 @@ def test_solve_instance_with_oracle():
 
 
 def _run(args, stdin_text=None, capsys=None, monkeypatch=None):
+    """``main(args)``'s exit code, output and error output; ``stdin_text``
+    (str, or bytes as they are) is standard input, held as the interpreter
+    holds it under a POSIX locale: text over a byte buffer."""
     if stdin_text is not None:
-        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+        if isinstance(stdin_text, str):
+            stdin_text = stdin_text.encode("utf-8")
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+            io.BytesIO(stdin_text), encoding="utf-8",
+            errors="surrogateescape"))
     code = main(args)
     out, err = capsys.readouterr()
     return code, out, err
@@ -104,6 +114,72 @@ def test_cli_solve_stdin(fig_text, capsys, monkeypatch):
                         monkeypatch=monkeypatch)
     assert code == 0
     assert "final cost     27" in out
+
+
+@pytest.mark.parametrize("data", [b"\xff 1\n1 2\n", b"0 1\n1 \xe9\n",
+                                  b"0 1\n\xed\xa0\x80 1\n"],
+                         ids=["start-byte", "latin-1", "surrogate"])
+def test_cli_stdin_is_decoded_like_a_path(data, tmp_path, capsys,
+                                          monkeypatch):
+    """Bytes that are not UTF-8 exit 1 from standard input as from a
+    file, with the same message; before, standard input decoded them with
+    ``surrogateescape`` and the --json ledger carried lone surrogates."""
+    path = tmp_path / "in.edges"
+    path.write_bytes(data)
+    code, out, err = _run(["solve", str(path), "--json"], capsys=capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}: not UTF-8 text (")
+    code, out, err_stdin = _run(["solve", "-", "--json"], stdin_text=data,
+                                capsys=capsys, monkeypatch=monkeypatch)
+    assert (code, out) == (1, "")
+    assert err_stdin == err.replace(str(path), "-")
+    assert not sys.stdin.closed
+
+
+def test_cli_stdin_reads_utf8_and_crlf_as_a_path_does(tmp_path, capsys,
+                                                      monkeypatch):
+    data = "é ü\r\nü 😀\r\n".encode("utf-8")
+    path = tmp_path / "in.edges"
+    path.write_bytes(data)
+    code, out, _ = _run(["solve", str(path), "--json"], capsys=capsys)
+    assert code == 0
+    code, out_stdin, _ = _run(["solve", "-", "--json"], stdin_text=data,
+                              capsys=capsys, monkeypatch=monkeypatch)
+    assert code == 0
+    report, report_stdin = json.loads(out), json.loads(out_stdin)
+    for doc in (report, report_stdin):
+        del doc["wall_times"]
+    assert report == report_stdin
+    assert report["root"] == "é"
+    assert report["host"]["nodes"] == ["0", "1", "2"]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads /proc/self/statm")
+def test_memory_exhaustion_exits_3(tmp_path):
+    """A solve that outgrows its address space exits 3 with a typed
+    message, not a traceback: the child caps its own address space at
+    what it holds after the imports plus 32 MB, and solves a path of
+    300 000 edges, which needs more."""
+    edges = tmp_path / "path.edges"
+    edges.write_text("".join(f"{i} {i + 1}\n" for i in range(300_000)))
+    child = (
+        "import resource, sys\n"
+        "from treehost.cli import main\n"
+        "with open('/proc/self/statm') as f:\n"
+        "    held = int(f.read().split()[0]) * resource.getpagesize()\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (held + (32 << 20), hard))\n"
+        "sys.exit(main(['solve', sys.argv[1]]))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OMP_NUM_THREADS": "1",
+           "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", child, str(edges)],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: out of memory: ")
+    assert proc.stderr.count("\n") == 1 and proc.stdout == ""
 
 
 def test_cli_solve_star_json_schema(tmp_path, capsys, monkeypatch):
@@ -667,6 +743,50 @@ def test_row_writer_matches_the_row_by_row_references(instance, phase1_only,
             assert ("".join(_eval_listing(demand, breakdown, as_json))
                     == helpers.reference_eval_listing(
                         names, costs, breakdown.total, as_json))
+
+
+# label stems: plain, escaped by JSON, two-byte, three-byte and above
+# U+FFFF, long enough for every run width and past 16 units
+_EDGE_STEMS = ["", "a", 'q"', "b\\", "\n", "\x7f", "\x00", "ab", "abcd",
+               "abcdefg", "abcdefghijklmn", "a" * 17, "é", "\u2028", "中文",
+               "😀", "x😀y" * 3]
+
+
+@pytest.mark.parametrize("rows", [65_535, 65_536, 65_537])
+@pytest.mark.parametrize("wide", [False, True], ids=["bytes", "wide"])
+def test_labelled_rows_around_the_piece_size(rows, wide):
+    """The ledger and both eval listings at one row below, at and one row
+    above the piece size, over labels of every width class, escaped or
+    not, with one-byte units only or with units above U+FFFF."""
+    assert model._PIECE_ROWS == 65_536
+    stems = [s for s in _EDGE_STEMS if wide or s.isascii()]
+    names = [f"{stems[v % len(stems)]}{v}" for v in range(rows)]
+    d = gen("path", rows)
+    demand = DemandTree(rows, d.root, d.parent, d.child_off, d.child_flat,
+                        names)
+    rng = np.random.default_rng(rows)
+    losers = rng.permutation(rows).tolist()
+    charges = rng.integers(0, 10 ** 7, rows).tolist()
+    costs = rng.integers(0, 3, rows).tolist()  # a third of them 0
+    _same_text("".join(_ledger(demand, TournamentResult(None, losers,
+                                                         charges))),
+               helpers.reference_ledger([names[v] for v in losers], charges))
+    breakdown = CostBreakdown(sum(costs), costs)
+    for as_json in (False, True):
+        _same_text("".join(_eval_listing(demand, breakdown, as_json)),
+                   helpers.reference_eval_listing(names, costs,
+                                                  breakdown.total, as_json))
+
+
+def _same_text(got: str, want: str) -> None:
+    """got == want, told by the first place they differ (a diff of
+    megabytes would take minutes)."""
+    if got != want:
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                  min(len(got), len(want)))
+        near = slice(max(at - 30, 0), at + 30)
+        pytest.fail(f"texts of {len(got)} and {len(want)} characters differ "
+                    f"at {at}: {got[near]!r} against {want[near]!r}")
 
 
 def test_ledger_memory_follows_its_output_not_its_longest_label():
