@@ -82,7 +82,5 @@ def run_bracket_builder(demand: DemandTree) -> HostTree:
     kids[below] = flat
     kids[inner] = np.arange(n, total)
     del below, inner
-    owner = np.full(total, NONE, dtype=np.int64)
-    owner[n:] = np.repeat(verts, c[verts] - 1)
     return HostTree(n, demand.root, par, kids[0::2].copy(), kids[1::2].copy(),
-                    owner)
+                    np.repeat(verts, c[verts] - 1))

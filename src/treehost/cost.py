@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import DEAD, DemandTree, HostTree, HostTreeError, UnknownVertexError
+from .model import DemandTree, HostTree, HostTreeError, UnknownVertexError
 
 
 @dataclass
@@ -56,7 +56,7 @@ def _breakdown(total: int, per: np.ndarray) -> CostBreakdown:
 def _lifting_tables(par: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], int]:
     """Depth array and binary-lifting ancestor tables (int32).
 
-    Index ``N`` acts as an absorbing "no node" sink so that -1/-2 sentinels
+    Index ``N`` acts as an absorbing "no node" sink so that negative parents
     never appear as indices.  The depth rounds' pointer jumps are the
     tables: after round k every node points 2^k links up.  A pointer that
     is not at the sink after ``N.bit_length()`` rounds is on a parent cycle.
@@ -120,26 +120,24 @@ def evaluate(demand: DemandTree, host: HostTree) -> CostBreakdown:
     if host.n_vertices != n:
         raise UnknownVertexError(
             f"host covers {host.n_vertices} vertices, demand has {n}")
-    missing = host.parent[:n] == DEAD
-    if missing.any():
-        raise UnknownVertexError(
-            f"demand vertex {int(missing.argmax())} missing from host")
     if n <= 1:
         return _breakdown(0, np.zeros(n, dtype=np.int64))
 
     us = np.repeat(np.arange(n), np.diff(demand.child_off))
 
     # Every child climbs toward its parent, one link a step; a pair that
-    # meets after k links is k apart.  The cap is the most levels the lifting
-    # tables can need; the pairs the climb leaves (the parent is no ancestor
-    # within the cap) take the lifting.  A pair that meets its parent, or
-    # falls off a root, is parked at the sink, which is its own parent and
-    # no pair's target; the pairs still climbing are gathered out only once
-    # half of them are parked.
+    # meets after k links is k apart.  The cap is one level more than the
+    # lifting tables can need, so that a final host, which keeps only the
+    # n vertices of its phase-1 host's n + S < 2n nodes, climbs at least as
+    # far as that host; the pairs the climb leaves (the parent is no
+    # ancestor within the cap) take the lifting.  A pair that meets its
+    # parent, or falls off a root, is parked at the sink, which is its own
+    # parent and no pair's target; the pairs still climbing are gathered
+    # out only once half of them are parked.
     sink = len(host.parent)
     par = np.append(host.parent, sink)
     par[par < 0] = sink
-    cap = sink.bit_length()
+    cap = (2 * sink).bit_length()
     dist = np.full(len(us), -1, dtype=np.int32)
     # pair None: every pair, in order
     pair, cur, target = None, demand.child_flat, us

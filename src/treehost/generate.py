@@ -123,7 +123,7 @@ def balanced_bst_host(keyed: KeyedPath) -> HostTree:
         right[v] = hang(mid + 1, hi, v)
         return v
 
-    return HostTree(n, hang(1, n, NONE), up, left, right, [NONE] * n)
+    return HostTree(n, hang(1, n, NONE), up, left, right, [])
 
 
 def exhaustive_bst_min(keyed: KeyedPath) -> int:

@@ -5,7 +5,8 @@ appearance in the input; the original tokens are kept as labels, held as
 arrays (:class:`Labels`) and made into ``str`` only where one is printed or
 looked up.  Host trees
 live on the same ids and may additionally contain synthetic *steiner* nodes
-with ids ``>= n``, rendered as ``s<id>`` in text form.
+with ids ``>= n``, rendered as ``s<id>`` in text form; a host's arrays hold
+only the nodes in the tree, so a solved host is n long.
 
 Every tree holds its structure in flat numpy int64 arrays (CSR adjacency or
 child lists, parent/left/right arrays for the host tree) at any size; the few
@@ -50,7 +51,6 @@ import re
 import numpy as np
 
 NONE = -1   # "no node" sentinel in parent/left/right arrays
-DEAD = -2   # parent value of a removed node
 
 
 class TreeHostError(ValueError):
@@ -796,10 +796,11 @@ class HostTree:
     """Binary tree over the demand vertices plus optional steiner nodes.
 
     Node ids ``< n_vertices`` are demand vertices; ids ``>= n_vertices`` are
-    steiner nodes.  ``parent[i]`` is -1 for the root and -2 for removed nodes.
+    steiner nodes, and the arrays hold only the nodes in the tree: a played
+    match removes its steiner node.  ``parent[i]`` is -1 for the root.
     Children are stored as ``left``/``right`` (-1 = absent); a node with one
-    child keeps it in ``left``.  ``owner[s]`` records, for a steiner node,
-    the vertex whose bracket created it.
+    child keeps it in ``left``.  ``owner[s - n_vertices]`` records, for a
+    steiner node s, the vertex whose bracket created it.
     """
 
     __slots__ = ("n_vertices", "root", "parent", "left", "right", "owner")
@@ -819,62 +820,54 @@ class HostTree:
         return i >= self.n_vertices
 
     def steiner_count(self) -> int:
-        return int(np.count_nonzero(self.parent[self.n_vertices:] != DEAD))
+        return self.num_nodes() - self.n_vertices
 
-    def validate(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def validate(self) -> tuple[np.ndarray, np.ndarray]:
         """Check binary shape, link consistency, connectivity, acyclicity,
         and return ``_tour(self)``.  The links are checked as masks over the
-        live nodes, naming the first bad node in id order; past them, the
-        tour reaches every live node just when the host is one tree."""
+        nodes, naming the first bad node in id order; past them, the tour
+        reaches every node just when the host is one tree."""
         par, size = self.parent, len(self.parent)
         if not (self.n_vertices <= size == len(self.left) == len(self.right)
-                == len(self.owner)):
+                == self.n_vertices + len(self.owner)):
             raise HostTreeError("host arrays of unequal lengths or shorter "
                                 "than the demand vertices")
         if not 0 <= self.root < size or par[self.root] != NONE:
             raise HostTreeError("bad root")
-        removed = np.flatnonzero(par[:self.n_vertices] == DEAD)
-        if removed.size:
-            raise HostTreeError(f"demand vertex {removed[0]} removed from host")
-        live = np.flatnonzero(par != DEAD)
-        kid_l, kid_r = self.left[live], self.right[live]
-        # the arrays padded with DEAD, at which ids outside [0, size) clip
-        par_, left_, right_ = (np.append(a, DEAD)
-                               for a in (par, self.left, self.right))
-        up = np.clip(par[live], -1, size)
-        below = live != self.root
+        kid_l, kid_r, node = self.left, self.right, np.arange(size)
+        # the arrays padded with NONE, at which ids outside [0, size) clip
+        par_, left_, right_ = (np.append(a, NONE) for a in (par, kid_l, kid_r))
+        up = np.clip(par, -1, size)
+        below = node != self.root
         faults = np.stack([
-            (kid_l != NONE) & (par_[np.clip(kid_l, -1, size)] != live),
-            (kid_r != NONE) & (par_[np.clip(kid_r, -1, size)] != live),
+            (kid_l != NONE) & (par_[np.clip(kid_l, -1, size)] != node),
+            (kid_r != NONE) & (par_[np.clip(kid_r, -1, size)] != node),
             (kid_l != NONE) & (kid_l == kid_r),
-            below & (par_[up] == DEAD),
-            below & (left_[up] != live) & (right_[up] != live)])
+            below & ((par < 0) | (par >= size)),
+            below & (left_[up] != node) & (right_[up] != node)])
         bad = faults.any(axis=0)
         if bad.any():
-            k = int(bad.argmax())
-            i, a, b = int(live[k]), int(kid_l[k]), int(kid_r[k])
+            i = int(bad.argmax())
+            a, b = int(kid_l[i]), int(kid_r[i])
             raise HostTreeError([
                 f"child link {i}->{a} not mirrored",
                 f"child link {i}->{b} not mirrored",
                 f"node {i} lists child {a} twice",
-                f"node {i} has no live parent",
+                f"node {i} has no parent in the host",
                 f"parent of {i} does not list it",
-            ][int(faults[:, k].argmax())])
+            ][int(faults[:, i].argmax())])
         return _tour(self)
 
 
-def _tour(host: HostTree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``live, enter, leave``: the host's live nodes in id order and the
-    ranks at which one Euler tour from the root, left child first, enters
-    and leaves the node of each slot, so that u is a proper ancestor of v
-    just when enter[u] < enter[v] and leave[v] < leave[u].  Links that do
-    not make one tree from the root raise ``HostTreeError``; child ids must
-    lie in [-1, size), as ``HostTree.validate``'s masks check first."""
-    live = np.flatnonzero(host.parent != DEAD)
-    m = len(live)
-    slot = np.full(len(host.parent) + 1, NONE, dtype=np.int64)
-    slot[live] = np.arange(m)  # and slot[NONE] stays NONE
-    left, right = slot[host.left[live]], slot[host.right[live]]
+def _tour(host: HostTree) -> tuple[np.ndarray, np.ndarray]:
+    """``enter, leave``: the ranks at which one Euler tour from the root,
+    left child first, enters and leaves each node, so that u is a proper
+    ancestor of v just when enter[u] < enter[v] and leave[v] < leave[u].
+    Links that do not make one tree from the root raise ``HostTreeError``;
+    child ids must lie in [-1, size), as ``HostTree.validate``'s masks
+    check first."""
+    left, right = host.left, host.right
+    m = len(left)
     # element e < m enters node e, element m + e leaves it: after entering
     # comes the first child, else the leaving; after leaving a right child
     # comes leaving its parent, and after a left child the right child if
@@ -889,20 +882,20 @@ def _tour(host: HostTree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     kid = np.flatnonzero(left >= 0)
     after = right[kid]
     succ[m + left[kid]] = np.where(after >= 0, after, kid + m)
-    del left, right, leaf, kid, after
-    ranks = _list_ranks(succ, int(slot[host.root]))
+    del leaf, kid, after
+    ranks = _list_ranks(succ, int(host.root))
     if ranks is None:
         raise HostTreeError("host not connected from root")
-    return live, ranks[:m], ranks[m:]
+    return ranks[:m], ranks[m:]
 
 
 def _preorder(host: HostTree) -> np.ndarray:
     """The host's nodes in preorder, left child first: the order in which
     the Euler tour enters them."""
-    live, enter, _ = _tour(host)
-    tour = np.full(2 * len(live), NONE, dtype=np.int64)
-    tour[enter] = np.arange(len(live))
-    return live[tour[tour >= 0]]
+    enter, _ = _tour(host)
+    tour = np.full(2 * len(enter), NONE, dtype=np.int64)
+    tour[enter] = np.arange(len(enter))
+    return tour[tour >= 0]
 
 
 def _compact(block: np.ndarray) -> bytes:
@@ -1350,8 +1343,9 @@ def parse_host(text: str) -> HostTree:
     parent[slot[kids]] = up
     left[up[nth == 0]] = slot[kids[nth == 0]]
     right[up[nth == 1]] = slot[kids[nth == 1]]
+    # owners are set once the shape is valid
     host = HostTree(n_vertices, int(slot[roots[0]]), parent, left, right,
-                    parent)  # owners are set once the shape is valid
+                    parent[n_vertices:])
     host.validate()
     # Steiner owners: the nearest vertex ancestor (NONE above a steiner
     # root), by pointer doubling; vertices and the sentinel at -1 are fixed.
@@ -1359,6 +1353,5 @@ def parse_host(text: str) -> HostTree:
                                np.arange(size), parent), NONE)
     while (owner[n_vertices:size] >= n_vertices).any():
         owner = owner[owner]
-    owner[:n_vertices] = NONE
-    host.owner = owner[:size]
+    host.owner = owner[n_vertices:size]
     return host

@@ -148,7 +148,7 @@ def _host_from_edges(edges: list[tuple[int, int]], n: int,
     left, right = (np.full(n, NONE, dtype=np.int64) for _ in range(2))
     left[kids > 0] = rooted.child_flat[first[kids > 0]]
     right[kids > 1] = rooted.child_flat[first[kids > 1] + 1]
-    return HostTree(n, root, rooted.parent, left, right, np.full(n, NONE))
+    return HostTree(n, root, rooted.parent, left, right, [])
 
 
 def _demand_pair_cols(demand: DemandTree) -> np.ndarray:

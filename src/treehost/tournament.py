@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (DEAD, NONE, DemandTree, HostTree, HostTreeError,
+from .model import (NONE, DemandTree, HostTree, HostTreeError,
                     InvariantViolation, TreeHostError, UnknownVertexError)
 
 
@@ -66,14 +66,12 @@ class TournamentResult:
 
 
 def _check_after_match(par, left, right, host: HostTree, demand: DemandTree,
-                       s: int, x: int, y: int, a: int, b: int, q: int) -> None:
+                       x: int, y: int, a: int, b: int, q: int) -> None:
     """Local invariant checks for the region touched by one rewrite.
 
-    ``par``/``left``/``right`` are the sweep's working copies of the host.
+    ``par``/``left``/``right`` are the sweep's working copies of the host,
+    the played steiner node already removed.
     """
-    if par[s] != DEAD:
-        raise InvariantViolation("(i) steiner-degree",
-                                 f"steiner {s} still live after its match")
     if par[x] != q or left[x] != y or right[x] != NONE:
         raise InvariantViolation("(iii) single-child",
                                  f"winner {x} not in expected post-match shape")
@@ -85,7 +83,7 @@ def _check_after_match(par, left, right, host: HostTree, demand: DemandTree,
         if left[q] == NONE or right[q] == NONE:
             raise InvariantViolation("(i) steiner-degree",
                                      f"parent steiner {q} lost a child")
-        if demand.parent[x] != host.owner[q]:
+        if demand.parent[x] != host.owner[q - host.n_vertices]:
             raise InvariantViolation(
                 "(iii) bracket-membership",
                 f"vertex {x} advanced into a bracket not owned by its parent")
@@ -113,9 +111,10 @@ def _replay(host: HostTree, demand: DemandTree,
     A match depends only on the static keys of its two players, the
     vertices that come up from its child slots, so the matches are played
     one depth below the brackets' vertices at a time, deepest first.  Then
-    every link of the final host is set at once from the winners and
-    losers.  Produces exactly the arrays and the ledger of the sequential
-    sweep (verified by tests), in O(n) numpy work per bracket depth.
+    every link of the final host, n vertices long, is set at once from the
+    winners and losers.  Produces exactly the arrays and the ledger of the
+    sequential sweep (verified by tests), in O(n) numpy work per bracket
+    depth.
     """
     n, total = demand.n, host.num_nodes()
     kid_l, kid_r = host.left[n:], host.right[n:]
@@ -160,9 +159,8 @@ def _replay(host: HostTree, demand: DemandTree,
     held = np.concatenate([champ[host.left[:n]], loser, [NONE]])
     a = held[np.where(takeleft, kid_l, kid_r)]
     b = held[np.where(takeleft, kid_r, kid_l)]
-    left = np.full(total, NONE, dtype=np.int64)
-    right = np.full(total, NONE, dtype=np.int64)
-    left[:n] = held[:n]
+    left = held[:n].copy()
+    right = np.full(n, NONE, dtype=np.int64)
     # the loser inherits the winner's former child next to its own; the
     # winner of a whole bracket keeps the loser of its last match
     got_a = a != NONE
@@ -170,34 +168,43 @@ def _replay(host: HostTree, demand: DemandTree,
     right[loser] = np.where(got_a, b, NONE)
     top = depth[:m] == 1
     left[winner[top]] = loser[top]
-    par = np.full(total, NONE, dtype=np.int64)
-    par[n:] = DEAD
+    par = np.full(n, NONE, dtype=np.int64)
     for side in (left, right):
         has = np.flatnonzero(side >= 0)
         par[side[has]] = has
 
     host.parent, host.left, host.right = par, left, right
+    host.owner = host.owner[:0]
     losers = loser[::-1].copy()  # the sweep's order: descending steiner ids
     return TournamentResult(host, losers, np.diff(demand.child_off)[losers])
 
 
 def run_tournament(host: HostTree, demand: DemandTree, tiebreak: str = "lex",
                    debug: bool = False) -> TournamentResult:
-    """Eliminate every steiner node of a fresh phase-1 host tree, in place.
+    """Eliminate every steiner node of a fresh phase-1 host tree, in place:
+    each played match removes its steiner node, so the host ends with its
+    n vertices alone and no owner entry.
 
     By default this is the vectorized replay, which plays the matches that
     the links lay out, deepest first.  ``debug=True`` runs the sequential
     sweep instead, the literal reference, and checks every match.  Steiner
     ids are allocated bracket-by-bracket in heap order, so sweeping them in
     reverse id order fires every match only when both children are already
-    vertices.  The win rule depends only on static child counts, hence any
-    valid firing order yields this same tree.
+    vertices, and the match at s removes the last node.  The win rule
+    depends only on static child counts, hence any valid firing order
+    yields this same tree.
+
+    A host in which some vertex has a right child is refused: phase 1
+    never makes one, every match whose winner had a child gives its loser
+    one, and a played host without one replays to the tree a fresh run
+    makes.
     """
     n = host.n_vertices
-    # a played host's steiner slots are dead, with no match left to play
-    if (host.parent[n:] == DEAD).any():
-        raise TreeHostError("tournament needs a fresh phase-1 host; "
-                            "some matches were already played")
+    two = np.flatnonzero(host.right[:n] != NONE)
+    if two.size:
+        raise TreeHostError("tournament needs a fresh phase-1 host; some "
+                            "matches were already played: vertex "
+                            f"{two[0]} has two children")
     if not debug:
         return _replay(host, demand, tiebreak)
     par = host.parent.tolist()
@@ -214,9 +221,6 @@ def run_tournament(host: HostTree, demand: DemandTree, tiebreak: str = "lex",
                                      f"steiner {s} lacks two children")
         if xl >= n or yr >= n:
             raise TreeHostError(f"match at {s} fired before its children")
-        if right[xl] != NONE or right[yr] != NONE:
-            raise InvariantViolation("(iii) single-child",
-                                     f"player below {s} has two children")
         if keys[xl] <= keys[yr]:
             x, y = xl, yr
         else:
@@ -237,15 +241,14 @@ def run_tournament(host: HostTree, demand: DemandTree, tiebreak: str = "lex",
             left[y] = a
             right[y] = b
             par[a] = y
-        par[s] = DEAD
-        left[s] = NONE
-        right[s] = NONE
+        del par[s], left[s], right[s]
         losers.append(y)
         charges.append(counts[y])
-        _check_after_match(par, left, right, host, demand, s, x, y, a, b, q)
+        _check_after_match(par, left, right, host, demand, x, y, a, b, q)
     host.parent = np.asarray(par, dtype=np.int64)
     host.left = np.asarray(left, dtype=np.int64)
     host.right = np.asarray(right, dtype=np.int64)
+    host.owner = host.owner[:0]
     check_invariants(demand, host)
     return TournamentResult(host, np.asarray(losers, dtype=np.int64),
                             np.asarray(charges, dtype=np.int64))
@@ -265,11 +268,11 @@ _STEINER_CLAUSES = [
 def check_invariants(demand: DemandTree, host: HostTree) -> None:
     """Full structural check of invariants (i)-(iii) against the demand tree.
 
-    Works on phase-1 output, any mid-tournament state, and the final tree
-    (where the steiner clauses are vacuous).  Raises
-    :class:`InvariantViolation` naming the violated invariant, and
-    :class:`UnknownVertexError` if the host's vertex set is not the demand's.
-    Each check is a mask: over the steiner nodes, (i) and (iii) name the
+    Works on phase-1 output, any mid-tournament state (the steiner nodes
+    of the played matches removed), and the final tree (where the steiner
+    clauses are vacuous).  Raises :class:`InvariantViolation` naming the
+    violated invariant, and :class:`UnknownVertexError` if the host's
+    vertex set is not the demand's.  Each check is a mask: over the steiner nodes, (i) and (iii) name the
     first bad one; over the vertices, (ii) names the first whose demand
     parent's tour interval does not hold its own.
     """
@@ -277,11 +280,10 @@ def check_invariants(demand: DemandTree, host: HostTree) -> None:
     if host.n_vertices != n:
         raise UnknownVertexError(
             f"host covers {host.n_vertices} vertices, demand has {n}")
-    live, enter, leave = host.validate()
+    enter, leave = host.validate()
     dpar = demand.parent
-    steiner = live[n:]  # every vertex is live, so it holds slots 0..n-1
-    owner = host.owner[steiner]
-    kids = (host.left[steiner], host.right[steiner])
+    owner = host.owner
+    kids = (host.left[n:], host.right[n:])
     faults = [(kids[0] == NONE) | (kids[1] == NONE), owner == NONE]
     for ch in kids:  # each vertex child: its bracket, then its children
         at = np.where((ch >= 0) & (ch < n), ch, -1)
@@ -294,7 +296,7 @@ def check_invariants(demand: DemandTree, host: HostTree) -> None:
         which = int(faults[:, k].argmax())
         code, text = _STEINER_CLAUSES[min(which, 2 + which % 2)]
         raise InvariantViolation(code, text.format(
-            s=steiner[k], u=owner[k], ch=kids[which // 2 - 1][k]))
+            s=n + k, u=owner[k], ch=kids[which // 2 - 1][k]))
     v = np.flatnonzero(dpar != NONE)
     u = dpar[v]
     bad = (enter[v] <= enter[u]) | (leave[u] <= leave[v])

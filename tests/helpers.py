@@ -42,7 +42,6 @@ from treehost.model import (Labels, _decode, _list_ranks, _parse_node_name,
 from treehost.oracle import MAX_N
 
 NONE = -1
-DEAD = -2
 
 
 def add_steiner(host: HostTree, owner_vertex: int) -> int:
@@ -58,7 +57,7 @@ def add_steiner(host: HostTree, owner_vertex: int) -> int:
 def empty_host(n_vertices: int, root: int) -> HostTree:
     """Host with all demand vertices present and no links yet."""
     return HostTree(n_vertices, root, *(np.full(n_vertices, NONE, np.int64)
-                                        for _ in range(4)))
+                                        for _ in range(3)), [])
 
 
 def link(host: HostTree, parent: int, child: int) -> None:
@@ -77,13 +76,8 @@ def copy_host(host: HostTree) -> HostTree:
                     host.left.copy(), host.right.copy(), host.owner.copy())
 
 
-def live_nodes(host: HostTree) -> list[int]:
-    return np.flatnonzero(host.parent != DEAD).tolist()
-
-
 def steiner_nodes(host: HostTree) -> list[int]:
-    n = host.n_vertices
-    return (np.flatnonzero(host.parent[n:] != DEAD) + n).tolist()
+    return list(range(host.n_vertices, host.num_nodes()))
 
 
 def host_children(host: HostTree, i: int) -> list[int]:
@@ -195,12 +189,15 @@ def play_match(host: HostTree, demand: DemandTree, s: int,
                keys) -> tuple[int, int, int]:
     """Play the knockout match at steiner node s in place, by the rule.
 
-    Both children of s must be vertices.  The one with fewer demand children
-    wins, ties going to the smaller key.  The winner takes s's place below
-    s's parent and keeps the loser as its only child; the loser adopts the
-    winner's former child, then keeps its own; s is removed.  Returns
-    (winner, loser, charge), the charge being the loser's child count.
+    Both children of s must be vertices, and s must be the last node, as
+    it is when the matches are played in descending id order.  The one with
+    fewer demand children wins, ties going to the smaller key.  The winner
+    takes s's place below s's parent and keeps the loser as its only child;
+    the loser adopts the winner's former child, then keeps its own; s is
+    removed.  Returns (winner, loser, charge), the charge being the loser's
+    child count.
     """
+    assert s == host.num_nodes() - 1
     players = host_children(host, s)
     assert len(players) == 2 and not any(map(host.is_steiner, players))
     x, y = sorted(players, key=lambda v: (child_count(demand, v), keys[v]))
@@ -216,7 +213,9 @@ def play_match(host: HostTree, demand: DemandTree, s: int,
     host.left[y], host.right[y] = (adopted + [NONE, NONE])[:2]
     for ch in adopted:
         host.parent[ch] = y
-    host.parent[s], host.left[s], host.right[s] = DEAD, NONE, NONE
+    host.parent, host.left, host.right = (host.parent[:s], host.left[:s],
+                                          host.right[:s])
+    host.owner = host.owner[:s - host.n_vertices]
     return x, y, child_count(demand, y)
 
 
@@ -311,8 +310,8 @@ def reference_exhaustive_bst_min(keyed: KeyedPath) -> int:
 
 
 def host_adjacency(host: HostTree) -> dict[int, list[int]]:
-    adj: dict[int, list[int]] = {i: [] for i in live_nodes(host)}
-    for i in live_nodes(host):
+    adj: dict[int, list[int]] = {i: [] for i in range(host.num_nodes())}
+    for i in range(host.num_nodes()):
         p = int(host.parent[i])
         if p >= 0:
             adj[i].append(p)
@@ -379,10 +378,6 @@ def reference_evaluate(demand: DemandTree, host: HostTree) -> CostBreakdown:
     if host.n_vertices != n:
         raise UnknownVertexError(
             f"host covers {host.n_vertices} vertices, demand has {n}")
-    missing = host.parent[:n] == DEAD
-    if missing.any():
-        raise UnknownVertexError(
-            f"demand vertex {int(missing.argmax())} missing from host")
     if n <= 1:
         return CostBreakdown(0, [0] * n)
 
@@ -470,8 +465,8 @@ FIG_FINAL_PARENTS = {2: 0, 3: 2, 1: 3, 9: 3, 4: 1, 8: 1, 6: 4, 5: 6, 7: 6,
 
 
 def max_degree(host: HostTree) -> int:
-    deg = {i: 0 for i in live_nodes(host)}
-    for i in live_nodes(host):
+    deg = {i: 0 for i in range(host.num_nodes())}
+    for i in range(host.num_nodes()):
         p = int(host.parent[i])
         if p >= 0:
             deg[i] += 1
@@ -777,8 +772,8 @@ def reference_eval_listing(names: list[str], per_vertex: list[int],
 def reference_parse_host(text: str) -> HostTree:
     """A text host read node by node into lists sized by the largest id,
     as ``parse_host`` read it before it numbered the listed ids densely;
-    unlisted ids are DEAD slots.  Each check raises at the first node that
-    fails it, in listing order."""
+    the host it returns then holds the listed ids densely, in id order.
+    Each check raises at the first node that fails it, in listing order."""
     nodes = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -792,14 +787,16 @@ def reference_parse_host(text: str) -> HostTree:
                          + [p for _i, _st, p, pst in nodes if not pst],
                          default=-1)
     size = 1 + max(max(i, p) for i, _st, p, _pst in nodes)
-    parent, left, right = [DEAD] * size, [NONE] * size, [NONE] * size
+    listed = [False] * size
+    parent, left, right = [NONE] * size, [NONE] * size, [NONE] * size
     root = NONE
     for i, st, p, _pst in nodes:
         if st and i < n_vertices:
             raise HostTreeError(f"steiner id s{i} collides with vertex id "
                                 f"range 0..{n_vertices - 1}")
-        if parent[i] != DEAD:
+        if listed[i]:
             raise HostTreeError(f"node {i} listed twice")
+        listed[i] = True
         parent[i] = p
         if p == i:
             if root != NONE:
@@ -810,7 +807,7 @@ def reference_parse_host(text: str) -> HostTree:
         raise HostTreeError("no root (node with itself as parent)")
     for i, _st, p, _pst in nodes:
         if p != i:
-            if parent[p] == DEAD:
+            if not listed[p]:
                 raise HostTreeError(f"unknown parent {p} of node {i}")
             if left[p] == NONE:
                 left[p] = i
@@ -819,15 +816,20 @@ def reference_parse_host(text: str) -> HostTree:
             else:
                 raise HostTreeError(f"node {p} has more than two children")
     for v in range(n_vertices):
-        if parent[v] == DEAD:
+        if not listed[v]:
             raise HostTreeError(f"missing demand vertex {v}")
-    host = HostTree(n_vertices, root, parent, left, right, [NONE] * size)
+    ids = [i for i in range(size) if listed[i]]
+    slot = {i: k for k, i in enumerate(ids)}
+    slot[NONE] = NONE
+    host = HostTree(n_vertices, slot[root],
+                    *([slot[a[i]] for i in ids] for a in (parent, left, right)),
+                    [NONE] * (len(ids) - n_vertices))
     reference_validate(host)
-    owner = host.owner
+    owner, n = host.owner, n_vertices
     for i in _preorder(host).tolist():
-        if i >= n_vertices:
-            p = parent[i]
-            owner[i] = p if p < n_vertices else owner[p]
+        if i >= n:
+            p = host.parent[i]
+            owner[i - n] = p if p < n else owner[p - n]
     return host
 
 
@@ -841,21 +843,17 @@ def reference_validate(host: HostTree) -> None:
     left, right = host.left.tolist(), host.right.tolist()
     if not 0 <= host.root < len(par) or par[host.root] != NONE:
         raise HostTreeError("bad root")
-    live = live_nodes(host)
-    for v in range(host.n_vertices):
-        if par[v] == DEAD:
-            raise HostTreeError(f"demand vertex {v} removed from host")
-    for i in live:
+    for i in range(len(par)):
         for ch in (left[i], right[i]):
             if ch != NONE and par[ch] != i:
                 raise HostTreeError(f"child link {i}->{ch} not mirrored")
         if i != host.root:
             p = par[i]
-            if p == NONE or not (0 <= p < len(par) and par[p] != DEAD):
-                raise HostTreeError(f"node {i} has no live parent")
+            if not 0 <= p < len(par):
+                raise HostTreeError(f"node {i} has no parent in the host")
             if left[p] != i and right[p] != i:
                 raise HostTreeError(f"parent of {i} does not list it")
-    if len(host_depths(host)) != len(live):
+    if len(host_depths(host)) != len(par):
         raise HostTreeError("host not connected from root")
 
 
@@ -898,7 +896,7 @@ def reference_check_invariants(demand: DemandTree, host: HostTree) -> None:
         if left[s] == NONE or right[s] == NONE:
             raise InvariantViolation("(i) steiner-degree",
                                      f"steiner node {s} has < 2 children")
-        u = owner[s]
+        u = owner[s - n]
         if u == NONE:
             raise InvariantViolation("(iii) bracket-membership",
                                      f"steiner node {s} has no owner vertex")

@@ -75,7 +75,7 @@ def test_fig_phase1_direct_child_links(fig_demand):
             assert child == helpers.demand_children(fig_demand, v)[0]
         else:
             assert h.is_steiner(child)
-            assert h.owner[child] == v
+            assert h.owner[child - fig_demand.n] == v
 
 
 def test_path_is_fixed_point():

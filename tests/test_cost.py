@@ -12,7 +12,6 @@ from treehost import (HostTree, HostTreeError, TreeHostError,
                       run_bracket_builder, run_tournament, solve_instance)
 from treehost import cost
 from treehost.generate import KINDS
-from treehost.model import DEAD
 
 import helpers
 
@@ -80,13 +79,14 @@ def test_evaluate_invariant_under_steiner_relabeling(fig_demand):
     par = [0] * new_size
     left = [0] * new_size
     right = [0] * new_size
-    owner = [0] * new_size
+    owner = [0] * (new_size - n)
     for old in range(new_size):
         i = remap[old]
         par[i] = remap.get(h.parent[old], h.parent[old])
         left[i] = remap.get(h.left[old], h.left[old])
         right[i] = remap.get(h.right[old], h.right[old])
-        owner[i] = h.owner[old]
+        if old >= n:
+            owner[i - n] = h.owner[old - n]
     shuffled = HostTree(n, remap[h.root], par, left, right, owner)
     shuffled.validate()
     assert evaluate(fig_demand, shuffled).total == base
@@ -111,29 +111,28 @@ def test_evaluate_single_vertex():
 def _path_host(order) -> HostTree:
     """A path host hanging order[i] below order[i - 1]."""
     n = len(order)
-    par, left, right, owner = (np.full(n, -1, dtype=np.int64)
-                               for _ in range(4))
+    par, left, right = (np.full(n, -1, dtype=np.int64) for _ in range(3))
     par[order[1:]] = order[:-1]
     left[order[:-1]] = order[1:]
-    return HostTree(n, int(order[0]), par, left, right, owner)
+    return HostTree(n, int(order[0]), par, left, right, [])
 
 
 def _damage(draw, demand, host) -> HostTree:
     """A copy of the host with one node on the path from a vertex v up to
     the root damaged, so that v's climb or one above it runs into it: a
-    DEAD or -1 parent, a two-cycle with a child, or a cycle from a
-    steiner node down to v."""
+    parent below -1 (out of range) or of -1, a two-cycle with a child, or
+    a cycle from a steiner node down to v."""
     host = helpers.copy_host(host)
     par = host.parent
     v = draw(st.integers(0, demand.n - 1))
     path = [v]
     while par[path[-1]] >= 0:
         path.append(int(par[path[-1]]))
-    how = draw(st.sampled_from(["dead", "root", "two-cycle",
+    how = draw(st.sampled_from(["below-none", "root", "two-cycle",
                                 "steiner-cycle"]))
     at = draw(st.sampled_from(path))
-    if how == "dead":
-        par[at] = DEAD
+    if how == "below-none":
+        par[at] = -2
     elif how == "root":
         par[at] = -1
     elif how == "two-cycle" and at != v:
@@ -187,8 +186,8 @@ def test_evaluate_matches_the_lifting_reference(case):
 
 def test_path_host_takes_the_climb_the_cap_and_the_fallback(monkeypatch):
     """On a path host 0-1-...-63 the climb scores the edges whose parent is
-    at most 64.bit_length() = 7 links above the child; the others, parent
-    further up or below the child, go to the lifting, in one call."""
+    at most (2 * 64).bit_length() = 8 links above the child; the others,
+    parent further up or below the child, go to the lifting, in one call."""
     demand = gen("random", 64, seed=5)
     lifted = []
     real = cost._lifted_distances
@@ -201,8 +200,8 @@ def test_path_host_takes_the_climb_the_cap_and_the_fallback(monkeypatch):
     host = _path_host(np.arange(64))
     got = evaluate(demand, host)
     up = np.array([v - u for u, v in demand.edges()])
-    assert (up < 0).any() and (up > 7).any() and ((up >= 1) & (up <= 7)).any()
-    assert lifted == [int(np.count_nonzero((up < 0) | (up > 7)))]
+    assert (up < 0).any() and (up > 8).any() and ((up >= 1) & (up <= 8)).any()
+    assert lifted == [int(np.count_nonzero((up < 0) | (up > 8)))]
     assert got.total == int(np.abs(up).sum())
     assert got == helpers.reference_evaluate(demand, host)
 
@@ -210,7 +209,7 @@ def test_path_host_takes_the_climb_the_cap_and_the_fallback(monkeypatch):
 def test_evaluate_disconnected_host():
     """Vertex 2 is a second root: the path 0-1-2 is not connected."""
     d = root_at(parse_edge_list("0 1\n1 2"), 0)
-    host = HostTree(3, 0, [-1, 0, -1], [1, -1, -1], [-1] * 3, [-1] * 3)
+    host = HostTree(3, 0, [-1, 0, -1], [1, -1, -1], [-1] * 3, [])
     with pytest.raises(HostTreeError, match="does not connect"):
         evaluate(d, host)
 
@@ -221,7 +220,7 @@ def test_evaluate_cyclic_host(parent):
     """A parent cycle away from the root raises instead of looping."""
     d = root_at(parse_edge_list("0 1\n1 2"), 0)
     m = len(parent)
-    host = HostTree(3, 0, parent, [-1] * m, [-1] * m, [-1] * m)
+    host = HostTree(3, 0, parent, [-1] * m, [-1] * m, [-1] * (m - 3))
     with pytest.raises(HostTreeError, match="cycle"):
         evaluate(d, host)
 
@@ -229,7 +228,7 @@ def test_evaluate_cyclic_host(parent):
 def test_evaluate_refuses_a_demand_root_on_a_parent_cycle():
     """Each child's climb meets its parent in one link, but the vertices
     sit on the cycle 0 -> 2 -> 1 -> 0 and none reaches a root."""
-    host = HostTree(3, 0, [2, 0, 1], [1, 2, 0], [-1] * 3, [-1] * 3)
+    host = HostTree(3, 0, [2, 0, 1], [1, 2, 0], [-1] * 3, [])
     with pytest.raises(HostTreeError, match="cycle"):
         evaluate(gen("path", 3), host)
 
@@ -237,8 +236,8 @@ def test_evaluate_refuses_a_demand_root_on_a_parent_cycle():
 def test_evaluate_scores_a_demand_root_below_a_long_steiner_chain(
         monkeypatch):
     """The demand root hangs 20 steiner links below the host root, more
-    than the climb's cap of 23.bit_length() = 5: the lifting tables find
-    no cycle, and the climbs' cost stands."""
+    than the climb's cap of (2 * 23).bit_length() = 6: the lifting tables
+    find no cycle, and the climbs' cost stands."""
     calls = []
     real = cost._lifting_tables
     monkeypatch.setattr(cost, "_lifting_tables",
@@ -249,7 +248,7 @@ def test_evaluate_scores_a_demand_root_below_a_long_steiner_chain(
     par[:3] = [3, 0, 1]
     left = np.arange(-1, m - 1)
     left[:4] = [1, 2, -1, 0]
-    host = HostTree(3, m - 1, par, left, [-1] * m, [-1] * m)
+    host = HostTree(3, m - 1, par, left, [-1] * m, [-1] * (m - 3))
     demand = gen("path", 3)
     got = evaluate(demand, host)
     assert calls == [m]

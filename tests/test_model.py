@@ -107,7 +107,7 @@ def test_serialize_refuses_a_node_that_lists_one_child_twice():
     left = np.append(np.arange(1, n), NONE)
     right = np.full(n, NONE)
     right[n - 2] = n - 1
-    host = HostTree(n, 0, parent, left, right, np.full(n, NONE))
+    host = HostTree(n, 0, parent, left, right, [])
     with pytest.raises(HostTreeError, match="not connected from root"):
         serialize(host)
 
@@ -150,9 +150,8 @@ def _assert_roundtrip(host):
         back = parse_host(serialize(host, form))
         assert back.root == host.root
         assert back.n_vertices == host.n_vertices
-        live = sorted(helpers.live_nodes(host))
-        assert sorted(helpers.live_nodes(back)) == live
-        for i in live:
+        assert back.num_nodes() == host.num_nodes()
+        for i in range(host.num_nodes()):
             assert back.parent[i] == host.parent[i]
             assert back.left[i] == host.left[i]
             assert back.right[i] == host.right[i]
@@ -175,7 +174,7 @@ def test_roundtrip_preserves_steiner_owner(fig_demand):
     h = run_bracket_builder(fig_demand)
     back = parse_host(serialize(h))
     for s in helpers.steiner_nodes(h):
-        assert back.owner[s] == h.owner[s]
+        assert back.owner[s - h.n_vertices] == h.owner[s - h.n_vertices]
 
 
 def test_parse_host_rejects_garbage():
@@ -196,24 +195,25 @@ def test_parse_host_rejects_garbage():
     ([NONE, 0], [1, NONE], [7, NONE]),  # a child id past the last node
 ], ids=["below-none", "past-the-end"])
 def test_validate_refuses_a_child_id_outside_the_nodes(parent, left, right):
-    host = HostTree(len(parent), 0, parent, left, right, [NONE] * len(parent))
+    host = HostTree(len(parent), 0, parent, left, right, [])
     with pytest.raises(HostTreeError,
                        match=rf"^child link 0->{right[0]} not mirrored$"):
         host.validate()
 
 
-@pytest.mark.parametrize("n_vertices, left", [(2, [1]), (3, [1, NONE])],
-                         ids=["short-left", "short-of-vertices"])
-def test_validate_refuses_arrays_of_the_wrong_length(n_vertices, left):
-    host = HostTree(n_vertices, 0, [NONE, 0], left, [NONE, NONE],
-                    [NONE, NONE])
+@pytest.mark.parametrize("n_vertices, left, owner", [
+    (2, [1], []), (3, [1, NONE], []),
+    (2, [1, NONE], [NONE]),  # an owner entry with no steiner node
+], ids=["short-left", "short-of-vertices", "owner-of-no-steiner"])
+def test_validate_refuses_arrays_of_the_wrong_length(n_vertices, left, owner):
+    host = HostTree(n_vertices, 0, [NONE, 0], left, [NONE, NONE], owner)
     with pytest.raises(HostTreeError, match="host arrays of unequal lengths"):
         host.validate()
 
 
 def test_validate_refuses_a_node_that_lists_one_child_twice():
     d = root_at(parse_edge_list("0 1"), 0)
-    host = HostTree(2, 0, [NONE, 0], [1, NONE], [1, NONE], [NONE, NONE])
+    host = HostTree(2, 0, [NONE, 0], [1, NONE], [1, NONE], [])
     with pytest.raises(HostTreeError, match="^node 0 lists child 1 twice$"):
         host.validate()
     with pytest.raises(HostTreeError, match="^node 0 lists child 1 twice$"):
@@ -240,16 +240,13 @@ def test_parse_host_numbers_sparse_steiner_ids_densely(fig_demand):
 
 def _host_outcome(parse, text: str):
     """The message of the HostTreeError that ``parse(text)`` raises, or the
-    host with its live nodes numbered densely in id order."""
+    host's vertex count, root and arrays."""
     try:
         host = parse(text)
     except HostTreeError as e:
         return str(e)
-    live = np.flatnonzero(host.parent != model.DEAD)
-    slot = np.full(len(host.parent) + 1, NONE)
-    slot[live] = np.arange(len(live))
-    return (host.n_vertices, int(slot[host.root]),
-            *(slot[getattr(host, f)[live]].tolist()
+    return (host.n_vertices, host.root,
+            *(getattr(host, f).tolist()
               for f in ("parent", "left", "right", "owner")))
 
 

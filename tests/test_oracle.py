@@ -135,7 +135,7 @@ def test_opt_tiny_instances():
     assert opt_cost(gen("path", 1))[0] == 0
     opt, host = opt_cost(gen("path", 2))
     assert opt == 1
-    assert sorted(helpers.live_nodes(host)) == [0, 1]
+    assert host.num_nodes() == 2
 
 
 @pytest.mark.parametrize("command", [["oracle"], ["check"]])

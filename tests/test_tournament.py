@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from treehost import (DemandTree, HostTree, HostTreeError, InvariantViolation,
                       TreeHostError, check_invariants, evaluate, gen,
                       lb_instance, match_keys, parse_edge_list, root_at,
-                      run_bracket_builder, run_tournament)
+                      run_bracket_builder, run_tournament, serialize)
 from treehost.generate import prufer_edges
-from treehost.model import _SPACE_CHARS, DEAD, NONE, Labels
+from treehost.model import _SPACE_CHARS, NONE, Labels
 
 import helpers
 from helpers import FIG_FINAL_PARENTS
@@ -23,7 +23,7 @@ def test_fig_tournament_reproduces_figure(fig_demand):
     before = evaluate(fig_demand, h).total
     res = run_tournament(h, fig_demand, tiebreak="lex", debug=True)
     assert h.steiner_count() == 0
-    assert sorted(helpers.live_nodes(h)) == list(range(14))
+    assert h.num_nodes() == 14 and len(h.owner) == 0
     assert helpers.parent_map(h) == FIG_FINAL_PARENTS
     after = evaluate(fig_demand, h).total
     assert (before, after) == (33, 27)
@@ -43,7 +43,7 @@ def test_match_single_rewrite_semantics():
     assert h.left[0] == 1 and h.parent[1] == 0
     assert h.left[1] == 2 and h.right[1] == -1
     assert h.left[2] == -1 and h.right[2] == -1
-    assert h.parent[s] == -2 and h.left[s] == h.right[s] == -1
+    assert h.num_nodes() == s and len(h.owner) == 0  # s is removed
 
 
 def test_match_loser_inherits_winner_subtree():
@@ -155,7 +155,7 @@ def _reshaped_phase1(d, rnd):
     slots = [(s, side) for s in helpers.steiner_nodes(h)
              for side in (h.left, h.right) if side[s] < d.n]
     for v in range(d.n):
-        mine = [(s, side) for s, side in slots if h.owner[s] == v]
+        mine = [(s, side) for s, side in slots if h.owner[s - d.n] == v]
         players = [side[s] for s, side in mine]
         rnd.shuffle(players)
         for (s, side), w in zip(mine, players):
@@ -279,7 +279,7 @@ def test_final_tree_shape_properties(rng):
         run_tournament(h, d)
         h.validate()
         assert h.steiner_count() == 0
-        assert sorted(helpers.live_nodes(h)) == list(range(n))
+        assert h.num_nodes() == n and len(h.owner) == 0
         assert helpers.max_degree(h) <= 3
         assert len(helpers.host_children(h, h.root)) <= 1
         check_invariants(d, h)  # ancestry still holds; steiner clauses vacuous
@@ -293,6 +293,52 @@ def test_played_host_is_refused(debug):
     run_tournament(h, d)
     with pytest.raises(TreeHostError, match="already played"):
         run_tournament(h, d, debug=debug)
+
+
+@pytest.mark.parametrize("debug", [False, True])
+def test_host_with_a_vertex_of_two_children_is_refused(debug):
+    """A caterpillar's phase-1 host with vertex 13 re-hung as vertex 0's
+    right child is one valid binary tree, but not a phase-1 host: both
+    paths refuse it, where the replay once returned a broken host."""
+    d = gen("caterpillar", 14, seed=0)
+    h = run_bracket_builder(d)
+    p = h.parent[13]
+    (h.left if h.left[p] == 13 else h.right)[p] = NONE
+    h.right[0], h.parent[13] = 13, 0
+    h.validate()
+    with pytest.raises(TreeHostError, match="already played: vertex 0 has "
+                       "two children"):
+        run_tournament(h, d, debug=debug)
+
+
+def test_played_prefixes_are_refused_or_finish_as_a_fresh_run():
+    """After every prefix of the matches in sweep order, either a vertex
+    has two children and both paths refuse the host, or both finish it to
+    the fresh run's host and the rest of its ledger."""
+    cases = [gen(kind, n, seed=seed) for kind in ("random", "caterpillar")
+             for n in (5, 17, 40) for seed in range(4)]
+    cases += [gen("star", 9), gen("complete_binary", 31)]
+    outcomes = set()
+    for d in cases:
+        fresh = run_bracket_builder(d)
+        ledger = run_tournament(helpers.copy_host(fresh), d).losers.tolist()
+        run_tournament(fresh, d)
+        stepped = run_bracket_builder(d)
+        keys = match_keys(d)
+        for k, s in enumerate(range(stepped.num_nodes() - 1, d.n - 1, -1)):
+            helpers.play_match(stepped, d, s, keys)
+            for debug in (False, True):
+                h = helpers.copy_host(stepped)
+                try:
+                    res = run_tournament(h, d, debug=debug)
+                except TreeHostError as e:
+                    assert "already played" in str(e)
+                    outcomes.add("refused")
+                    continue
+                outcomes.add("finished")
+                assert serialize(h) == serialize(fresh)
+                assert res.losers.tolist() == ledger[k + 1:]
+    assert outcomes == {"refused", "finished"}
 
 
 def test_path_tournament_is_noop():
@@ -375,7 +421,9 @@ def _damaged_arrays(draw):
         if op < 3:
             array = getattr(host, draw(st.sampled_from(
                 ["parent", "left", "right", "owner"])))
-            array[draw(node)] = draw(st.integers(-3, size + 1))
+            if len(array):
+                at = draw(st.integers(0, len(array) - 1))
+                array[at] = draw(st.integers(-3, size + 1))
         elif op == 3:
             host.root = draw(st.integers(-1, size))
         elif op < 7:  # x moves under p, into p's first free slot or right
@@ -405,10 +453,9 @@ def _outcome(check, *args):
 
 
 def _outside_or_twice(host) -> bool:
-    """Whether a live node has a child id outside [-1, size) or lists one
-    child twice: the hosts that the reference checkers crash on or pass."""
-    live = host.parent != DEAD
-    left, right = host.left[live], host.right[live]
+    """Whether a node has a child id outside [-1, size) or lists one child
+    twice: the hosts that the reference checkers crash on or pass."""
+    left, right = host.left, host.right
     size = len(host.parent)
     return bool(((left < NONE) | (left >= size) | (right < NONE)
                  | (right >= size) | ((left != NONE) & (left == right))).any())
@@ -453,8 +500,7 @@ def test_check_invariants_refuses_a_vertex_entered_after_its_parent():
     """Host 0(1, 2) for the path 0-1-2: vertex 2 is entered just after its
     demand parent 1 is left, which an off-by-one interval test accepts."""
     d = root_at(parse_edge_list("0 1\n1 2"), 0)
-    host = HostTree(3, 0, [NONE, 0, 0], [1, NONE, NONE], [2, NONE, NONE],
-                    [NONE] * 3)
+    host = HostTree(3, 0, [NONE, 0, 0], [1, NONE, NONE], [2, NONE, NONE], [])
     with pytest.raises(InvariantViolation, match="demand parent 1 of vertex "
                        "2 is not a host ancestor"):
         check_invariants(d, host)
