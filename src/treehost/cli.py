@@ -149,6 +149,7 @@ def cmd_solve(args) -> int:
             print(f"cost/lb        {rep.ratio_vs_lb:.3f}")
         if rep.oracle_opt is not None:
             print(f"oracle opt     {rep.oracle_opt}")
+        if rep.ratio_vs_opt is not None:
             print(f"cost/opt       {rep.ratio_vs_opt:.3f}")
         for phase, t in rep.wall_times.items():
             print(f"time {phase:<9} {t:.3f}s")

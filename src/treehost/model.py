@@ -8,10 +8,10 @@ live on the same ids and may additionally contain synthetic *steiner* nodes
 with ids ``>= n``, rendered as ``s<id>`` in text form; a host's arrays hold
 only the nodes in the tree, so a solved host is n long.
 
-Every tree holds its structure in flat numpy int64 arrays (CSR adjacency or
-child lists, parent/left/right arrays for the host tree) at any size; the few
-sequential walks run over local ``tolist()`` copies, which Python indexes
-faster than numpy scalars.
+Every tree holds its structure in flat numpy int64 arrays (the input's edge
+list, child lists, parent/left/right arrays for the host tree) at any size;
+the few sequential walks run over local ``tolist()`` copies, which Python
+indexes faster than numpy scalars.
 
 Ingest and egress work on whole arrays and whole strings.  The edge-list
 parser classifies every character of the text once, which gives each
@@ -28,7 +28,7 @@ connected: every vertex of degree 1 but vertex 0 hangs from its one
 neighbour, and one Euler tour from vertex 0, ranked in numpy
 (``_list_ranks``, one int64 state per element), hangs the rest, so the
 tour's work follows the inner vertices; ``root_at`` reuses the parent
-array.
+array and orders the children with one sort of the edges.
 One routine walks a host, ``_tour``, also ranked by ``_list_ranks``:
 ``serialize`` writes it in preorder, ``HostTree.validate`` checks the links
 as masks and returns it, and ``check_invariants`` reads ancestry off it.
@@ -510,15 +510,14 @@ class Labels:
 
 
 class UnrootedTree:
-    """Connected acyclic graph over dense vertex ids, adjacency in input order."""
+    """A tree over dense vertex ids, as its (u, v) edges in input order."""
 
-    __slots__ = ("n", "adj_off", "adj_flat", "labels", "parent0")
+    __slots__ = ("n", "edges", "labels", "parent0")
 
-    def __init__(self, n: int, adj_off, adj_flat,
-                 labels: Labels | list[str] | None, parent0=None):
+    def __init__(self, n: int, edges, labels: Labels | list[str] | None,
+                 parent0=None):
         self.n = n
-        self.adj_off = _int64(adj_off)
-        self.adj_flat = _int64(adj_flat)
+        self.edges = _int64(edges).reshape(-1, 2)
         self.labels = Labels.of(labels)
         # parent of each vertex with the tree hung from vertex 0 (-1 there);
         # None when the edges are not known to connect the vertices
@@ -573,10 +572,10 @@ class UnrootedTree:
     def from_tree_edges_unchecked(cls, edges, n: int,
                                   labels: Labels | list[str] | None = None
                                   ) -> "UnrootedTree":
-        """CSR adjacency in edge-input order, without validation: for edges
-        already known to be a tree (validated input, generator output).
-        Also hangs the tree from vertex 0; ``parent0`` is None unless the
-        edges are n - 1 edges that connect the vertices, a tree.
+        """The edges as given, an int64 array without a copy, unvalidated:
+        for edges already known to be a tree (validated input, generator
+        output).  Also hangs the tree from vertex 0; ``parent0`` is None
+        unless the edges are n - 1 edges that connect the vertices, a tree.
 
         Every vertex of degree 1 but vertex 0 hangs from its one neighbour,
         and one Euler tour (``_tour_parent``) hangs the rest, the inner
@@ -584,35 +583,21 @@ class UnrootedTree:
         edges are a tree just when no edge joins two such leaves, the tour
         takes every other edge and every vertex but 0 gets a parent."""
         n = max(n, 1)
-        src = _int64(edges).ravel()  # arcs 2i and 2i + 1: edge i both ways
-        # stable by source: sort the unique keys source << bits | position
-        bits = len(src).bit_length()
-        perm = src << bits
-        perm |= np.arange(len(src))
-        perm.sort()
-        perm &= (1 << bits) - 1
-        flat = src[perm ^ 1]  # the other end of each arc
-        del perm
-        deg = np.bincount(src, minlength=n)
-        off = np.zeros(n + 1, dtype=np.int64)
-        np.add.accumulate(deg, out=off[1:])
-        leaf = deg == 1
+        tree = cls(n, edges, labels)
+        src = tree.edges.ravel()  # arcs 2i and 2i + 1: edge i both ways
+        leaf = np.bincount(src, minlength=n) == 1
         leaf[0] = False
-        del deg
         hang = leaf[src]  # the arcs that leave a leaf
         out = hang.nonzero()[0]
         up = src[out ^ 1]
         parent = np.full(n, NONE, dtype=np.int64)
         parent[src[out]] = up
-        inner = src.reshape(-1, 2)[~(hang[0::2] | hang[1::2])].ravel()
-        if (len(src) != 2 * (n - 1) or np.count_nonzero(leaf[up])
-                or not _tour_parent(inner, parent)
-                or np.count_nonzero(parent == NONE) != 1):
-            parent = None
-        return cls(n, off, flat, labels, parent)
-
-    def label(self, v: int) -> str:
-        return self.labels[v] if self.labels is not None else str(v)
+        inner = tree.edges[~(hang[0::2] | hang[1::2])].ravel()
+        if (len(src) == 2 * (n - 1) and not np.count_nonzero(leaf[up])
+                and _tour_parent(inner, parent)
+                and np.count_nonzero(parent == NONE) == 1):
+            tree.parent0 = parent
+        return tree
 
 
 # What ``str.split`` treats as whitespace, and the part of it at which
@@ -764,8 +749,8 @@ class DemandTree:
 def root_at(tree: UnrootedTree, root: int) -> DemandTree:
     """Orient an unrooted tree away from ``root``.
 
-    Children of each vertex keep the adjacency (input) order, minus the
-    parent, which makes repeated runs byte-for-byte reproducible.  The
+    Children of each vertex keep the order of their edges in the input,
+    which makes repeated runs byte-for-byte reproducible.  The
     orientation is the tree's ``parent0`` with the path from ``root`` to
     vertex 0 reversed.
     """
@@ -781,15 +766,19 @@ def root_at(tree: UnrootedTree, root: int) -> DemandTree:
         par[v] = above
         v, above = up, v
 
-    # child CSR: keep adjacency order, drop the parent entry
-    deg = np.diff(tree.adj_off)
-    owner = np.repeat(np.arange(n, dtype=np.int64), deg)
-    child_flat = tree.adj_flat[par[tree.adj_flat] == owner]
-    counts = deg - 1
-    counts[root] += 1
+    # each edge's child end, and the children of each vertex in edge order:
+    # one sort of the unique keys parent << bits | edge index
+    first, second = tree.edges.T
+    child = np.where(par[second] == first, second, first)
+    key = par[child]
     child_off = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=child_off[1:])
-    return DemandTree(n, root, par, child_off, child_flat, tree.labels)
+    np.cumsum(np.bincount(key, minlength=n), out=child_off[1:])
+    bits = len(key).bit_length()
+    key <<= bits
+    key |= np.arange(len(key))
+    key.sort()
+    key &= (1 << bits) - 1
+    return DemandTree(n, root, par, child_off, child[key], tree.labels)
 
 
 class HostTree:

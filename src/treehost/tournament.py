@@ -137,6 +137,7 @@ def _replay(host: HostTree, demand: DemandTree,
         up = up[up]
     else:
         raise HostTreeError("steiner nodes on a parent cycle")
+    del up
     # the player that comes up from each node: a vertex is its own, a
     # steiner node's is the winner of its match; index -1 reads NONE
     champ = np.append(np.arange(total, dtype=np.int64), NONE)
@@ -149,25 +150,32 @@ def _replay(host: HostTree, demand: DemandTree,
             raise TreeHostError(
                 f"match at {n + i[early.argmax()]} fired before its children")
         champ[n + i] = np.where(keys[pl] <= keys[pr], pl, pr)
+    del keys
 
+    # each working array is freed once last read, to lower the peak
     winner = champ[n:total]
     pl, pr = champ[kid_l], champ[kid_r]
     takeleft = winner == pl
     loser = np.where(takeleft, pr, pl)
+    top = depth[:m] == 1
+    top_winner, top_loser = winner[top], loser[top]
+    del pl, pr, depth, winner, top
     # a player's host child before it plays: the loser of its last match,
     # or the winner of its own bracket, or its single child
     held = np.concatenate([champ[host.left[:n]], loser, [NONE]])
+    del champ
     a = held[np.where(takeleft, kid_l, kid_r)]
     b = held[np.where(takeleft, kid_r, kid_l)]
     left = held[:n].copy()
+    del takeleft, held
     right = np.full(n, NONE, dtype=np.int64)
     # the loser inherits the winner's former child next to its own; the
     # winner of a whole bracket keeps the loser of its last match
     got_a = a != NONE
     left[loser] = np.where(got_a, a, b)
     right[loser] = np.where(got_a, b, NONE)
-    top = depth[:m] == 1
-    left[winner[top]] = loser[top]
+    del a, b, got_a
+    left[top_winner] = top_loser
     par = np.full(n, NONE, dtype=np.int64)
     for side in (left, right):
         has = np.flatnonzero(side >= 0)

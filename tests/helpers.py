@@ -496,13 +496,13 @@ def reference_parse_edge_list(text: str) -> UnrootedTree:
             pair.append(ids[t])
         edges.append((pair[0], pair[1]))
     if not edges:
-        return _reference_csr([], 1, ["0"])
+        return UnrootedTree(1, [], ["0"])
     return reference_from_edges(edges, n=len(ids), labels=labels)
 
 
 def reference_from_edges(edges: list[tuple[int, int]], n: int | None = None,
                          labels: list[str] | None = None) -> UnrootedTree:
-    """Validate with union-find, then build the CSR in edge-input order."""
+    """Validate with union-find, then keep the edges in input order."""
     if n is None:
         n = max((max(u, v) for u, v in edges), default=-1) + 1
         n = max(n, 1)
@@ -538,18 +538,7 @@ def reference_from_edges(edges: list[tuple[int, int]], n: int | None = None,
     roots = len({find(v) for v in range(n)})
     if roots != 1:
         raise EdgeListError(f"disconnected input: {roots} components")
-    return _reference_csr(edges, n, labels)
-
-
-def _reference_csr(edges, n: int, labels) -> UnrootedTree:
-    n = max(n, 1)
-    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    src = e.ravel()
-    dst = e[:, ::-1].ravel()
-    flat = dst[np.argsort(src, kind="stable")]
-    off = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=off[1:])
-    return UnrootedTree(n, off, flat, labels)
+    return UnrootedTree(n, edges, labels)
 
 
 def reference_parent0(edges, n: int) -> np.ndarray | None:
@@ -592,11 +581,17 @@ def reference_parent0(edges, n: int) -> np.ndarray | None:
 
 
 def reference_root_at(tree: UnrootedTree, root: int) -> DemandTree:
-    """BFS from ``root``; children keep adjacency order minus the parent."""
+    """BFS from ``root`` over adjacency lists filled in edge order; the
+    children of each vertex are the child ends of its edges, in edge
+    order."""
     n = tree.n
     if not 0 <= root < n:
         raise UnknownVertexError(f"unknown root id {root}")
-    adj_off, adj_flat = tree.adj_off.tolist(), tree.adj_flat.tolist()
+    edges = tree.edges.tolist()
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
     parent = [NONE] * n
     parent[root] = root
     order = [root]
@@ -604,20 +599,22 @@ def reference_root_at(tree: UnrootedTree, root: int) -> DemandTree:
     while head < len(order):
         v = order[head]
         head += 1
-        for w in adj_flat[adj_off[v]:adj_off[v + 1]]:
+        for w in adj[v]:
             if parent[w] == NONE:
                 parent[w] = v
                 order.append(w)
     parent[root] = NONE
-    par = np.asarray(parent, dtype=np.int64)
-    deg = np.diff(tree.adj_off)
-    owner = np.repeat(np.arange(n, dtype=np.int64), deg)
-    child_flat = tree.adj_flat[par[tree.adj_flat] == owner]
-    counts = deg - 1
-    counts[root] += 1
-    child_off = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=child_off[1:])
-    return DemandTree(n, root, par, child_off, child_flat, tree.labels)
+    children: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        if parent[v] == u:
+            children[u].append(v)
+        else:
+            children[v].append(u)
+    child_off = [0]
+    for kids in children:
+        child_off.append(child_off[-1] + len(kids))
+    child_flat = [w for kids in children for w in kids]
+    return DemandTree(n, root, parent, child_off, child_flat, tree.labels)
 
 
 def reference_label_rank(labels: list[str]) -> np.ndarray:

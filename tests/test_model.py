@@ -401,7 +401,7 @@ def _parsed(parse, text):
         t = parse(text)
     except EdgeListError as exc:
         return str(exc)
-    return t.n, helpers.label_list(t.labels), t.adj_off.tolist(), t.adj_flat.tolist()
+    return t.n, helpers.label_list(t.labels), t.edges.tolist()
 
 
 @settings(database=None, derandomize=True, deadline=None, max_examples=300)

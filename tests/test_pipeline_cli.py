@@ -218,6 +218,26 @@ def test_cli_solve_oracle_above_the_cap(tmp_path, capsys, monkeypatch):
     assert _run(["oracle", str(f)], capsys=capsys)[2] == err
 
 
+@pytest.mark.parametrize("text,flags", [
+    ("", []),                                   # n = 1: the optimum is 0
+    ("0 1\n0 2\n0 3\n", ["--phase1-only"]),     # no final cost
+])
+def test_cli_solve_oracle_without_a_ratio(text, flags, tmp_path, capsys,
+                                          monkeypatch):
+    """With no cost/opt ratio, the text report prints the optimum alone and
+    the JSON report holds null."""
+    f = tmp_path / "t.edges"
+    f.write_text(text)
+    code, out, _ = _run(["solve", str(f), "--oracle", *flags], capsys=capsys)
+    assert code == 0
+    assert "oracle opt" in out and "cost/opt" not in out
+    code, out, _ = _run(["solve", str(f), "--oracle", "--json", *flags],
+                        capsys=capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["oracle_opt"] is not None and doc["ratio_vs_opt"] is None
+
+
 def test_cli_solve_root_flag(fig_text, tmp_path, capsys, monkeypatch):
     f = tmp_path / "fig.edges"
     f.write_text(fig_text)

@@ -72,9 +72,8 @@ MODEL_SURFACE = {
                    "label", "labels", "leaf_count", "n", "parent", "root"],
     "HostTree": ["is_steiner", "left", "n_vertices", "num_nodes", "owner",
                  "parent", "right", "root", "steiner_count", "validate"],
-    "UnrootedTree": ["adj_flat", "adj_off", "from_edges",
-                     "from_tree_edges_unchecked", "label", "labels", "n",
-                     "parent0"],
+    "UnrootedTree": ["edges", "from_edges", "from_tree_edges_unchecked",
+                     "labels", "n", "parent0"],
 }
 
 
