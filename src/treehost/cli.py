@@ -81,9 +81,10 @@ def _write_out(pieces: list[str], out: str | None) -> None:
 
 def cmd_gen(args) -> int:
     tree = gen(args.kind, args.n, args.seed)
-    lines = [f"# kind={args.kind} n={args.n} seed={args.seed}"]
-    lines += [f"{tree.label(u)} {tree.label(v)}" for u, v in tree.edges()]
-    _write_out(["\n".join(lines) + "\n"], args.out)
+    kid = tree.child_flat  # one "parent child" row per edge
+    _write_out([f"# kind={args.kind} n={args.n} seed={args.seed}\n",
+                *write_rows((None, tree.parent[kid]), " ", (None, kid), "\n")],
+               args.out)
     return EXIT_OK
 
 

@@ -23,7 +23,7 @@ from .model import (NONE, DemandTree, HostTree, ParameterError,
 
 KINDS = ("path", "star", "caterpillar", "complete_binary", "random")
 BST_ENUM_CAP = 12
-MAX_GEN_N = 10**7  # gen peaks at about 300 MB for n = 10^6
+MAX_GEN_N = 10**7  # gen peaks at about 260 MB for n = 10^6 (random)
 
 
 def prufer_edges(seq: list[int], n: int) -> list[tuple[int, int]]:
@@ -63,21 +63,23 @@ def gen(kind: str, n: int, seed: int | None = None) -> DemandTree:
         raise ParameterError(f"unknown kind {kind!r}; pick one of {KINDS}")
     if kind == "random" and seed is None:
         raise ParameterError("random generation requires a seed")
-    if n == 1:
-        edges = []
-    elif kind == "path":
-        edges = [(i, i + 1) for i in range(n - 1)]
-    elif kind == "star":
-        edges = [(0, i) for i in range(1, n)]
-    elif kind == "caterpillar":
-        spine = (n + 1) // 2
-        edges = [(i, i + 1) for i in range(spine - 1)]
-        edges += [(i % spine, spine + i) for i in range(n - spine)]
-    elif kind == "complete_binary":
-        edges = [((i - 1) // 2, i) for i in range(1, n)]
-    else:
+    if kind == "random":
         rng = random.Random(seed)
-        edges = prufer_edges([rng.randrange(n) for _ in range(n - 2)], n)
+        edges = prufer_edges([rng.randrange(n) for _ in range(n - 2)],
+                             n) if n > 1 else []
+    else:  # edge i - 1 joins vertex i to the vertex above it
+        kid = np.arange(1, n)
+        if kind == "path":
+            up = kid - 1
+        elif kind == "star":
+            up = np.zeros_like(kid)
+        elif kind == "caterpillar":
+            # the spine 0..spine-1, then leg spine + i hangs from vertex i
+            spine = (n + 1) // 2
+            up = np.append(np.arange(spine - 1), np.arange(n - spine))
+        else:  # complete_binary
+            up = (kid - 1) // 2
+        edges = np.stack((up, kid), axis=1)
     # generator output is a tree by construction; skip re-validation
     return root_at(UnrootedTree.from_tree_edges_unchecked(edges, n), 0)
 

@@ -32,15 +32,15 @@ array and orders the children with one sort of the edges.
 One routine walks a host, ``_tour``, also ranked by ``_list_ranks``:
 ``serialize`` writes it in preorder, ``HostTree.validate`` checks the links
 as masks and returns it, and ``check_invariants`` reads ancestry off it.
-The host text, the ``solve --json`` ledger and the ``eval`` listings are
-written by one column writer (``write_rows``) from arrays: node names,
-numbers and labels' code units, the JSON directly in the layout of
-``json.dumps(indent=2)``.  Rows without a label (the host) are laid out in
-a zero-padded block, one contiguous write per constant byte and digit
-place, then transposed and stripped of the pad; rows with a label (the
-ledger and the listings) are laid out by offset, each row at the sum of
-the widths before it, every constant, digit place and label stored once
-at its place.
+The host text, the ``solve --json`` ledger, the ``eval`` listings and the
+``gen`` edge list are written by one column writer (``write_rows``) from
+arrays: node names, numbers and labels' code units, the JSON directly in
+the layout of ``json.dumps(indent=2)``.  Rows without a label (the host,
+the edge list) are laid out in a zero-padded block, one contiguous write
+per constant byte and digit place, then transposed and stripped of the
+pad; rows with a label (the ledger and the listings) are laid out by
+offset, each row at the sum of the widths before it, every constant,
+digit place and label stored once at its place.
 """
 from __future__ import annotations
 
@@ -735,12 +735,6 @@ class DemandTree:
     def child_counts(self) -> list[int]:
         return np.diff(self.child_off).tolist()
 
-    def edges(self):
-        """Iterate (parent, child) pairs in child-array order."""
-        owner = np.repeat(np.arange(self.n, dtype=np.int64),
-                          np.diff(self.child_off))
-        return zip(owner.tolist(), self.child_flat.tolist())
-
     def leaf_count(self) -> int:
         """Number of childless vertices."""
         return int(np.count_nonzero(np.diff(self.child_off) == 0))
@@ -760,11 +754,14 @@ def root_at(tree: UnrootedTree, root: int) -> DemandTree:
     if tree.parent0 is None:
         raise EdgeListError("the edges do not connect the vertices")
     par = tree.parent0.copy()
-    v, above = root, NONE
-    while v != NONE:
-        up = int(par[v])
-        par[v] = above
-        v, above = up, v
+    if root:  # reverse the path from root up to vertex 0, walked in a list
+        up, v, path = par.tolist(), root, [root]
+        while v:
+            v = up[v]
+            path.append(v)
+        path = np.array(path)
+        par[path[1:]] = path[:-1]
+        par[root] = NONE
 
     # each edge's child end, and the children of each vertex in edge order:
     # one sort of the unique keys parent << bits | edge index
@@ -910,10 +907,7 @@ def _splice(outer: np.ndarray, outer_len: np.ndarray, inner: np.ndarray,
 def _spans(start: np.ndarray, length: np.ndarray, bound: int) -> np.ndarray:
     """The indices ``start[i]:start[i] + length[i]`` of every span, one
     span after another, as 32-bit integers where ``bound``, the end of the
-    indexed array, allows."""
-    some = length > 0
-    if not some.all():
-        start, length = start[some], length[some]
+    indexed array, allows.  No span may be empty."""
     # +1 within a span, a jump at each span's start
     step = np.ones(int(length.sum()),
                    dtype=np.int32 if bound < 2 ** 31 else np.int64)
@@ -1000,6 +994,8 @@ def write_rows(*columns, raw: bool = False) -> list[str]:
     - ``(labels, ids)``, at most one, writes the labels of ``ids`` from
       their code units, escaped as ``json.dumps`` escapes them, or as they
       are with ``raw=True``; a None ``labels`` writes the ids' digits.
+
+    A row with a label takes plain numbers, ``(ids, None)``, beside it.
 
     Without a label, the columns are laid out one at a time in a
     (width, rows) block, each constant byte and digit place one contiguous
@@ -1110,7 +1106,7 @@ def _labelled_rows(fixed: list, label: tuple, rows: slice, raw: bool) -> str:
 
     pos = length.copy()  # the row widths, then each row's next place
     for col in fixed:
-        pos += len(col) if isinstance(col, str) else col[1] + col[2]
+        pos += len(col) if isinstance(col, str) else col[1]
     out = np.empty(int(pos.sum()), dtype=labels.units.dtype)
     np.cumsum(pos[:-1], out=pos[1:])
     pos[0] = 0
@@ -1136,20 +1132,13 @@ def _labelled_rows(fixed: list, label: tuple, rows: slice, raw: bool) -> str:
                     put[pos + j] = runs[j]
             pos += len(const)
             continue
-        value, count, steiner = col
-        if steiner.any():
-            out[pos[steiner]] = ord("s")
-            pos += steiner
+        value, count, _ = col
         pos += count
-        shortest = int(count.min(initial=0))
         for place in range(int(count.max(initial=0))):  # from the last digit
             value, digit = np.divmod(value, value.dtype.type(10))
             digit += ord("0")
-            if place < shortest:
-                out[pos - (place + 1)] = digit
-            else:
-                more = count > place
-                out[pos[more] - (place + 1)] = digit[more]
+            more = count > place
+            out[pos[more] - (place + 1)] = digit[more]
     return _decode(out)
 
 

@@ -31,12 +31,6 @@ def _pair_columns(n: int) -> tuple[np.ndarray, np.ndarray]:
     return iu.astype(np.int64), iv.astype(np.int64)
 
 
-def _pair_index(u: int, v: int, n: int) -> int:
-    if u > v:
-        u, v = v, u
-    return u * (2 * n - u - 1) // 2 + (v - u - 1)
-
-
 def _seq_chunk(start: int, stop: int, n: int) -> np.ndarray:
     """Sequences with indices [start, stop) in lexicographic order."""
     idx = np.arange(start, stop, dtype=np.int64)
@@ -152,9 +146,11 @@ def _host_from_edges(edges: list[tuple[int, int]], n: int,
 
 
 def _demand_pair_cols(demand: DemandTree) -> np.ndarray:
-    n = demand.n
-    return np.asarray([_pair_index(u, v, n) for u, v in demand.edges()],
-                      dtype=np.int64)
+    """Each demand edge's row in the bank, in ``np.triu_indices`` order."""
+    n, kid = demand.n, demand.child_flat
+    lo = np.minimum(demand.parent[kid], kid)
+    hi = np.maximum(demand.parent[kid], kid)
+    return lo * (2 * n - lo - 1) // 2 + (hi - lo - 1)
 
 
 def opt_cost(demand: DemandTree) -> tuple[int, HostTree]:

@@ -65,28 +65,20 @@ class TournamentResult:
         return int(np.sum(self.charges))
 
 
-def _check_after_match(par, left, right, host: HostTree, demand: DemandTree,
+def _check_after_match(par, host: HostTree, demand: DemandTree,
                        x: int, y: int, a: int, b: int, q: int) -> None:
     """Local invariant checks for the region touched by one rewrite.
 
-    ``par``/``left``/``right`` are the sweep's working copies of the host,
-    the played steiner node already removed.
+    ``par`` is the sweep's working copy of the host's parent links, the
+    played steiner node already removed.  The rewrite's own links need no
+    re-reading, and a steiner parent's degree is checked when its own
+    match is played.
     """
-    if par[x] != q or left[x] != y or right[x] != NONE:
-        raise InvariantViolation("(iii) single-child",
-                                 f"winner {x} not in expected post-match shape")
-    expected = (a, b) if a != NONE else (b, NONE)
-    if (left[y], right[y]) != expected:
-        raise InvariantViolation("(iii) single-child",
-                                 f"loser {y} did not inherit children {expected}")
-    if q >= 0 and host.is_steiner(q):
-        if left[q] == NONE or right[q] == NONE:
-            raise InvariantViolation("(i) steiner-degree",
-                                     f"parent steiner {q} lost a child")
-        if demand.parent[x] != host.owner[q - host.n_vertices]:
-            raise InvariantViolation(
-                "(iii) bracket-membership",
-                f"vertex {x} advanced into a bracket not owned by its parent")
+    if (q >= 0 and host.is_steiner(q)
+            and demand.parent[x] != host.owner[q - host.n_vertices]):
+        raise InvariantViolation(
+            "(iii) bracket-membership",
+            f"vertex {x} advanced into a bracket not owned by its parent")
     # Ancestry: the demand parent of every relocated vertex must still sit
     # above it.  Walks are short because the parent owns the local bracket.
     for v in (x, y, a, b):
@@ -252,7 +244,7 @@ def run_tournament(host: HostTree, demand: DemandTree, tiebreak: str = "lex",
         del par[s], left[s], right[s]
         losers.append(y)
         charges.append(counts[y])
-        _check_after_match(par, left, right, host, demand, x, y, a, b, q)
+        _check_after_match(par, host, demand, x, y, a, b, q)
     host.parent = np.asarray(par, dtype=np.int64)
     host.left = np.asarray(left, dtype=np.int64)
     host.right = np.asarray(right, dtype=np.int64)

@@ -15,7 +15,9 @@ node-by-node host reader as it was before its checks became arrays;
 ``reference_validate`` and ``reference_check_invariants`` are the host and
 invariant checkers as they were before they read one ranked Euler tour;
 ``reference_parent0`` hangs a tree from vertex 0 by one Euler tour over
-every edge, as the parser did before its leaves were hung apart.
+every edge, as the parser did before its leaves were hung apart;
+``reference_preorder`` walks a host with a stack, apart from the
+library's tour, for the host references.
 The property tests hold the library to them.  ``enumerate_hosts`` is the
 recursive Prüfer enumeration that the oracle's host bank is held to, and
 ``reference_exhaustive_bst_min`` the shape-by-shape search-tree scan, with
@@ -37,8 +39,7 @@ from treehost import (CostBreakdown, DemandTree, EdgeListError, HostTree,
                       HostTreeError, InvariantViolation, ResourceCapError,
                       TreeHostError, UnknownVertexError, UnrootedTree, gen)
 from treehost.generate import BST_ENUM_CAP, KeyedPath, prufer_edges
-from treehost.model import (Labels, _decode, _list_ranks, _parse_node_name,
-                            _preorder)
+from treehost.model import Labels, _decode, _list_ranks, _parse_node_name
 from treehost.oracle import MAX_N
 
 NONE = -1
@@ -89,8 +90,25 @@ def demand_children(demand: DemandTree, v: int) -> list[int]:
                              demand.child_off[v + 1]].tolist()
 
 
+def demand_edges(demand: DemandTree):
+    """Iterate (parent, child) pairs in child-array order."""
+    owner = np.repeat(np.arange(demand.n), np.diff(demand.child_off))
+    return zip(owner.tolist(), demand.child_flat.tolist())
+
+
 def child_count(demand: DemandTree, v: int) -> int:
     return int(demand.child_off[v + 1] - demand.child_off[v])
+
+
+def reference_preorder(host: HostTree) -> list[int]:
+    """The host's nodes in preorder, left child first, by a stack walk."""
+    left, right = host.left.tolist(), host.right.tolist()
+    order, stack = [], [host.root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack += [c for c in (right[v], left[v]) if c != NONE]
+    return order
 
 
 def host_depths(host: HostTree) -> dict[int, int]:
@@ -339,7 +357,7 @@ def bfs_cost(demand: DemandTree, host: HostTree) -> tuple[int, list[int]]:
     """Per-edge BFS evaluation: (total, per-parent-vertex)."""
     adj = host_adjacency(host)
     per = [0] * demand.n
-    for u, v in demand.edges():
+    for u, v in demand_edges(demand):
         per[u] += bfs_distance(adj, u, v)
     return sum(per), per
 
@@ -667,7 +685,7 @@ def _word_label_tree(kind: str) -> str:
     d = gen(kind, 300, seed=3)
     names = [WORD_LABELS[v % len(WORD_LABELS)] + str(v) if v % 4
              else str(v * 7919) for v in range(d.n)]
-    return "".join(f"{names[u]} {names[v]}\n" for u, v in d.edges())
+    return "".join(f"{names[u]} {names[v]}\n" for u, v in demand_edges(d))
 
 
 def _long_label_path(fill: str, last: str) -> str:
@@ -730,7 +748,7 @@ def reference_serialize(host: HostTree, form: str = "text") -> str:
     """``node:parent`` lines in preorder, or the JSON document in the
     layout of ``json.dumps(indent=2)``."""
     n = host.n_vertices
-    order = _preorder(host)
+    order = np.array(reference_preorder(host), dtype=np.int64)
     par = host.parent[order]
     par[0] = order[0]
     if form == "text":
@@ -823,7 +841,7 @@ def reference_parse_host(text: str) -> HostTree:
                     [NONE] * (len(ids) - n_vertices))
     reference_validate(host)
     owner, n = host.owner, n_vertices
-    for i in _preorder(host).tolist():
+    for i in reference_preorder(host):
         if i >= n:
             p = host.parent[i]
             owner[i - n] = p if p < n else owner[p - n]

@@ -199,7 +199,7 @@ def test_path_host_takes_the_climb_the_cap_and_the_fallback(monkeypatch):
     monkeypatch.setattr(cost, "_lifted_distances", spy)
     host = _path_host(np.arange(64))
     got = evaluate(demand, host)
-    up = np.array([v - u for u, v in demand.edges()])
+    up = np.array([v - u for u, v in helpers.demand_edges(demand)])
     assert (up < 0).any() and (up > 8).any() and ((up >= 1) & (up <= 8)).any()
     assert lifted == [int(np.count_nonzero((up < 0) | (up > 8)))]
     assert got.total == int(np.abs(up).sum())

@@ -37,6 +37,8 @@ import pytest
 from treehost import gen
 from treehost.cli import main
 
+import helpers
+
 # (kind, n) of the generator trees; seed = n for the tree and the labels
 GEN_CASES = [("random", 2), ("random", 9), ("random", 1000),
              ("random", 19_999), ("random", 20_001), ("star", 20_001),
@@ -52,7 +54,8 @@ def relabelled_text(kind: str, n: int) -> str:
     values = rng.sample(range(10 * n), n)
     labels = [str(x) if rng.random() < 0.5 else f"k{x:x}" for x in values]
     edges = [(labels[u], labels[v]) if rng.random() < 0.5
-             else (labels[v], labels[u]) for u, v in tree.edges()]
+             else (labels[v], labels[u])
+             for u, v in helpers.demand_edges(tree)]
     rng.shuffle(edges)
     return "".join(f"{a} {b}\n" for a, b in edges)
 

@@ -306,6 +306,25 @@ def test_parse_host_rejects_unicode_digits(name):
         parse_host(f'{{"nodes": ["0", "{name}"], "parent": {{"{name}": "0"}}}}')
 
 
+@pytest.mark.parametrize("text,message", [
+    ("# a host\n\n0:0  # the root\n   \n1 : 0\n", None),
+    ("0:0\n\n1 0\n", "line 3: expected 'node:parent'"),
+    ("0:0\n-1:0\n", "negative node id in '-1:0'"),
+    ('{"nodes": ["0", "1", "2"], "parent": {"1": "0", "2": "0"}, '
+     '"steiner": ["2"]}', "steiner node '2' lacks 's' prefix"),
+])
+def test_parse_host_reads_lines_and_names(text, message):
+    """Blank and comment lines are skipped, and a bad line or name is
+    named."""
+    if message is None:
+        host = parse_host(text)
+        assert (host.root, host.parent.tolist()) == (0, [NONE, 0])
+        return
+    with pytest.raises(HostTreeError) as err:
+        parse_host(text)
+    assert str(err.value) == message
+
+
 def test_parse_host_json_shape_errors():
     with pytest.raises(HostTreeError):
         parse_host('{"nodes": ["0", "1"], "root": "0"}')        # no parent
@@ -489,15 +508,15 @@ def test_more_than_n_minus_1_edges_cannot_be_rooted():
                                   "complete_binary", "random"])
 def test_tour_orientation_matches_bfs_at_scale(kind):
     d = gen(kind, 30_001, seed=5)
-    edges = list(d.edges())
+    edges = list(helpers.demand_edges(d))
     random_order = np.random.default_rng(1).permutation(len(edges))
     t = UnrootedTree.from_tree_edges_unchecked(
         [edges[i][::-1] if i % 3 else edges[i] for i in random_order.tolist()],
         d.n)
-    for r in (0, 1, d.n - 1):
+    for r in (0, 1, d.n // 2, d.n - 1):  # n - 1 ends the path
         new, ref = root_at(t, r), helpers.reference_root_at(t, r)
-        assert np.array_equal(new.parent, ref.parent)
-        assert np.array_equal(new.child_flat, ref.child_flat)
+        for name in ("parent", "child_off", "child_flat"):
+            assert np.array_equal(getattr(new, name), getattr(ref, name))
 
 
 @st.composite
@@ -604,11 +623,7 @@ def _reference_serialize(host, form: str) -> str:
     """The host as a preorder walk and ``json.dumps`` write it."""
     def name(i):
         return str(i) if i < host.n_vertices else f"s{i}"
-    order, stack = [], [host.root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(reversed(helpers.host_children(host, v)))
+    order = helpers.reference_preorder(host)
     if form == "text":
         up = [i if i == host.root else int(host.parent[i]) for i in order]
         return "".join(f"{name(i)}:{name(p)}\n" for i, p in zip(order, up))

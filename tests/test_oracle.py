@@ -65,7 +65,8 @@ def _stream_cost(demand, edges):
     for u, v in edges:
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
-    return sum(helpers.bfs_distance(adj, u, v) for u, v in demand.edges())
+    return sum(helpers.bfs_distance(adj, u, v)
+               for u, v in helpers.demand_edges(demand))
 
 
 def test_opt_star_with_four_leaves_needs_spreading():

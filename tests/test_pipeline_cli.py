@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treehost import (CostBreakdown, DemandTree, InvariantViolation,
-                      TournamentResult, cli, gen, model, serialize,
+                      TournamentResult, cli, evaluate, gen, model,
+                      parse_edge_list, parse_host, root_at, serialize,
                       solve_instance)
 from treehost.cli import _eval_listing, _ledger, main
 from treehost.pipeline import REPORT_SCHEMA, check_accounting
@@ -236,6 +237,28 @@ def test_cli_solve_oracle_without_a_ratio(text, flags, tmp_path, capsys,
     assert code == 0
     doc = json.loads(out)
     assert doc["oracle_opt"] is not None and doc["ratio_vs_opt"] is None
+
+
+@pytest.mark.parametrize("argv,code,expected", [
+    (["check"], 1, "error: check needs INPUT or --random N SEED COUNT\n"),
+    (["gen", "--kind", "path", "--n", "3"], 0,
+     "# kind=path n=3 seed=None\n0 1\n1 2\n"),
+    (["oracle", "{star}"], 0, "opt    11\nalg    21\nratio  1.909\n"),
+    (["solve", "{star}", "--oracle"], 0,
+     "oracle opt     11\ncost/opt       1.909\n"),
+])
+def test_cli_text_outputs(argv, code, expected, tmp_path, capsys):
+    """Text-mode output: on standard error for a failure, on standard
+    output otherwise."""
+    star = tmp_path / "star.edges"
+    star.write_text("".join(f"0 {i}\n" for i in range(1, 8)))
+    got, out, err = _run([a.format(star=star) for a in argv], capsys=capsys)
+    assert got == code
+    assert expected in (err if code else out)
+    if argv[0] == "oracle":  # then the argmin host, a valid one
+        host = parse_host(out.split("\n", 3)[3])
+        assert evaluate(root_at(parse_edge_list(star.read_text()), 0),
+                        host).total == 11
 
 
 def test_cli_solve_root_flag(fig_text, tmp_path, capsys, monkeypatch):
@@ -541,7 +564,8 @@ def _solve_counting_label_strings(tmp_path, capsys, monkeypatch, seed,
     d = gen("random", 3000, seed=seed)
     names = [f"v{v}é" if v % 3 else str(v * 7) for v in range(d.n)]
     f = tmp_path / "labelled.edges"
-    f.write_text("".join(f"{names[u]} {names[v]}\n" for u, v in d.edges()),
+    f.write_text("".join(f"{names[u]} {names[v]}\n"
+                         for u, v in helpers.demand_edges(d)),
                  encoding="utf-8")
     made = []
     item = Labels.__getitem__

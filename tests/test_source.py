@@ -68,8 +68,8 @@ def test_public_surface_is_pinned():
 # that only the tests use belongs in tests/helpers.py, and comes back into
 # the model only through an edit here.
 MODEL_SURFACE = {
-    "DemandTree": ["child_counts", "child_flat", "child_off", "edges",
-                   "label", "labels", "leaf_count", "n", "parent", "root"],
+    "DemandTree": ["child_counts", "child_flat", "child_off", "label",
+                   "labels", "leaf_count", "n", "parent", "root"],
     "HostTree": ["is_steiner", "left", "n_vertices", "num_nodes", "owner",
                  "parent", "right", "root", "steiner_count", "validate"],
     "UnrootedTree": ["edges", "from_edges", "from_tree_edges_unchecked",
