@@ -121,13 +121,15 @@ def solve_instance(demand: DemandTree, tiebreak: str = "lex",
     still contains steiner nodes, otherwise it is the eliminated final tree.
     Every solve certifies the phase-1 cost of each vertex against its closed
     form and the accounting of ``check_accounting``; ``debug`` adds the full
-    invariant checks of the phase-1 host and of every match.  ``with_oracle``
+    invariant checks of the phase-1 host (in the tournament's sweep, unless
+    ``phase1_only``) and of the final host, and the sweep's bracket check at
+    each match; no match can break ancestry.  ``with_oracle``
     adds the exhaustive optimum, which raises ``ResourceCapError`` above its
     cap.
     """
     t0 = time.perf_counter()
     host = run_bracket_builder(demand)
-    if debug:
+    if debug and phase1_only:
         check_invariants(demand, host)
     t1 = time.perf_counter()
     phase1 = evaluate(demand, host)

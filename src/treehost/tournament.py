@@ -23,7 +23,10 @@ tour ``serialize`` writes in preorder.
 each steiner node's two children from the links and plays the matches one
 depth below the brackets' vertices at a time, all brackets at once; it
 knows nothing of the builder's heap layout.  ``debug=True`` runs the
-sequential sweep, which adds local checks after every single rewrite.
+sequential sweep, which checks the host before its first match and the
+bracket each winner enters.  No match can break ancestry: the match at s
+puts the winner x in s's place, the loser y under x and x's former child
+under y, so host ancestors lose only s, which is never a demand parent.
 """
 from __future__ import annotations
 
@@ -65,36 +68,6 @@ class TournamentResult:
         return int(np.sum(self.charges))
 
 
-def _check_after_match(par, host: HostTree, demand: DemandTree,
-                       x: int, y: int, a: int, b: int, q: int) -> None:
-    """Local invariant checks for the region touched by one rewrite.
-
-    ``par`` is the sweep's working copy of the host's parent links, the
-    played steiner node already removed.  The rewrite's own links need no
-    re-reading, and a steiner parent's degree is checked when its own
-    match is played.
-    """
-    if (q >= 0 and host.is_steiner(q)
-            and demand.parent[x] != host.owner[q - host.n_vertices]):
-        raise InvariantViolation(
-            "(iii) bracket-membership",
-            f"vertex {x} advanced into a bracket not owned by its parent")
-    # Ancestry: the demand parent of every relocated vertex must still sit
-    # above it.  Walks are short because the parent owns the local bracket.
-    for v in (x, y, a, b):
-        if v == NONE or host.is_steiner(v):
-            continue
-        target = demand.parent[v]
-        if target == NONE:
-            continue
-        node = par[v]
-        while node != NONE and node != target:
-            node = par[node]
-        if node != target:
-            raise InvariantViolation(
-                "(ii) ancestry", f"demand parent of {v} is no longer above it")
-
-
 def _replay(host: HostTree, demand: DemandTree,
             tiebreak: str) -> TournamentResult:
     """Vectorized elimination: play every steiner node's match from the
@@ -110,10 +83,6 @@ def _replay(host: HostTree, demand: DemandTree,
     """
     n, total = demand.n, host.num_nodes()
     kid_l, kid_r = host.left[n:], host.right[n:]
-    bad = np.flatnonzero((kid_l < 0) | (kid_r < 0))
-    if bad.size:
-        raise InvariantViolation("(i) steiner-degree",
-                                 f"steiner {n + bad[-1]} lacks two children")
     keys = match_keys(demand, tiebreak)
     # each steiner node's depth below its vertex, by pointer doubling over
     # the parents; index m is the sink above every bracket root
@@ -187,7 +156,9 @@ def run_tournament(host: HostTree, demand: DemandTree, tiebreak: str = "lex",
 
     By default this is the vectorized replay, which plays the matches that
     the links lay out, deepest first.  ``debug=True`` runs the sequential
-    sweep instead, the literal reference, and checks every match.  Steiner
+    sweep instead, the literal reference, which runs ``check_invariants``
+    before and after its matches and checks at each that the winner enters
+    its demand parent's bracket; no match can break ancestry.  Steiner
     ids are allocated bracket-by-bracket in heap order, so sweeping them in
     reverse id order fires every match only when both children are already
     vertices, and the match at s removes the last node.  The win rule
@@ -197,7 +168,8 @@ def run_tournament(host: HostTree, demand: DemandTree, tiebreak: str = "lex",
     A host in which some vertex has a right child is refused: phase 1
     never makes one, every match whose winner had a child gives its loser
     one, and a played host without one replays to the tree a fresh run
-    makes.
+    makes.  Then both paths refuse the highest-id steiner node without two
+    children, the first the sweep would meet.
     """
     n = host.n_vertices
     two = np.flatnonzero(host.right[:n] != NONE)
@@ -205,8 +177,13 @@ def run_tournament(host: HostTree, demand: DemandTree, tiebreak: str = "lex",
         raise TreeHostError("tournament needs a fresh phase-1 host; some "
                             "matches were already played: vertex "
                             f"{two[0]} has two children")
+    bad = np.flatnonzero((host.left[n:] < 0) | (host.right[n:] < 0))
+    if bad.size:
+        raise InvariantViolation("(i) steiner-degree",
+                                 f"steiner {n + bad[-1]} lacks two children")
     if not debug:
         return _replay(host, demand, tiebreak)
+    check_invariants(demand, host)
     par = host.parent.tolist()
     left, right = host.left.tolist(), host.right.tolist()
     keys = match_keys(demand, tiebreak).tolist()
@@ -216,9 +193,6 @@ def run_tournament(host: HostTree, demand: DemandTree, tiebreak: str = "lex",
     for s in range(len(par) - 1, n - 1, -1):
         xl = left[s]
         yr = right[s]
-        if xl == NONE or yr == NONE:
-            raise InvariantViolation("(i) steiner-degree",
-                                     f"steiner {s} lacks two children")
         if xl >= n or yr >= n:
             raise TreeHostError(f"match at {s} fired before its children")
         if keys[xl] <= keys[yr]:
@@ -228,6 +202,10 @@ def run_tournament(host: HostTree, demand: DemandTree, tiebreak: str = "lex",
         # the winner x takes s's place and keeps the loser y as its one
         # child; y inherits x's former child a next to its own b
         q = par[s]
+        if q >= n and demand.parent[x] != host.owner[q - n]:
+            raise InvariantViolation(
+                "(iii) bracket-membership",
+                f"vertex {x} advanced into a bracket not owned by its parent")
         a = left[x]
         b = left[y]
         if left[q] == s:
@@ -244,7 +222,6 @@ def run_tournament(host: HostTree, demand: DemandTree, tiebreak: str = "lex",
         del par[s], left[s], right[s]
         losers.append(y)
         charges.append(counts[y])
-        _check_after_match(par, host, demand, x, y, a, b, q)
     host.parent = np.asarray(par, dtype=np.int64)
     host.left = np.asarray(left, dtype=np.int64)
     host.right = np.asarray(right, dtype=np.int64)

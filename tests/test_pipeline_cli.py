@@ -17,7 +17,7 @@ from treehost import (CostBreakdown, DemandTree, InvariantViolation,
                       parse_edge_list, parse_host, root_at, serialize,
                       solve_instance)
 from treehost.cli import _eval_listing, _ledger, main
-from treehost.pipeline import REPORT_SCHEMA, check_accounting
+from treehost.pipeline import REPORT_SCHEMA, SolveReport, check_accounting
 
 import helpers
 
@@ -638,6 +638,25 @@ def test_report_rejects_a_charge_total_below_the_cost_increase(fig_demand):
     rep.charge_total = rep.final_cost - rep.phase1_cost - 1
     with pytest.raises(InvariantViolation, match="charge_total"):
         rep.validate()
+
+
+@pytest.mark.parametrize("final, lb, opt, code", [
+    (9, 9, 2, "4x-optimum"),    # final = 4*opt + 1
+    (8, 8, 2, None),            # final = 4*opt
+    (8, 9, None, "lower-bound"),  # final = lb - 1
+    (9, 9, 3, None),            # final = lb
+])
+def test_report_bounds_refuse_one_past_and_pass_at_the_bound(final, lb, opt,
+                                                              code):
+    rep = SolveReport(n=10, root="0", tiebreak="id", phase1_cost=9,
+                      steiner_count=0, lb=lb, trivial_lb=9, final_cost=final,
+                      oracle_opt=opt)
+    if code is None:
+        rep.validate()
+        return
+    with pytest.raises(InvariantViolation) as err:
+        rep.validate()
+    assert err.value.code == code
 
 
 def test_solve_rejects_a_wrong_steiner_count(fig_demand):

@@ -192,6 +192,47 @@ def test_steiner_node_missing_a_child_is_refused(fig_demand, debug):
     assert err.value.code == "(i) steiner-degree"
 
 
+@pytest.mark.parametrize("debug", [False, True])
+def test_both_paths_name_the_highest_steiner_node_missing_a_child(fig_demand,
+                                                                  debug):
+    h = run_bracket_builder(fig_demand)
+    steiner = helpers.steiner_nodes(h)
+    for s in (steiner[0], steiner[-1]):
+        h.parent[h.right[s]] = NONE
+        h.right[s] = NONE
+    with pytest.raises(InvariantViolation,
+                       match=f"steiner {steiner[-1]} lacks"):
+        run_tournament(h, fig_demand, debug=debug)
+
+
+def test_sweep_refuses_a_winner_advancing_into_a_foreign_bracket():
+    """Steiner 9, the root of vertex 0's bracket, re-owned by vertex 1: it
+    has no vertex child, so the host passes ``check_invariants``, and the
+    sweep refuses the first winner that advances into it."""
+    d = root_at(parse_edge_list("0 1\n0 2\n0 3\n0 4\n1 5\n1 6\n2 7\n2 8"), 0)
+    h = run_bracket_builder(d)
+    assert h.left[0] == 9
+    h.owner[0] = 1
+    check_invariants(d, h)
+    with pytest.raises(InvariantViolation, match="vertex 3 advanced into a "
+                       "bracket not owned by its parent") as err:
+        run_tournament(h, d, debug=True)
+    assert err.value.code == "(iii) bracket-membership"
+
+
+def test_sweep_refuses_a_host_that_a_match_would_mend():
+    """Vertex 3 sits in steiner 5, vertex 0's bracket, though its demand
+    parent is 1.  Played, 1 beats 3 on id and ends above it, and the final
+    host passes every check; the sweep refuses the host before any match."""
+    d = root_at(parse_edge_list("0 1\n0 2\n1 3\n3 4"), 0)
+    h = HostTree(5, 0, [NONE, 5, 1, 5, 3, 0], [5, 2, NONE, 4, NONE, 1],
+                 [NONE] * 5 + [3], [0])
+    with pytest.raises(InvariantViolation, match="vertex 3 sits in the "
+                       "bracket of 0, not of its parent") as err:
+        run_tournament(h, d, tiebreak="id", debug=True)
+    assert err.value.code == "(iii) bracket-membership"
+
+
 def test_replay_refuses_steiner_parents_it_cannot_order():
     """The replay orders the matches by the steiner nodes' parents: a
     steiner child whose parent is a vertex would play after its parent's
