@@ -83,9 +83,8 @@ def lb_instance(demand: DemandTree, delta: int = 3) -> int:
     n = demand.n
     hist = np.bincount(np.diff(demand.child_off))
     total: int | Fraction = 0
-    for c in range(1, hist.size):
-        if hist[c]:
-            total += int(hist[c]) * lb_exact(int(c), delta)
+    for c in np.flatnonzero(hist[1:]) + 1:  # only the counts that occur
+        total += int(hist[c]) * lb_exact(int(c), delta)
     return max(n - 1, math.floor(total))
 
 

@@ -11,6 +11,7 @@ import io
 import json
 import random
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -136,24 +137,13 @@ def cmd_solve(args) -> int:
         parts.append("\n}\n")
         sys.stdout.writelines(parts)
     else:
-        print(f"n              {rep.n}")
-        print(f"root           {rep.root}")
-        print(f"phase1 cost    {rep.phase1_cost}")
-        if rep.final_cost is not None:
-            print(f"final cost     {rep.final_cost}")
-        print(f"steiner count  {rep.steiner_count}")
-        if rep.charge_total is not None:
-            print(f"charge total   {rep.charge_total}")
-        print(f"lower bound    {rep.lb}")
-        print(f"trivial bound  {rep.trivial_lb}")
-        if rep.ratio_vs_lb is not None:
-            print(f"cost/lb        {rep.ratio_vs_lb:.3f}")
-        if rep.oracle_opt is not None:
-            print(f"oracle opt     {rep.oracle_opt}")
-        if rep.ratio_vs_opt is not None:
-            print(f"cost/opt       {rep.ratio_vs_opt:.3f}")
-        for phase, t in rep.wall_times.items():
-            print(f"time {phase:<9} {t:.3f}s")
+        for f in fields(rep):
+            value = getattr(rep, f.name)
+            if "text" in f.metadata and value is not None:
+                shown = f"{value:.3f}" if isinstance(value, float) else value
+                print(f"{f.metadata['text']:<14} {shown}")
+        for stage, t in rep.wall_times.items():
+            print(f"{'time ' + stage:<14} {t:.3f}s")
         if not args.out:
             sys.stdout.writelines(serialize_pieces(result.host))
     return EXIT_OK

@@ -416,7 +416,7 @@ def _lex_order(units: np.ndarray, start: np.ndarray, length: np.ndarray,
     at[led] += lead
     nbytes[led] -= lead
     # the digit count, and past every digit count for the other spans;
-    # 16 bits where they suffice, which _span_order sorts by radix
+    # 16 bits where they suffice, to keep this n-sized array small
     top = length[num].max(initial=0) + 1
     first = np.full(len(start), top, np.uint16 if top < 1 << 16 else np.int64)
     first[num] = nbytes[num]

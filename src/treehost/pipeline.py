@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -16,22 +16,28 @@ from .tournament import TournamentResult, check_invariants, run_tournament
 REPORT_SCHEMA = "treehost.solve_report.v1"
 
 
-@dataclass
+@dataclass(kw_only=True)
 class SolveReport:
-    """Everything the solver knows about one instance."""
+    """Everything the solver knows about one instance, in the JSON report's
+    order; a field's ``text`` label names its line in the text report."""
 
-    n: int
-    root: str
+    n: int = field(metadata={"text": "n"})
+    root: str = field(metadata={"text": "root"})
     tiebreak: str
-    phase1_cost: int
-    steiner_count: int
-    lb: int
-    trivial_lb: int
-    final_cost: int | None = None
-    charge_total: int | None = None
-    ratio_vs_lb: float | None = None
-    oracle_opt: int | None = None
-    ratio_vs_opt: float | None = None
+    phase1_cost: int = field(metadata={"text": "phase1 cost"})
+    final_cost: int | None = field(default=None,
+                                   metadata={"text": "final cost"})
+    steiner_count: int = field(metadata={"text": "steiner count"})
+    charge_total: int | None = field(default=None,
+                                     metadata={"text": "charge total"})
+    lb: int = field(metadata={"text": "lower bound"})
+    trivial_lb: int = field(metadata={"text": "trivial bound"})
+    ratio_vs_lb: float | None = field(default=None,
+                                      metadata={"text": "cost/lb"})
+    oracle_opt: int | None = field(default=None,
+                                   metadata={"text": "oracle opt"})
+    ratio_vs_opt: float | None = field(default=None,
+                                       metadata={"text": "cost/opt"})
     wall_times: dict[str, float] = field(default_factory=dict)
 
     def validate(self) -> None:
@@ -58,22 +64,7 @@ class SolveReport:
                     f"final {self.final_cost} > 4 * {self.oracle_opt}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": REPORT_SCHEMA,
-            "n": self.n,
-            "root": self.root,
-            "tiebreak": self.tiebreak,
-            "phase1_cost": self.phase1_cost,
-            "final_cost": self.final_cost,
-            "steiner_count": self.steiner_count,
-            "charge_total": self.charge_total,
-            "lb": self.lb,
-            "trivial_lb": self.trivial_lb,
-            "ratio_vs_lb": self.ratio_vs_lb,
-            "oracle_opt": self.oracle_opt,
-            "ratio_vs_opt": self.ratio_vs_opt,
-            "wall_times": self.wall_times,
-        }
+        return {"schema": REPORT_SCHEMA, **asdict(self)}
 
 
 def check_accounting(report: SolveReport, leaves: int,

@@ -312,6 +312,7 @@ def test_parse_host_rejects_unicode_digits(name):
     ("0:0\n-1:0\n", "negative node id in '-1:0'"),
     ('{"nodes": ["0", "1", "2"], "parent": {"1": "0", "2": "0"}, '
      '"steiner": ["2"]}', "steiner node '2' lacks 's' prefix"),
+    ('{"nodes": ["0", "1"], "parent": {"1": 0}}', "bad node name 0"),
 ])
 def test_parse_host_reads_lines_and_names(text, message):
     """Blank and comment lines are skipped, and a bad line or name is

@@ -16,8 +16,10 @@ from treehost import (CostBreakdown, DemandTree, InvariantViolation,
                       TournamentResult, cli, evaluate, gen, model,
                       parse_edge_list, parse_host, root_at, serialize,
                       solve_instance)
+from treehost.bounds import best_case_height, ceil_log2, format_table, table1
 from treehost.cli import _eval_listing, _ledger, main
 from treehost.pipeline import REPORT_SCHEMA, SolveReport, check_accounting
+from treehost.tournament import match_keys
 
 import helpers
 
@@ -480,6 +482,7 @@ def test_console_entry_point(tmp_path):
     ["check", "{edges}", "--host", "{far_vertex_host}"],
     ["check", "--host", "{three_vertex_host}"],
     ["bst-demo", "--n", "4,x"],
+    ["eval", "{edges}", "--host", "{int_name_host}"],
 ])
 def test_cli_bad_arguments_are_typed_errors(argv, tmp_path, capsys):
     files = {
@@ -491,6 +494,7 @@ def test_cli_bad_arguments_are_typed_errors(argv, tmp_path, capsys):
         "three_vertex_host": "0:0\n1:0\n2:1\n",
         "long_name_host": "0:0\n1:0\n" + "1" * 5001 + ":0\n",
         "far_vertex_host": "0:0\n1:0\n111111111111:0\n",
+        "int_name_host": '{"nodes": ["0", "1"], "parent": {"1": 0}}',
         "not_utf8": "\udcff 1\n",
     }
     paths = {}
@@ -501,6 +505,28 @@ def test_cli_bad_arguments_are_typed_errors(argv, tmp_path, capsys):
     assert code == 1
     assert err.startswith("error:")
     assert out == ""
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: model.UnrootedTree.from_edges([(0, 5)], n=3), model.EdgeListError,
+     "edge (0, 5) out of range for n=3"),
+    (lambda: model.UnrootedTree.from_edges([(0, 1)], n=2, labels=["a"]),
+     model.EdgeListError, "expected 2 labels, got 1"),
+    (lambda: serialize(parse_host("0:0\n1:0\n"), "xml"), ValueError,
+     "unknown serialization form 'xml'"),
+    (lambda: match_keys(gen("star", 5), "bogus"), ValueError,
+     "unknown tiebreak 'bogus'"),
+    (lambda: best_case_height(-1), ValueError,
+     "child count must be non-negative"),
+    (lambda: ceil_log2(0), ValueError, "c must be >= 1"),
+    (lambda: format_table(table1(), "csv"), ValueError,
+     "unknown table form 'csv'"),
+], ids=["edge-range", "label-count", "serialize-form", "tiebreak",
+        "height-count", "ceil-log2", "table-form"])
+def test_library_calls_refuse_bad_arguments(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("argv", [
@@ -645,6 +671,8 @@ def test_report_rejects_a_charge_total_below_the_cost_increase(fig_demand):
     (8, 8, 2, None),            # final = 4*opt
     (8, 9, None, "lower-bound"),  # final = lb - 1
     (9, 9, 3, None),            # final = lb
+    (19, 9, None, "elimination-cost"),  # final = phase1 + n
+    (18, 9, None, None),        # final = phase1 + n - 1
 ])
 def test_report_bounds_refuse_one_past_and_pass_at_the_bound(final, lb, opt,
                                                               code):
@@ -657,6 +685,26 @@ def test_report_bounds_refuse_one_past_and_pass_at_the_bound(final, lb, opt,
     with pytest.raises(InvariantViolation) as err:
         rep.validate()
     assert err.value.code == code
+
+
+def test_phase1_only_debug_checks_the_phase1_host(monkeypatch):
+    """With no tournament to follow, ``--phase1-only --debug-checks``
+    checks the bracket host itself."""
+    import treehost.pipeline as pipeline
+    real = pipeline.run_bracket_builder
+
+    def misowned(demand):
+        host = real(demand)
+        host.owner[1] = 3  # steiner 6, in vertex 0's bracket
+        return host
+
+    monkeypatch.setattr(pipeline, "run_bracket_builder", misowned)
+    demand = gen("star", 5)
+    assert solve_instance(demand, phase1_only=True).report.phase1_cost == 12
+    with pytest.raises(InvariantViolation,
+                       match="vertex 1 sits in the bracket of 3") as err:
+        solve_instance(demand, phase1_only=True, debug=True)
+    assert err.value.code == "(iii) bracket-membership"
 
 
 def test_solve_rejects_a_wrong_steiner_count(fig_demand):
