@@ -514,14 +514,13 @@ class UnrootedTree:
 
     __slots__ = ("n", "edges", "labels", "parent0")
 
-    def __init__(self, n: int, edges, labels: Labels | list[str] | None,
-                 parent0=None):
+    def __init__(self, n: int, edges, labels: Labels | list[str] | None):
         self.n = n
         self.edges = _int64(edges).reshape(-1, 2)
         self.labels = Labels.of(labels)
         # parent of each vertex with the tree hung from vertex 0 (-1 there);
         # None when the edges are not known to connect the vertices
-        self.parent0 = None if parent0 is None else _int64(parent0)
+        self.parent0 = None
 
     @classmethod
     def from_edges(cls, edges: list[tuple[int, int]], n: int | None = None,
@@ -949,15 +948,9 @@ def _json_escape(units: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     hit = np.flatnonzero(~plain)
     if not hit.size:
         return units.astype(np.uint8, copy=False), hit, hit
-    # the distinct code points by one sort (np.unique hashes, far slower)
-    code = units[hit]
-    order = np.argsort(code)
-    code = code[order]
-    new = np.append(True, code[1:] != code[:-1])
-    which = np.empty(len(hit), dtype=np.int64)
-    which[order] = np.cumsum(new) - 1
+    code, which = np.unique(units[hit], return_inverse=True)
     escapes, width = _label_units(Labels.of(
-        [json.dumps(chr(c))[1:-1] for c in code[new].tolist()]), which)
+        [json.dumps(chr(c))[1:-1] for c in code.tolist()]), which)
     gaps = np.diff(hit, prepend=-1, append=len(units)) - 1
     return (_splice(units[plain].astype(np.uint8), gaps, escapes, width),
             hit, width - 1)
@@ -1267,25 +1260,20 @@ def parse_host(text: str) -> HostTree:
     # Every listed id gets a slot in id order: a valid host lists the
     # vertices 0..n_vertices-1, which keep their ids, and its steiner ids
     # follow densely, however large they are.
-    order = np.argsort(ids, kind="stable")
-    first = np.ones(len(ids), dtype=bool)
-    first[1:] = ids[order[1:]] != ids[order[:-1]]
-    listed = ids[order[first]]
+    listed, first, slot = np.unique(ids, return_index=True,
+                                    return_inverse=True)
     size = len(listed)
-    slot = np.empty_like(ids)
-    slot[order] = np.cumsum(first) - 1
     at = np.minimum(np.searchsorted(listed, pids), size - 1)
     at[listed[at] != pids] = NONE  # not a listed node
 
     # A bad host is named by its first bad node in listing order, each
     # node's checks in the order the listing is read.
     collides = id_steiner & (ids < n_vertices)
-    twice = np.empty_like(first)
-    twice[order] = ~first
+    twice = np.ones(len(ids), dtype=bool)
+    twice[first] = False
     roots = np.flatnonzero(pids == ids)
-    extra_root = np.zeros(len(ids), dtype=bool)
-    extra_root[roots[1:2]] = True
-    bad = collides | twice | extra_root
+    bad = collides | twice
+    bad[roots[1:2]] = True
     if bad.any():
         k = int(bad.argmax())
         if collides[k]:
@@ -1299,11 +1287,9 @@ def parse_host(text: str) -> HostTree:
     kids = np.flatnonzero(pids != ids)
     up = at[kids]
     by = np.argsort(up, kind="stable")
-    fresh = np.ones(len(kids), dtype=bool)
-    fresh[1:] = up[by[1:]] != up[by[:-1]]
-    step = np.arange(len(kids))
+    _, start, count = np.unique(up[by], return_index=True, return_counts=True)
     nth = np.empty_like(kids)  # how many earlier kids share the parent
-    nth[by] = step - np.maximum.accumulate(np.where(fresh, step, 0))
+    nth[by] = np.arange(len(kids)) - np.repeat(start, count)
     bad = (up == NONE) | (nth >= 2)
     if bad.any():
         k = int(kids[bad.argmax()])

@@ -26,11 +26,6 @@ MAX_N = 9
 _CHUNK = 1 << 18
 
 
-def _pair_columns(n: int) -> tuple[np.ndarray, np.ndarray]:
-    iu, iv = np.triu_indices(n, k=1)
-    return iu.astype(np.int64), iv.astype(np.int64)
-
-
 def _seq_chunk(start: int, stop: int, n: int) -> np.ndarray:
     """Sequences with indices [start, stop) in lexicographic order."""
     idx = np.arange(start, stop, dtype=np.int64)
@@ -99,7 +94,6 @@ def _all_pairs_dist(edges: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass
 class _HostBank:
-    n: int
     seqs: np.ndarray        # (M, n-2) int8, lexicographic order
     pair_dists: np.ndarray  # (n*(n-1)//2, M) int8: a row per vertex pair
 
@@ -112,7 +106,7 @@ class _HostBank:
 def _bank(n: int) -> _HostBank:
     """Every qualifying Prüfer sequence in lexicographic order and the pair
     distances of the hosts they encode, built chunk by chunk."""
-    iu, iv = _pair_columns(n)
+    iu, iv = np.triu_indices(n, k=1)
     seq_blocks = []
     dist_blocks = []
     total = n ** (n - 2)
@@ -125,7 +119,7 @@ def _bank(n: int) -> _HostBank:
             seq_blocks.append(seqs)
             dist = _all_pairs_dist(_decode_chunk(seqs, counts[keep], n), n)
             dist_blocks.append(dist[:, iu, iv].T)
-    return _HostBank(n, np.concatenate(seq_blocks),
+    return _HostBank(np.concatenate(seq_blocks),
                      np.concatenate(dist_blocks, axis=1))
 
 

@@ -127,7 +127,6 @@ def solve_instance(demand: DemandTree, tiebreak: str = "lex",
     _check_bracket_cost(demand, phase1.costs)
     phase1_cost = phase1.total
     del phase1  # and its n-sized costs, before the tournament
-    steiner_count = host.num_nodes() - demand.n
     lb = lb_instance(demand, 3)
     trivial = max(demand.n - 1, 0)
 
@@ -136,7 +135,7 @@ def solve_instance(demand: DemandTree, tiebreak: str = "lex",
         root=demand.label(demand.root),
         tiebreak=tiebreak,
         phase1_cost=phase1_cost,
-        steiner_count=steiner_count,
+        steiner_count=host.steiner_count(),
         lb=lb,
         trivial_lb=trivial,
     )

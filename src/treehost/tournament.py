@@ -30,7 +30,7 @@ under y, so host ancestors lose only s, which is never a demand parent.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,8 +60,8 @@ class TournamentResult:
     int64 arrays: the loser of each match and its charge."""
 
     host: HostTree
-    losers: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-    charges: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    losers: np.ndarray
+    charges: np.ndarray
 
     @property
     def total_charge(self) -> int:

@@ -233,6 +233,28 @@ def test_sweep_refuses_a_host_that_a_match_would_mend():
     assert err.value.code == "(iii) bracket-membership"
 
 
+def test_sweep_refuses_a_match_that_fires_before_its_children():
+    """The phase-1 host of a 5-star with steiner ids 5 and 6 swapped: the
+    bracket root 6 now has a higher id than its steiner child 5, yet the
+    host passes ``check_invariants`` and the replay, which orders matches
+    by depth, plays it to a fresh run's host.  The sweep, which fires the
+    matches in reverse id order, meets 6 while its child 5 is unplayed."""
+    d = gen("star", 5)
+    owner = run_bracket_builder(d).owner
+
+    def swapped():
+        return HostTree(5, 0, [NONE, 5, 5, 7, 7, 6, 0, 6],
+                        [6, NONE, NONE, NONE, NONE, 1, 5, 3],
+                        [NONE] * 5 + [2, 7, 4], owner.copy())
+
+    check_invariants(d, swapped())
+    assert (serialize(run_tournament(swapped(), d).host)
+            == "0:0\n1:0\n3:1\n2:3\n4:3\n")
+    with pytest.raises(TreeHostError,
+                       match="match at 6 fired before its children"):
+        run_tournament(swapped(), d, debug=True)
+
+
 def test_replay_refuses_steiner_parents_it_cannot_order():
     """The replay orders the matches by the steiner nodes' parents: a
     steiner child whose parent is a vertex would play after its parent's
