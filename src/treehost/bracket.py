@@ -13,10 +13,9 @@ vertex pays at most ``c * (ceil(log2 c) + 1)`` and the whole construction
 introduces exactly (#childless vertices - 1) steiner nodes in linear time.
 The builder does one step of numpy work per steiner node and per child,
 none per heap slot: a node's slot is its offset in its bracket's steiner
-ids or in its parent's children, and gives ``2 * parent + side`` by
-arithmetic, which one scatter into the interleaved left and right links
-writes.  The heap layout is known only here: phase 2 plays the links it
-is given.
+ids or in its parent's children, and gives its link ``2 * parent + side``
+by arithmetic.  The heap layout is known only here: phase 2 plays the
+links it is given.
 """
 from __future__ import annotations
 
@@ -31,8 +30,8 @@ def run_bracket_builder(demand: DemandTree) -> HostTree:
     The result is binary, keeps the demand root as host root, gives every
     vertex with children a single host child (its bracket root), and contains
     exactly ``demand.leaf_count() - 1`` steiner nodes for n >= 2.  Every
-    node below a vertex is linked at once from ``2 * parent + side``, its
-    parent's id and its side (0 left, 1 right), which its heap slot gives.
+    node below a vertex gets its link ``2 * parent + side``, its parent's
+    id and its side (0 left, 1 right), from its heap slot.
     """
     n = demand.n
     off, flat = demand.child_off, demand.child_flat
@@ -75,12 +74,8 @@ def run_bracket_builder(demand: DemandTree) -> HostTree:
     inner += np.arange(n, total)
     inner[tops - n] = 2 * verts
 
-    par = np.full(total, NONE, dtype=np.int64)
-    par[flat] = below >> 1
-    par[n:] = inner >> 1
-    kids = np.full(2 * total, NONE, dtype=np.int64)  # left, right of each
-    kids[below] = flat
-    kids[inner] = np.arange(n, total)
+    link = np.full(total, NONE, dtype=np.int64)
+    link[flat] = below
+    link[n:] = inner
     del below, inner
-    return HostTree(n, demand.root, par, kids[0::2].copy(), kids[1::2].copy(),
-                    np.repeat(verts, c[verts] - 1))
+    return HostTree(n, demand.root, link, np.repeat(verts, c[verts] - 1))

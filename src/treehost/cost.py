@@ -134,8 +134,9 @@ def evaluate(demand: DemandTree, host: HostTree) -> CostBreakdown:
     # parent, or falls off a root, is parked at the sink, which is its own
     # parent and no pair's target; the pairs still climbing are gathered
     # out only once half of them are parked.
-    sink = len(host.parent)
-    par = np.append(host.parent, sink)
+    sink = host.num_nodes()
+    par = np.append(host._links(), 2 * sink)
+    par >>= 1
     par[par < 0] = sink
     cap = (2 * sink).bit_length()
     dist = np.full(len(us), -1, dtype=np.int32)
@@ -155,7 +156,7 @@ def evaluate(demand: DemandTree, host: HostTree) -> CostBreakdown:
                 break
     left = np.flatnonzero(dist < 0)
     if left.size:
-        dist[left] = _lifted_distances(host.parent, us[left],
+        dist[left] = _lifted_distances(par[:sink], us[left],
                                        demand.child_flat[left])
     else:
         # every child met its parent, so the host is a tree over the
@@ -167,7 +168,7 @@ def evaluate(demand: DemandTree, host: HostTree) -> CostBreakdown:
             if node == sink:
                 break
         else:
-            _lifting_tables(host.parent)
+            _lifting_tables(par[:sink])
 
     # each vertex's children are one run of the pairs
     per = np.zeros(n, dtype=np.int64)

@@ -112,20 +112,20 @@ def balanced_bst_host(keyed: KeyedPath) -> HostTree:
     """Search-tree host over the keyed path: midpoint-root recursion."""
     n = keyed.tree.n
     vert = keyed.vertex_of_key()
-    up, left, right = ([NONE] * n for _ in range(3))
+    link = [NONE] * n
 
-    def hang(lo: int, hi: int, parent: int) -> int:
-        """Hang the keys lo..hi under ``parent``; the vertex at their top."""
+    def hang(lo: int, hi: int, up: int) -> int:
+        """Hang the keys lo..hi on link ``up``; the vertex at their top."""
         if lo > hi:
             return NONE
         mid = (lo + hi) // 2
         v = vert[mid]
-        up[v] = parent
-        left[v] = hang(lo, mid - 1, v)
-        right[v] = hang(mid + 1, hi, v)
+        link[v] = up
+        hang(lo, mid - 1, 2 * v)
+        hang(mid + 1, hi, 2 * v + 1)
         return v
 
-    return HostTree(n, hang(1, n, NONE), up, left, right, [])
+    return HostTree(n, hang(1, n, NONE), link, [])
 
 
 def exhaustive_bst_min(keyed: KeyedPath) -> int:

@@ -9,7 +9,7 @@ with ids ``>= n``, rendered as ``s<id>`` in text form; a host's arrays hold
 only the nodes in the tree, so a solved host is n long.
 
 Every tree holds its structure in flat numpy int64 arrays (the input's edge
-list, child lists, parent/left/right arrays for the host tree) at any size;
+list, child lists, one ``2 * parent + side`` link per host node) at any size;
 the few sequential walks run over local ``tolist()`` copies, which Python
 indexes faster than numpy scalars.
 
@@ -30,8 +30,8 @@ neighbour, and one Euler tour from vertex 0, ranked in numpy
 tour's work follows the inner vertices; ``root_at`` reuses the parent
 array and orders the children with one sort of the edges.
 One routine walks a host, ``_tour``, also ranked by ``_list_ranks``:
-``serialize`` writes it in preorder, ``HostTree.validate`` checks the links
-as masks and returns it, and ``check_invariants`` reads ancestry off it.
+``serialize`` writes it in preorder, ``HostTree.validate`` returns it, and
+``check_invariants`` reads ancestry off it.
 The host text, the ``solve --json`` ledger, the ``eval`` listings and the
 ``gen`` edge list are written by one column writer (``write_rows``) from
 arrays: node names, numbers and labels' code units, the JSON directly in
@@ -50,7 +50,7 @@ import re
 
 import numpy as np
 
-NONE = -1   # "no node" sentinel in parent/left/right arrays
+NONE = -1   # "no node" sentinel: a root's link, a missing child
 
 
 class TreeHostError(ValueError):
@@ -782,65 +782,69 @@ class HostTree:
 
     Node ids ``< n_vertices`` are demand vertices; ids ``>= n_vertices`` are
     steiner nodes, and the arrays hold only the nodes in the tree: a played
-    match removes its steiner node.  ``parent[i]`` is -1 for the root.
-    Children are stored as ``left``/``right`` (-1 = absent); a node with one
-    child keeps it in ``left``.  ``owner[s - n_vertices]`` records, for a
-    steiner node s, the vertex whose bracket created it.
+    match removes its steiner node.  ``link[i] = 2 * parent + side`` is
+    node i's one edge up (side 0 left, 1 right; -1 at the root), which
+    ``parent`` and ``children()`` read back.  The bracket builder, the
+    tournament, ``parse_host`` and the oracle hang a lone child on side 0,
+    and ``run_tournament`` refuses a vertex with a side-1 child as already
+    played; ``balanced_bst_host`` hangs a lone child on its keys' side.
+    ``owner[s - n_vertices]`` records, for a steiner node s, the vertex
+    whose bracket created it.
     """
 
-    __slots__ = ("n_vertices", "root", "parent", "left", "right", "owner")
+    __slots__ = ("n_vertices", "root", "link", "owner")
 
-    def __init__(self, n_vertices: int, root: int, parent, left, right, owner):
+    def __init__(self, n_vertices: int, root: int, link, owner):
         self.n_vertices = n_vertices
         self.root = root
-        self.parent = _int64(parent)
-        self.left = _int64(left)
-        self.right = _int64(right)
+        self.link = _int64(link)
         self.owner = _int64(owner)
 
     def num_nodes(self) -> int:
-        return len(self.parent)
-
-    def is_steiner(self, i: int) -> bool:
-        return i >= self.n_vertices
+        return len(self.link)
 
     def steiner_count(self) -> int:
         return self.num_nodes() - self.n_vertices
 
+    def _links(self) -> np.ndarray:
+        """``link``, once every link lies in [-1, 2 * size)."""
+        link, top = self.link, 2 * len(self.link)
+        if top and (link.min() < NONE or link.max() >= top):
+            i = int(((link < NONE) | (link >= top)).argmax())
+            raise HostTreeError(f"node {i} has link {link[i]}, outside "
+                                f"[-1, {top})")
+        return link
+
+    @property
+    def parent(self) -> np.ndarray:
+        """Each node's parent, -1 at the root."""
+        return self._links() >> 1
+
+    def children(self) -> tuple[np.ndarray, np.ndarray]:
+        """``left, right``: each node's child on side 0 and on side 1, -1
+        where it has none, by one scatter of the links.  Two nodes that
+        share a link leave one entry fewer; the first of them is named."""
+        link = self._links()
+        size = len(link)
+        # row side, column parent; a -1 link lands on the pad column
+        kids = np.full((2, size + 1), NONE, dtype=np.int64)
+        kids[link & 1, link >> 1] = np.arange(size)
+        if np.count_nonzero(kids[:, :size] >= 0) < np.count_nonzero(link >= 0):
+            uses = np.bincount(link + 1)
+            uses[0] = 1  # the roots' -1 links
+            i = int((uses[link + 1] > 1).argmax())
+            raise HostTreeError(f"node {i} and another are both side "
+                                f"{link[i] & 1} of node {link[i] >> 1}")
+        return kids[0, :size], kids[1, :size]
+
     def validate(self) -> tuple[np.ndarray, np.ndarray]:
-        """Check binary shape, link consistency, connectivity, acyclicity,
-        and return ``_tour(self)``.  The links are checked as masks over the
-        nodes, naming the first bad node in id order; past them, the tour
-        reaches every node just when the host is one tree."""
-        par, size = self.parent, len(self.parent)
-        if not (self.n_vertices <= size == len(self.left) == len(self.right)
-                == self.n_vertices + len(self.owner)):
+        """Check that the links make one binary tree from ``root`` and
+        return ``_tour(self)``, which names the first node whose link is
+        out of range or shared before it ranks the tour."""
+        size = len(self.link)
+        if not self.n_vertices <= size == self.n_vertices + len(self.owner):
             raise HostTreeError("host arrays of unequal lengths or shorter "
                                 "than the demand vertices")
-        if not 0 <= self.root < size or par[self.root] != NONE:
-            raise HostTreeError("bad root")
-        kid_l, kid_r, node = self.left, self.right, np.arange(size)
-        # the arrays padded with NONE, at which ids outside [0, size) clip
-        par_, left_, right_ = (np.append(a, NONE) for a in (par, kid_l, kid_r))
-        up = np.clip(par, -1, size)
-        below = node != self.root
-        faults = np.stack([
-            (kid_l != NONE) & (par_[np.clip(kid_l, -1, size)] != node),
-            (kid_r != NONE) & (par_[np.clip(kid_r, -1, size)] != node),
-            (kid_l != NONE) & (kid_l == kid_r),
-            below & ((par < 0) | (par >= size)),
-            below & (left_[up] != node) & (right_[up] != node)])
-        bad = faults.any(axis=0)
-        if bad.any():
-            i = int(bad.argmax())
-            a, b = int(kid_l[i]), int(kid_r[i])
-            raise HostTreeError([
-                f"child link {i}->{a} not mirrored",
-                f"child link {i}->{b} not mirrored",
-                f"node {i} lists child {a} twice",
-                f"node {i} has no parent in the host",
-                f"parent of {i} does not list it",
-            ][int(faults[:, i].argmax())])
         return _tour(self)
 
 
@@ -848,16 +852,17 @@ def _tour(host: HostTree) -> tuple[np.ndarray, np.ndarray]:
     """``enter, leave``: the ranks at which one Euler tour from the root,
     left child first, enters and leaves each node, so that u is a proper
     ancestor of v just when enter[u] < enter[v] and leave[v] < leave[u].
-    Links that do not make one tree from the root raise ``HostTreeError``;
-    child ids must lie in [-1, size), as ``HostTree.validate``'s masks
-    check first."""
-    left, right = host.left, host.right
-    m = len(left)
+    A root that is not a node with link -1, a link out of range or shared,
+    or links that do not make one tree from the root raise
+    ``HostTreeError``."""
+    m, root = len(host.link), host.root
+    if not 0 <= root < m or host.link[root] != NONE:
+        raise HostTreeError("bad root")
+    left, right = host.children()
     # element e < m enters node e, element m + e leaves it: after entering
     # comes the first child, else the leaving; after leaving a right child
     # comes leaving its parent, and after a left child the right child if
-    # any, else leaving the parent, written last, so that a node listing
-    # one child twice loops; after leaving the root, the end
+    # any, else leaving the parent; after leaving the root, the end
     succ = np.full(2 * m, -1, dtype=np.int64)
     succ[:m] = np.where(left >= 0, left, right)
     leaf = np.flatnonzero(succ[:m] < 0)
@@ -868,7 +873,7 @@ def _tour(host: HostTree) -> tuple[np.ndarray, np.ndarray]:
     after = right[kid]
     succ[m + left[kid]] = np.where(after >= 0, after, kid + m)
     del leaf, kid, after
-    ranks = _list_ranks(succ, int(host.root))
+    ranks = _list_ranks(succ, int(root))
     if ranks is None:
         raise HostTreeError("host not connected from root")
     return ranks[:m], ranks[m:]
@@ -1166,7 +1171,8 @@ def serialize_pieces(host: HostTree, form: str = "text", *,
         raise ValueError(f"unknown serialization form {form!r}")
     n = host.n_vertices
     order = _preorder(host)
-    par = host.parent[order]
+    par = host.link[order]
+    par >>= 1
     par[0] = order[0]  # the root comes first and names itself as parent
     if form == "text":
         return write_rows((order, n), ":", (par, n), "\n")
@@ -1302,19 +1308,15 @@ def parse_host(text: str) -> HostTree:
     if missing < n_vertices:
         raise HostTreeError(f"missing demand vertex {missing}")
 
-    parent, left, right = (np.full(size, NONE, dtype=np.int64)
-                           for _ in range(3))
-    parent[slot[kids]] = up
-    left[up[nth == 0]] = slot[kids[nth == 0]]
-    right[up[nth == 1]] = slot[kids[nth == 1]]
+    link = np.full(size, NONE, dtype=np.int64)
+    link[slot[kids]] = 2 * up + nth
     # owners are set once the shape is valid
-    host = HostTree(n_vertices, int(slot[roots[0]]), parent, left, right,
-                    parent[n_vertices:])
+    host = HostTree(n_vertices, int(slot[roots[0]]), link, link[n_vertices:])
     host.validate()
     # Steiner owners: the nearest vertex ancestor (NONE above a steiner
     # root), by pointer doubling; vertices and the sentinel at -1 are fixed.
     owner = np.append(np.where(np.arange(size) < n_vertices,
-                               np.arange(size), parent), NONE)
+                               np.arange(size), link >> 1), NONE)
     while (owner[n_vertices:size] >= n_vertices).any():
         owner = owner[owner]
     host.owner = owner[n_vertices:size]

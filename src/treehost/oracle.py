@@ -132,11 +132,11 @@ def _host_from_edges(edges: list[tuple[int, int]], n: int,
         deg[v] += 1
     root = min(v for v in range(n) if deg[v] == 1) if n > 1 else 0
     rooted = root_at(UnrootedTree.from_edges(edges, n=n, labels=labels), root)
-    first, kids = rooted.child_off[:-1], np.diff(rooted.child_off)
-    left, right = (np.full(n, NONE, dtype=np.int64) for _ in range(2))
-    left[kids > 0] = rooted.child_flat[first[kids > 0]]
-    right[kids > 1] = rooted.child_flat[first[kids > 1] + 1]
-    return HostTree(n, root, rooted.parent, left, right, [])
+    off = rooted.child_off  # a child's rank among its siblings is its side
+    side = np.arange(n - 1) - np.repeat(off[:-1], np.diff(off))
+    link = np.full(n, NONE, dtype=np.int64)
+    link[rooted.child_flat] = 2 * rooted.parent[rooted.child_flat] + side
+    return HostTree(n, root, link, [])
 
 
 def _demand_pair_cols(demand: DemandTree) -> np.ndarray:

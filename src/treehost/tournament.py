@@ -68,6 +68,26 @@ class TournamentResult:
         return int(np.sum(self.charges))
 
 
+def _fresh_children(host: HostTree) -> tuple[np.ndarray, np.ndarray]:
+    """``host.children()`` of a fresh phase-1 host.  A vertex with a side-1
+    child is refused as already played: phase 1 makes none, a match whose
+    winner had a child gives its loser one, and a played host without one
+    replays to a fresh run's tree.  Then the highest-id steiner node
+    without two children is refused, the first the sweep would meet."""
+    n = host.n_vertices
+    left, right = host.children()
+    two = np.flatnonzero(right[:n] != NONE)
+    if two.size:
+        raise TreeHostError("tournament needs a fresh phase-1 host; some "
+                            "matches were already played: vertex "
+                            f"{two[0]} has two children")
+    bad = np.flatnonzero((left[n:] < 0) | (right[n:] < 0))
+    if bad.size:
+        raise InvariantViolation("(i) steiner-degree",
+                                 f"steiner {n + bad[-1]} lacks two children")
+    return left, right
+
+
 def _replay(host: HostTree, demand: DemandTree,
             tiebreak: str) -> TournamentResult:
     """Vectorized elimination: play every steiner node's match from the
@@ -82,12 +102,13 @@ def _replay(host: HostTree, demand: DemandTree,
     depth.
     """
     n, total = demand.n, host.num_nodes()
-    kid_l, kid_r = host.left[n:], host.right[n:]
+    left, right = _fresh_children(host)
+    kid_l, kid_r = left[n:], right[n:]
     keys = match_keys(demand, tiebreak)
     # each steiner node's depth below its vertex, by pointer doubling over
     # the parents; index m is the sink above every bracket root
     m = total - n
-    up = np.append(host.parent[n:] - n, m)
+    up = np.append((host.link[n:] >> 1) - n, m)
     up[up < 0] = m
     depth = np.ones(m + 1, dtype=np.int64)
     depth[m] = 0
@@ -100,16 +121,13 @@ def _replay(host: HostTree, demand: DemandTree,
         raise HostTreeError("steiner nodes on a parent cycle")
     del up
     # the player that comes up from each node: a vertex is its own, a
-    # steiner node's is the winner of its match; index -1 reads NONE
+    # steiner node's is the winner of its match, played before its parent's
+    # since its depth is one more; index -1 reads NONE
     champ = np.append(np.arange(total, dtype=np.int64), NONE)
     champ[n:total] = NONE
     for d in range(int(depth.max()), 0, -1):
         i = np.flatnonzero(depth[:m] == d)
         pl, pr = champ[kid_l[i]], champ[kid_r[i]]
-        early = (pl == NONE) | (pr == NONE)
-        if early.any():
-            raise TreeHostError(
-                f"match at {n + i[early.argmax()]} fired before its children")
         champ[n + i] = np.where(keys[pl] <= keys[pr], pl, pr)
     del keys
 
@@ -123,26 +141,23 @@ def _replay(host: HostTree, demand: DemandTree,
     del pl, pr, depth, winner, top
     # a player's host child before it plays: the loser of its last match,
     # or the winner of its own bracket, or its single child
-    held = np.concatenate([champ[host.left[:n]], loser, [NONE]])
-    del champ
+    held = np.concatenate([champ[left[:n]], loser, [NONE]])
+    del champ, left, right
     a = held[np.where(takeleft, kid_l, kid_r)]
     b = held[np.where(takeleft, kid_r, kid_l)]
-    left = held[:n].copy()
-    del takeleft, held
-    right = np.full(n, NONE, dtype=np.int64)
-    # the loser inherits the winner's former child next to its own; the
-    # winner of a whole bracket keeps the loser of its last match
+    del takeleft, kid_l, kid_r
+    # the final links, each write over the one before (index n, a pad,
+    # takes NONE's): a vertex's child before it plays; the loser's two, the
+    # winner's former child and its own; a bracket winner's last loser
+    link = np.full(n + 1, NONE, dtype=np.int64)
+    link[held[:n]] = np.arange(0, 2 * n, 2)
     got_a = a != NONE
-    left[loser] = np.where(got_a, a, b)
-    right[loser] = np.where(got_a, b, NONE)
-    del a, b, got_a
-    left[top_winner] = top_loser
-    par = np.full(n, NONE, dtype=np.int64)
-    for side in (left, right):
-        has = np.flatnonzero(side >= 0)
-        par[side[has]] = has
+    link[np.where(got_a, a, b)] = 2 * loser
+    link[np.where(got_a, b, NONE)] = 2 * loser + 1
+    del held, a, b, got_a
+    link[top_loser] = 2 * top_winner
 
-    host.parent, host.left, host.right = par, left, right
+    host.link = link[:n]
     host.owner = host.owner[:0]
     losers = loser[::-1].copy()  # the sweep's order: descending steiner ids
     return TournamentResult(host, losers, np.diff(demand.child_off)[losers])
@@ -165,34 +180,23 @@ def run_tournament(host: HostTree, demand: DemandTree, tiebreak: str = "lex",
     depends only on static child counts, hence any valid firing order
     yields this same tree.
 
-    A host in which some vertex has a right child is refused: phase 1
-    never makes one, every match whose winner had a child gives its loser
-    one, and a played host without one replays to the tree a fresh run
-    makes.  Then both paths refuse the highest-id steiner node without two
-    children, the first the sweep would meet.
+    Both paths refuse a host whose vertex count is not the demand's, and
+    those that ``_fresh_children`` refuses.
     """
-    n = host.n_vertices
-    two = np.flatnonzero(host.right[:n] != NONE)
-    if two.size:
-        raise TreeHostError("tournament needs a fresh phase-1 host; some "
-                            "matches were already played: vertex "
-                            f"{two[0]} has two children")
-    bad = np.flatnonzero((host.left[n:] < 0) | (host.right[n:] < 0))
-    if bad.size:
-        raise InvariantViolation("(i) steiner-degree",
-                                 f"steiner {n + bad[-1]} lacks two children")
+    if host.n_vertices != demand.n:
+        raise UnknownVertexError(
+            f"host covers {host.n_vertices} vertices, demand has {demand.n}")
     if not debug:
         return _replay(host, demand, tiebreak)
+    left, right = (side.tolist() for side in _fresh_children(host))
     check_invariants(demand, host)
-    par = host.parent.tolist()
-    left, right = host.left.tolist(), host.right.tolist()
+    n, link = demand.n, host.link.tolist()
     keys = match_keys(demand, tiebreak).tolist()
     counts = demand.child_counts()
     losers: list[int] = []
     charges: list[int] = []
-    for s in range(len(par) - 1, n - 1, -1):
-        xl = left[s]
-        yr = right[s]
+    for s in range(len(link) - 1, n - 1, -1):
+        xl, yr = left[s], right[s]
         if xl >= n or yr >= n:
             raise TreeHostError(f"match at {s} fired before its children")
         if keys[xl] <= keys[yr]:
@@ -201,30 +205,27 @@ def run_tournament(host: HostTree, demand: DemandTree, tiebreak: str = "lex",
             x, y = yr, xl
         # the winner x takes s's place and keeps the loser y as its one
         # child; y inherits x's former child a next to its own b
-        q = par[s]
+        q, side = divmod(link[s], 2)
         if q >= n and demand.parent[x] != host.owner[q - n]:
             raise InvariantViolation(
                 "(iii) bracket-membership",
                 f"vertex {x} advanced into a bracket not owned by its parent")
         a = left[x]
         b = left[y]
-        if left[q] == s:
-            left[q] = x
-        else:
-            right[q] = x
-        par[x] = q
+        (right if side else left)[q] = x
+        link[x] = link[s]
         left[x] = y
-        par[y] = x
+        link[y] = 2 * x
         if a != NONE:
             left[y] = a
             right[y] = b
-            par[a] = y
-        del par[s], left[s], right[s]
+            link[a] = 2 * y
+            if b != NONE:
+                link[b] = 2 * y + 1
+        del link[s], left[s], right[s]
         losers.append(y)
         charges.append(counts[y])
-    host.parent = np.asarray(par, dtype=np.int64)
-    host.left = np.asarray(left, dtype=np.int64)
-    host.right = np.asarray(right, dtype=np.int64)
+    host.link = np.asarray(link, dtype=np.int64)
     host.owner = host.owner[:0]
     check_invariants(demand, host)
     return TournamentResult(host, np.asarray(losers, dtype=np.int64),
@@ -260,12 +261,13 @@ def check_invariants(demand: DemandTree, host: HostTree) -> None:
     enter, leave = host.validate()
     dpar = demand.parent
     owner = host.owner
-    kids = (host.left[n:], host.right[n:])
+    left, right = host.children()
+    kids = (left[n:], right[n:])
     faults = [(kids[0] == NONE) | (kids[1] == NONE), owner == NONE]
     for ch in kids:  # each vertex child: its bracket, then its children
         at = np.where((ch >= 0) & (ch < n), ch, -1)
         faults += [(at >= 0) & (dpar[at] != owner),
-                   (at >= 0) & (host.right[at] != NONE)]
+                   (at >= 0) & (right[at] != NONE)]
     faults = np.stack(faults)
     bad = faults.any(axis=0)
     if bad.any():

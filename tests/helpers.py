@@ -12,8 +12,9 @@ had them before ingest was vectorized; ``reference_serialize``,
 the ``solve --json`` ledger and the ``eval`` listings as they were before
 egress went through one column writer; ``reference_parse_host`` is the
 node-by-node host reader as it was before its checks became arrays;
-``reference_validate`` and ``reference_check_invariants`` are the host and
-invariant checkers as they were before they read one ranked Euler tour;
+``reference_validate`` checks a host's links by one Python pass and a
+walk, and ``reference_check_invariants`` is the invariant checker as it
+was before it read one ranked Euler tour;
 ``reference_parent0`` hangs a tree from vertex 0 by one Euler tour over
 every edge, as the parser did before its leaves were hung apart;
 ``reference_preorder`` walks a host with a stack, apart from the
@@ -48,41 +49,51 @@ NONE = -1
 def add_steiner(host: HostTree, owner_vertex: int) -> int:
     """Append one unlinked steiner node owned by ``owner_vertex``."""
     i = host.num_nodes()
-    host.parent = np.append(host.parent, NONE)
-    host.left = np.append(host.left, NONE)
-    host.right = np.append(host.right, NONE)
+    host.link = np.append(host.link, NONE)
     host.owner = np.append(host.owner, owner_vertex)
     return i
 
 
 def empty_host(n_vertices: int, root: int) -> HostTree:
     """Host with all demand vertices present and no links yet."""
-    return HostTree(n_vertices, root, *(np.full(n_vertices, NONE, np.int64)
-                                        for _ in range(3)), [])
+    return HostTree(n_vertices, root, np.full(n_vertices, NONE, np.int64), [])
 
 
 def link(host: HostTree, parent: int, child: int) -> None:
-    """Hang ``child`` under ``parent``, left first, then right."""
-    if host.left[parent] == NONE:
-        host.left[parent] = child
-    elif host.right[parent] == NONE:
-        host.right[parent] = child
-    else:
+    """Hang ``child`` under ``parent``, on side 0 if it is free, else on
+    side 1."""
+    up = 2 * parent
+    up += bool((host.link == up).any())
+    if (host.link == up).any():
         raise HostTreeError(f"node {parent} already has two children")
-    host.parent[child] = parent
+    host.link[child] = up
 
 
 def copy_host(host: HostTree) -> HostTree:
-    return HostTree(host.n_vertices, host.root, host.parent.copy(),
-                    host.left.copy(), host.right.copy(), host.owner.copy())
+    return HostTree(host.n_vertices, host.root, host.link.copy(),
+                    host.owner.copy())
 
 
 def steiner_nodes(host: HostTree) -> list[int]:
     return list(range(host.n_vertices, host.num_nodes()))
 
 
+def child_lists(host: HostTree) -> tuple[list[int], list[int]]:
+    """Each node's side-0 and side-1 child, -1 where it has none, read off
+    the links one node at a time; of two nodes on one side the later id
+    stays, and a link outside the nodes is skipped."""
+    size = host.num_nodes()
+    kids = ([NONE] * size, [NONE] * size)
+    for i, up in enumerate(host.link.tolist()):
+        if 0 <= up < 2 * size:
+            kids[up & 1][up >> 1] = i
+    return kids
+
+
 def host_children(host: HostTree, i: int) -> list[int]:
-    return [int(ch) for ch in (host.left[i], host.right[i]) if ch != NONE]
+    """The children of node i, side 0 first."""
+    return [int(ch) for up in (2 * i, 2 * i + 1)
+            for ch in np.flatnonzero(host.link == up)]
 
 
 def demand_children(demand: DemandTree, v: int) -> list[int]:
@@ -102,7 +113,7 @@ def child_count(demand: DemandTree, v: int) -> int:
 
 def reference_preorder(host: HostTree) -> list[int]:
     """The host's nodes in preorder, left child first, by a stack walk."""
-    left, right = host.left.tolist(), host.right.tolist()
+    left, right = child_lists(host)
     order, stack = [], [host.root]
     while stack:
         v = stack.pop()
@@ -115,7 +126,7 @@ def host_depths(host: HostTree) -> dict[int, int]:
     """Depth of every node reachable from the root."""
     depth = {host.root: 0}
     stack = [host.root]
-    left, right = host.left.tolist(), host.right.tolist()
+    left, right = child_lists(host)
     while stack:
         v = stack.pop()
         d = depth[v] + 1
@@ -217,22 +228,14 @@ def play_match(host: HostTree, demand: DemandTree, s: int,
     """
     assert s == host.num_nodes() - 1
     players = host_children(host, s)
-    assert len(players) == 2 and not any(map(host.is_steiner, players))
+    assert len(players) == 2 and max(players) < host.n_vertices
     x, y = sorted(players, key=lambda v: (child_count(demand, v), keys[v]))
     adopted = host_children(host, x) + host_children(host, y)
-    q = int(host.parent[s])
-    if host.left[q] == s:
-        host.left[q] = x
-    else:
-        host.right[q] = x
-    host.parent[x] = q
-    host.left[x], host.right[x] = y, NONE
-    host.parent[y] = x
-    host.left[y], host.right[y] = (adopted + [NONE, NONE])[:2]
-    for ch in adopted:
-        host.parent[ch] = y
-    host.parent, host.left, host.right = (host.parent[:s], host.left[:s],
-                                          host.right[:s])
+    host.link[x] = host.link[s]
+    host.link[y] = 2 * x
+    for side, ch in enumerate(adopted):
+        host.link[ch] = 2 * y + side
+    host.link = host.link[:s]
     host.owner = host.owner[:s - host.n_vertices]
     return x, y, child_count(demand, y)
 
@@ -329,8 +332,7 @@ def reference_exhaustive_bst_min(keyed: KeyedPath) -> int:
 
 def host_adjacency(host: HostTree) -> dict[int, list[int]]:
     adj: dict[int, list[int]] = {i: [] for i in range(host.num_nodes())}
-    for i in range(host.num_nodes()):
-        p = int(host.parent[i])
+    for i, p in enumerate(host.parent.tolist()):
         if p >= 0:
             adj[i].append(p)
             adj[p].append(i)
@@ -443,7 +445,7 @@ def host_shape(host: HostTree, node: int | None = None):
     '*', children sorted by their canonical form (sibling-order free)."""
     if node is None:
         node = host.root
-    label = "*" if host.is_steiner(node) else node
+    label = "*" if node >= host.n_vertices else node
     kids = tuple(sorted((host_shape(host, ch)
                          for ch in host_children(host, node)), key=repr))
     return (label, kids)
@@ -452,8 +454,8 @@ def host_shape(host: HostTree, node: int | None = None):
 def parent_map(host: HostTree) -> dict[int, int]:
     """Vertex-only parent map (host must be steiner-free)."""
     assert host.steiner_count() == 0
-    return {v: int(host.parent[v]) for v in range(host.n_vertices)
-            if v != host.root}
+    par = host.parent.tolist()
+    return {v: par[v] for v in range(host.n_vertices) if v != host.root}
 
 
 def fig_phase1_host() -> HostTree:
@@ -484,8 +486,7 @@ FIG_FINAL_PARENTS = {2: 0, 3: 2, 1: 3, 9: 3, 4: 1, 8: 1, 6: 4, 5: 6, 7: 6,
 
 def max_degree(host: HostTree) -> int:
     deg = {i: 0 for i in range(host.num_nodes())}
-    for i in range(host.num_nodes()):
-        p = int(host.parent[i])
+    for i, p in enumerate(host.parent.tolist()):
         if p >= 0:
             deg[i] += 1
             deg[p] += 1
@@ -803,7 +804,7 @@ def reference_parse_host(text: str) -> HostTree:
                          default=-1)
     size = 1 + max(max(i, p) for i, _st, p, _pst in nodes)
     listed = [False] * size
-    parent, left, right = [NONE] * size, [NONE] * size, [NONE] * size
+    parent, side, kids = [NONE] * size, [0] * size, [0] * size
     root = NONE
     for i, st, p, _pst in nodes:
         if st and i < n_vertices:
@@ -824,51 +825,44 @@ def reference_parse_host(text: str) -> HostTree:
         if p != i:
             if not listed[p]:
                 raise HostTreeError(f"unknown parent {p} of node {i}")
-            if left[p] == NONE:
-                left[p] = i
-            elif right[p] == NONE:
-                right[p] = i
-            else:
+            if kids[p] == 2:
                 raise HostTreeError(f"node {p} has more than two children")
+            side[i] = kids[p]
+            kids[p] += 1
     for v in range(n_vertices):
         if not listed[v]:
             raise HostTreeError(f"missing demand vertex {v}")
     ids = [i for i in range(size) if listed[i]]
     slot = {i: k for k, i in enumerate(ids)}
-    slot[NONE] = NONE
     host = HostTree(n_vertices, slot[root],
-                    *([slot[a[i]] for i in ids] for a in (parent, left, right)),
+                    [NONE if i == root else 2 * slot[parent[i]] + side[i]
+                     for i in ids],
                     [NONE] * (len(ids) - n_vertices))
     reference_validate(host)
-    owner, n = host.owner, n_vertices
+    owner, n, par = host.owner, n_vertices, host.parent
     for i in reference_preorder(host):
         if i >= n:
-            p = host.parent[i]
+            p = par[i]
             owner[i - n] = p if p < n else owner[p - n]
     return host
 
 
 def reference_validate(host: HostTree) -> None:
-    """``HostTree.validate`` as it was before its checks became masks over
-    the tour: one Python pass over the nodes in id order, then a dict walk
-    from the root for connectivity.  It raises a bare ``IndexError`` for a
-    child id at or past the end, reads a child id below -1 from the end,
-    and passes a node that lists one child twice."""
-    par = host.parent.tolist()
-    left, right = host.left.tolist(), host.right.tolist()
-    if not 0 <= host.root < len(par) or par[host.root] != NONE:
+    """``HostTree.validate`` without its array checks: one Python pass over
+    the links files each node under its link, then a walk from the root
+    must reach every node.  A link out of range or shared leaves a node
+    the walk cannot reach, so it is refused as not connected, where
+    ``validate`` names the node."""
+    link = host.link.tolist()
+    if not 0 <= host.root < len(link) or link[host.root] != NONE:
         raise HostTreeError("bad root")
-    for i in range(len(par)):
-        for ch in (left[i], right[i]):
-            if ch != NONE and par[ch] != i:
-                raise HostTreeError(f"child link {i}->{ch} not mirrored")
-        if i != host.root:
-            p = par[i]
-            if not 0 <= p < len(par):
-                raise HostTreeError(f"node {i} has no parent in the host")
-            if left[p] != i and right[p] != i:
-                raise HostTreeError(f"parent of {i} does not list it")
-    if len(host_depths(host)) != len(par):
+    below = {}
+    for i, up in enumerate(link):
+        below[up] = i
+    order = [host.root]
+    for v in order:
+        order += [below[up] for up in (2 * v, 2 * v + 1) if up in below]
+    if len(order) != len(link):
         raise HostTreeError("host not connected from root")
 
 
@@ -880,7 +874,7 @@ def reference_euler_intervals(host: HostTree):
     tout: dict[int, int] = {}
     clock = 0
     stack: list[tuple[int, bool]] = [(host.root, False)]
-    left, right = host.left.tolist(), host.right.tolist()
+    left, right = child_lists(host)
     while stack:
         node, done = stack.pop()
         if done:
@@ -905,7 +899,7 @@ def reference_check_invariants(demand: DemandTree, host: HostTree) -> None:
         raise UnknownVertexError(
             f"host covers {host.n_vertices} vertices, demand has {n}")
     reference_validate(host)
-    left, right = host.left.tolist(), host.right.tolist()
+    left, right = child_lists(host)
     owner, dpar = host.owner.tolist(), demand.parent.tolist()
     for s in steiner_nodes(host):
         if left[s] == NONE or right[s] == NONE:
@@ -916,7 +910,7 @@ def reference_check_invariants(demand: DemandTree, host: HostTree) -> None:
             raise InvariantViolation("(iii) bracket-membership",
                                      f"steiner node {s} has no owner vertex")
         for ch in (left[s], right[s]):
-            if host.is_steiner(ch):
+            if ch >= n:
                 continue
             if dpar[ch] != u:
                 raise InvariantViolation(

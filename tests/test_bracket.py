@@ -66,15 +66,17 @@ def test_fig_phase1_direct_child_links(fig_demand):
     h = run_bracket_builder(fig_demand)
     for v in range(fig_demand.n):
         c = helpers.child_count(fig_demand, v)
+        kids = helpers.host_children(h, v)
         if c == 0:
-            assert h.left[v] == -1
+            assert kids == []
             continue
-        child = h.left[v]
-        assert h.right[v] == -1  # single host child: the bracket root
+        # single host child, on side 0: the bracket root
+        assert len(kids) == 1 and h.link[kids[0]] == 2 * v
+        child = kids[0]
         if c == 1:
             assert child == helpers.demand_children(fig_demand, v)[0]
         else:
-            assert h.is_steiner(child)
+            assert child >= fig_demand.n
             assert h.owner[child - fig_demand.n] == v
 
 
@@ -157,7 +159,7 @@ def test_builder_matches_slot_rule(rng):
     for d in cases:
         a = run_bracket_builder(d)
         b = helpers.bracket_host_by_slot_rule(d)
-        for name in ("parent", "left", "right", "owner"):
+        for name in ("link", "owner"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
         assert a.root == b.root and a.n_vertices == b.n_vertices
 
@@ -210,6 +212,6 @@ def test_builder_matches_the_slot_rule_on_child_count_profiles(demand):
     split differs, and on one bracket of 4097 leaves."""
     got = run_bracket_builder(demand)
     want = helpers.bracket_host_by_slot_rule(demand)
-    for name in ("parent", "left", "right", "owner"):
+    for name in ("link", "owner"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert got.steiner_count() == max(demand.leaf_count() - 1, 0)

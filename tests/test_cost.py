@@ -12,6 +12,7 @@ from treehost import (HostTree, HostTreeError, TreeHostError,
                       run_bracket_builder, run_tournament, solve_instance)
 from treehost import cost
 from treehost.generate import KINDS
+from treehost.model import NONE
 
 import helpers
 
@@ -76,18 +77,15 @@ def test_evaluate_invariant_under_steiner_relabeling(fig_demand):
     ids = list(range(n)) + list(range(h.num_nodes() - 1, n - 1, -1))
     remap = {old: new for new, old in enumerate(ids)}
     new_size = h.num_nodes()
-    par = [0] * new_size
-    left = [0] * new_size
-    right = [0] * new_size
+    link = [NONE] * new_size
     owner = [0] * (new_size - n)
-    for old in range(new_size):
+    for old, up in enumerate(h.link.tolist()):
         i = remap[old]
-        par[i] = remap.get(h.parent[old], h.parent[old])
-        left[i] = remap.get(h.left[old], h.left[old])
-        right[i] = remap.get(h.right[old], h.right[old])
+        if up != NONE:
+            link[i] = 2 * remap[up >> 1] + (up & 1)
         if old >= n:
             owner[i - n] = h.owner[old - n]
-    shuffled = HostTree(n, remap[h.root], par, left, right, owner)
+    shuffled = HostTree(n, remap[h.root], link, owner)
     shuffled.validate()
     assert evaluate(fig_demand, shuffled).total == base
 
@@ -110,37 +108,35 @@ def test_evaluate_single_vertex():
 
 def _path_host(order) -> HostTree:
     """A path host hanging order[i] below order[i - 1]."""
-    n = len(order)
-    par, left, right = (np.full(n, -1, dtype=np.int64) for _ in range(3))
-    par[order[1:]] = order[:-1]
-    left[order[:-1]] = order[1:]
-    return HostTree(n, int(order[0]), par, left, right, [])
+    link = np.full(len(order), NONE, dtype=np.int64)
+    link[order[1:]] = 2 * order[:-1]
+    return HostTree(len(order), int(order[0]), link, [])
 
 
 def _damage(draw, demand, host) -> HostTree:
     """A copy of the host with one node on the path from a vertex v up to
     the root damaged, so that v's climb or one above it runs into it: a
-    parent below -1 (out of range) or of -1, a two-cycle with a child, or
+    link below -1 (out of range) or of -1, a two-cycle with a child, or
     a cycle from a steiner node down to v."""
     host = helpers.copy_host(host)
-    par = host.parent
+    link = host.link
     v = draw(st.integers(0, demand.n - 1))
     path = [v]
-    while par[path[-1]] >= 0:
-        path.append(int(par[path[-1]]))
+    while link[path[-1]] >= 0:
+        path.append(int(link[path[-1]] >> 1))
     how = draw(st.sampled_from(["below-none", "root", "two-cycle",
                                 "steiner-cycle"]))
     at = draw(st.sampled_from(path))
     if how == "below-none":
-        par[at] = -2
+        link[at] = -2
     elif how == "root":
-        par[at] = -1
+        link[at] = -1
     elif how == "two-cycle" and at != v:
-        par[at] = path[path.index(at) - 1]
+        link[at] = 2 * path[path.index(at) - 1]
     elif how == "steiner-cycle":
         above = [s for s in path if s >= demand.n]
         if above:
-            par[draw(st.sampled_from(above))] = v
+            link[draw(st.sampled_from(above))] = 2 * v
     return host
 
 
@@ -209,18 +205,17 @@ def test_path_host_takes_the_climb_the_cap_and_the_fallback(monkeypatch):
 def test_evaluate_disconnected_host():
     """Vertex 2 is a second root: the path 0-1-2 is not connected."""
     d = root_at(parse_edge_list("0 1\n1 2"), 0)
-    host = HostTree(3, 0, [-1, 0, -1], [1, -1, -1], [-1] * 3, [])
+    host = HostTree(3, 0, [NONE, 0, NONE], [])
     with pytest.raises(HostTreeError, match="does not connect"):
         evaluate(d, host)
 
 
-@pytest.mark.parametrize("parent", [[-1, 2, 1], [-1, 3, 1, 2]],
+@pytest.mark.parametrize("link", [[NONE, 4, 2], [NONE, 6, 2, 4]],
                          ids=["two-vertex-cycle", "cycle-through-steiner"])
-def test_evaluate_cyclic_host(parent):
+def test_evaluate_cyclic_host(link):
     """A parent cycle away from the root raises instead of looping."""
     d = root_at(parse_edge_list("0 1\n1 2"), 0)
-    m = len(parent)
-    host = HostTree(3, 0, parent, [-1] * m, [-1] * m, [-1] * (m - 3))
+    host = HostTree(3, 0, link, [NONE] * (len(link) - 3))
     with pytest.raises(HostTreeError, match="cycle"):
         evaluate(d, host)
 
@@ -228,7 +223,7 @@ def test_evaluate_cyclic_host(parent):
 def test_evaluate_refuses_a_demand_root_on_a_parent_cycle():
     """Each child's climb meets its parent in one link, but the vertices
     sit on the cycle 0 -> 2 -> 1 -> 0 and none reaches a root."""
-    host = HostTree(3, 0, [2, 0, 1], [1, 2, 0], [-1] * 3, [])
+    host = HostTree(3, 0, [4, 0, 2], [])
     with pytest.raises(HostTreeError, match="cycle"):
         evaluate(gen("path", 3), host)
 
@@ -244,11 +239,10 @@ def test_evaluate_scores_a_demand_root_below_a_long_steiner_chain(
                         lambda par: calls.append(len(par)) or real(par))
     m = 23
     par = np.arange(1, m + 1)  # steiner k hangs below k + 1
-    par[m - 1] = -1
     par[:3] = [3, 0, 1]
-    left = np.arange(-1, m - 1)
-    left[:4] = [1, 2, -1, 0]
-    host = HostTree(3, m - 1, par, left, [-1] * m, [-1] * (m - 3))
+    link = 2 * par  # each on side 0
+    link[m - 1] = NONE
+    host = HostTree(3, m - 1, link, [NONE] * (m - 3))
     demand = gen("path", 3)
     got = evaluate(demand, host)
     assert calls == [m]

@@ -113,12 +113,13 @@ def test_balanced_host_is_a_search_tree():
     kp = bst_adversarial(16)
     host = balanced_bst_host(kp)
     host.validate()
+    left, right = host.children()
     # in-order traversal of keys must be sorted
     def inorder(node):
         if node == -1:
             return []
-        return (inorder(host.left[node]) + [kp.keys[node]]
-                + inorder(host.right[node]))
+        return (inorder(left[node]) + [kp.keys[node]]
+                + inorder(right[node]))
     assert inorder(host.root) == list(range(1, 17))
 
 

@@ -99,16 +99,17 @@ def test_serialize_single_vertex():
     assert serialize(h) == "0:0\n"
 
 
-def test_serialize_refuses_a_node_that_lists_one_child_twice():
-    """A path host whose node 4998 lists 4999 as left and right child: the
-    tour walks into 4999 twice, which must end in an error, not a loop."""
+def test_serialize_refuses_two_nodes_sharing_a_link():
+    """A path host whose nodes 4998 and 4999 both hang on side 0 of 4997:
+    the one scatter back to children keeps only one of them, which must
+    end in an error naming the first, not in a tour without it."""
     n = 5000
-    parent = np.arange(-1, n - 1)
-    left = np.append(np.arange(1, n), NONE)
-    right = np.full(n, NONE)
-    right[n - 2] = n - 1
-    host = HostTree(n, 0, parent, left, right, [])
-    with pytest.raises(HostTreeError, match="not connected from root"):
+    link = 2 * np.arange(-1, n - 1)
+    link[0] = NONE
+    link[n - 1] = link[n - 2]
+    host = HostTree(n, 0, link, [])
+    with pytest.raises(HostTreeError, match="^node 4998 and another are both "
+                       "side 0 of node 4997$"):
         serialize(host)
 
 
@@ -151,11 +152,7 @@ def _assert_roundtrip(host):
         assert back.root == host.root
         assert back.n_vertices == host.n_vertices
         assert back.num_nodes() == host.num_nodes()
-        for i in range(host.num_nodes()):
-            assert back.parent[i] == host.parent[i]
-            assert back.left[i] == host.left[i]
-            assert back.right[i] == host.right[i]
-            assert back.is_steiner(i) == host.is_steiner(i)
+        assert back.link.tolist() == host.link.tolist()
 
 
 def test_serialize_roundtrip_random(rng):
@@ -190,34 +187,41 @@ def test_parse_host_rejects_garbage():
         parse_host("")
 
 
-@pytest.mark.parametrize("parent, left, right", [
-    ([NONE], [NONE], [-2]),            # a child id below NONE
-    ([NONE, 0], [1, NONE], [7, NONE]),  # a child id past the last node
-], ids=["below-none", "past-the-end"])
-def test_validate_refuses_a_child_id_outside_the_nodes(parent, left, right):
-    host = HostTree(len(parent), 0, parent, left, right, [])
+@pytest.mark.parametrize("bad", [-2, 6], ids=["below-none", "past-the-end"])
+def test_validate_refuses_a_child_id_outside_the_nodes(bad):
+    """A link below -1 or at 2 * size or past it names a parent outside
+    the nodes, or none, and is named by its node."""
+    host = HostTree(3, 0, [NONE, 0, bad], [])
     with pytest.raises(HostTreeError,
-                       match=rf"^child link 0->{right[0]} not mirrored$"):
+                       match=rf"^node 2 has link {bad}, outside \[-1, 6\)$"):
         host.validate()
 
 
-@pytest.mark.parametrize("n_vertices, left, owner", [
-    (2, [1], []), (3, [1, NONE], []),
-    (2, [1, NONE], [NONE]),  # an owner entry with no steiner node
-], ids=["short-left", "short-of-vertices", "owner-of-no-steiner"])
-def test_validate_refuses_arrays_of_the_wrong_length(n_vertices, left, owner):
-    host = HostTree(n_vertices, 0, [NONE, 0], left, [NONE, NONE], owner)
+@pytest.mark.parametrize("n_vertices, link, owner", [
+    (2, [NONE, 0, 1], []),  # a steiner node with no owner entry
+    (3, [NONE, 0], []),
+    (2, [NONE, 0], [NONE]),  # an owner entry with no steiner node
+], ids=["short-owner", "short-of-vertices", "owner-of-no-steiner"])
+def test_validate_refuses_arrays_of_the_wrong_length(n_vertices, link, owner):
+    host = HostTree(n_vertices, 0, link, owner)
     with pytest.raises(HostTreeError, match="host arrays of unequal lengths"):
         host.validate()
 
 
-def test_validate_refuses_a_node_that_lists_one_child_twice():
-    d = root_at(parse_edge_list("0 1"), 0)
-    host = HostTree(2, 0, [NONE, 0], [1, NONE], [1, NONE], [])
-    with pytest.raises(HostTreeError, match="^node 0 lists child 1 twice$"):
+def test_validate_refuses_two_nodes_sharing_a_link():
+    d = root_at(parse_edge_list("0 1\n0 2"), 0)
+    host = HostTree(3, 0, [NONE, 0, 0], [])
+    with pytest.raises(HostTreeError,
+                       match="^node 1 and another are both side 0 of node 0$"):
         host.validate()
-    with pytest.raises(HostTreeError, match="^node 0 lists child 1 twice$"):
+    with pytest.raises(HostTreeError,
+                       match="^node 1 and another are both side 0 of node 0$"):
         check_invariants(d, host)
+    # two roots' -1 links are not a shared link
+    host = HostTree(4, 0, [NONE, NONE, 2, 2], [])
+    with pytest.raises(HostTreeError,
+                       match="^node 2 and another are both side 0 of node 1$"):
+        host.validate()
 
 
 def test_parse_host_numbers_sparse_steiner_ids_densely(fig_demand):
@@ -230,7 +234,7 @@ def test_parse_host_numbers_sparse_steiner_ids_densely(fig_demand):
     assert sparse != text
     dense, back = parse_host(text), parse_host(sparse)
     assert back.root == dense.root and back.n_vertices == dense.n_vertices
-    for field in ("parent", "left", "right", "owner"):
+    for field in ("link", "owner"):
         assert getattr(back, field).tolist() == getattr(dense, field).tolist()
     assert evaluate(fig_demand, back) == evaluate(fig_demand, dense)
     leaf = parse_host("0:0\n1:0\ns111111111111:0\n")
@@ -247,7 +251,7 @@ def _host_outcome(parse, text: str):
         return str(e)
     return (host.n_vertices, host.root,
             *(getattr(host, f).tolist()
-              for f in ("parent", "left", "right", "owner")))
+              for f in ("link", "owner")))
 
 
 @st.composite
@@ -625,14 +629,14 @@ def _reference_serialize(host, form: str) -> str:
     def name(i):
         return str(i) if i < host.n_vertices else f"s{i}"
     order = helpers.reference_preorder(host)
+    par = host.parent.tolist()
     if form == "text":
-        up = [i if i == host.root else int(host.parent[i]) for i in order]
+        up = [i if i == host.root else par[i] for i in order]
         return "".join(f"{name(i)}:{name(p)}\n" for i, p in zip(order, up))
     doc = {
         "nodes": [name(i) for i in order],
-        "parent": {name(i): name(int(host.parent[i]))
-                   for i in order if i != host.root},
-        "steiner": [name(i) for i in order if host.is_steiner(i)],
+        "parent": {name(i): name(par[i]) for i in order if i != host.root},
+        "steiner": [name(i) for i in order if i >= host.n_vertices],
         "root": name(host.root),
     }
     return json.dumps(doc, indent=2) + "\n"

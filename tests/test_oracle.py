@@ -104,8 +104,7 @@ def test_opt_deterministic_argmin(fig_demand):
     opt1, h1 = opt_cost(d)
     opt2, h2 = opt_cost(d)
     assert opt1 == opt2
-    assert h1.parent.tolist() == h2.parent.tolist()
-    assert h1.left.tolist() == h2.left.tolist()
+    assert h1.link.tolist() == h2.link.tolist()
 
 
 def test_fig_w_subtree_within_four_times_opt():

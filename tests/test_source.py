@@ -70,8 +70,8 @@ def test_public_surface_is_pinned():
 MODEL_SURFACE = {
     "DemandTree": ["child_counts", "child_flat", "child_off", "label",
                    "labels", "leaf_count", "n", "parent", "root"],
-    "HostTree": ["is_steiner", "left", "n_vertices", "num_nodes", "owner",
-                 "parent", "right", "root", "steiner_count", "validate"],
+    "HostTree": ["children", "link", "n_vertices", "num_nodes", "owner",
+                 "parent", "root", "steiner_count", "validate"],
     "UnrootedTree": ["edges", "from_edges", "from_tree_edges_unchecked",
                      "labels", "n", "parent0"],
 }

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treehost import (DemandTree, HostTree, HostTreeError, InvariantViolation,
-                      TreeHostError, check_invariants, evaluate, gen,
-                      lb_instance, match_keys, parse_edge_list, root_at,
-                      run_bracket_builder, run_tournament, serialize)
+                      TreeHostError, UnknownVertexError, check_invariants,
+                      evaluate, gen, lb_instance, match_keys, parse_edge_list,
+                      root_at, run_bracket_builder, run_tournament, serialize)
 from treehost.generate import prufer_edges
 from treehost.model import _SPACE_CHARS, NONE, Labels
 
@@ -36,13 +36,11 @@ def test_match_single_rewrite_semantics():
     # two leaf players, no subtrees: tie, lexicographically smaller label wins
     d = root_at(parse_edge_list("u 1\nu 2"), 0)
     h = run_bracket_builder(d)
-    s = h.left[0]
-    assert h.is_steiner(s)
+    s = helpers.host_children(h, 0)[0]
+    assert s >= d.n
     res = run_tournament(h, d, debug=True)
     assert (res.losers, res.charges) == ([2], [0])
-    assert h.left[0] == 1 and h.parent[1] == 0
-    assert h.left[1] == 2 and h.right[1] == -1
-    assert h.left[2] == -1 and h.right[2] == -1
+    assert h.link.tolist() == [NONE, 0, 2]  # 1 left of 0, 2 left of 1
     assert h.num_nodes() == s and len(h.owner) == 0  # s is removed
 
 
@@ -53,12 +51,12 @@ def test_match_loser_inherits_winner_subtree():
     d = root_at(parse_edge_list(text), 0)
     ids = {d.label(v): v for v in range(d.n)}
     h = run_bracket_builder(d)
-    assert h.left[ids["a"]] == ids["p"]
+    assert helpers.host_children(h, ids["a"]) == [ids["p"]]
     res = run_tournament(h, d, debug=True)
     ledger = dict(zip(res.losers, res.charges))
     assert ledger[ids["b"]] == 3
-    assert h.left[ids["u"]] == ids["a"] and h.right[ids["u"]] == -1
-    assert h.left[ids["a"]] == ids["b"] and h.right[ids["a"]] == -1
+    assert helpers.host_children(h, ids["u"]) == [ids["a"]]
+    assert helpers.host_children(h, ids["a"]) == [ids["b"]]
     assert helpers.host_children(h, ids["b"]) == [ids["p"], ids["q"]]
     assert h.parent[ids["p"]] == ids["b"]
 
@@ -79,9 +77,7 @@ def test_run_tournament_equals_stepwise_match(rng):
         for debug in (False, True):
             h = run_bracket_builder(d)
             res = run_tournament(h, d, debug=debug)
-            assert np.array_equal(h_step.parent, h.parent)
-            assert np.array_equal(h_step.left, h.left)
-            assert np.array_equal(h_step.right, h.right)
+            assert np.array_equal(h_step.link, h.link)
             assert [(y, c) for _, y, c in played] == list(
                 zip(res.losers, res.charges))
 
@@ -119,9 +115,7 @@ def test_replay_sweep_and_stepped_rule_agree(text):
         for debug in (False, True):
             h = run_bracket_builder(d)
             res = run_tournament(h, d, tiebreak, debug=debug)
-            assert np.array_equal(h.parent, h_step.parent)
-            assert np.array_equal(h.left, h_step.left)
-            assert np.array_equal(h.right, h_step.right)
+            assert np.array_equal(h.link, h_step.link)
             assert list(zip(res.losers, res.charges)) == played
 
 
@@ -140,27 +134,24 @@ def test_vectorized_tournament_equals_sweep(rng):
             ref = run_tournament(h_ref, d, tiebreak, debug=True)
             h_vec = run_bracket_builder(d)
             vec = run_tournament(h_vec, d, tiebreak)
-            assert np.array_equal(h_vec.parent, h_ref.parent)
-            assert np.array_equal(h_vec.left, h_ref.left)
-            assert np.array_equal(h_vec.right, h_ref.right)
+            assert np.array_equal(h_vec.link, h_ref.link)
             assert vec.losers.tolist() == ref.losers.tolist()
             assert vec.charges.tolist() == ref.charges.tolist()
 
 
 def _reshaped_phase1(d, rnd):
     """A phase-1 host of ``d`` whose vertices are shuffled among the leaf
-    slots of their own bracket, with mirrored parents: still a valid
-    phase-1 host, but not the builder's layout."""
+    slots of their own bracket, their links swapped: still a valid phase-1
+    host, but not the builder's layout."""
     h = run_bracket_builder(d)
-    slots = [(s, side) for s in helpers.steiner_nodes(h)
-             for side in (h.left, h.right) if side[s] < d.n]
+    up = h.link[:d.n] >> 1
+    players = np.flatnonzero(up >= d.n)  # the vertices below steiner nodes
+    bracket = h.owner[up[players] - d.n]
     for v in range(d.n):
-        mine = [(s, side) for s, side in slots if h.owner[s - d.n] == v]
-        players = [side[s] for s, side in mine]
-        rnd.shuffle(players)
-        for (s, side), w in zip(mine, players):
-            side[s] = w
-            h.parent[w] = s
+        mine = players[bracket == v]
+        links = h.link[mine].tolist()
+        rnd.shuffle(links)
+        h.link[mine] = links
     check_invariants(d, h)
     return h
 
@@ -174,9 +165,7 @@ def test_replay_plays_the_host_it_is_given(kind, tiebreak):
         h_vec = helpers.copy_host(h_ref)
         ref = run_tournament(h_ref, d, tiebreak, debug=True)
         vec = run_tournament(h_vec, d, tiebreak)
-        assert np.array_equal(h_vec.parent, h_ref.parent)
-        assert np.array_equal(h_vec.left, h_ref.left)
-        assert np.array_equal(h_vec.right, h_ref.right)
+        assert np.array_equal(h_vec.link, h_ref.link)
         assert vec.losers.tolist() == ref.losers.tolist()
         assert vec.charges.tolist() == ref.charges.tolist()
 
@@ -185,8 +174,7 @@ def test_replay_plays_the_host_it_is_given(kind, tiebreak):
 def test_steiner_node_missing_a_child_is_refused(fig_demand, debug):
     h = run_bracket_builder(fig_demand)
     s = helpers.steiner_nodes(h)[0]
-    h.parent[h.right[s]] = NONE
-    h.right[s] = NONE
+    h.link[h.link == 2 * s + 1] = NONE
     with pytest.raises(InvariantViolation, match=f"steiner {s} ") as err:
         run_tournament(h, fig_demand, debug=debug)
     assert err.value.code == "(i) steiner-degree"
@@ -198,8 +186,7 @@ def test_both_paths_name_the_highest_steiner_node_missing_a_child(fig_demand,
     h = run_bracket_builder(fig_demand)
     steiner = helpers.steiner_nodes(h)
     for s in (steiner[0], steiner[-1]):
-        h.parent[h.right[s]] = NONE
-        h.right[s] = NONE
+        h.link[h.link == 2 * s + 1] = NONE
     with pytest.raises(InvariantViolation,
                        match=f"steiner {steiner[-1]} lacks"):
         run_tournament(h, fig_demand, debug=debug)
@@ -211,7 +198,7 @@ def test_sweep_refuses_a_winner_advancing_into_a_foreign_bracket():
     sweep refuses the first winner that advances into it."""
     d = root_at(parse_edge_list("0 1\n0 2\n0 3\n0 4\n1 5\n1 6\n2 7\n2 8"), 0)
     h = run_bracket_builder(d)
-    assert h.left[0] == 9
+    assert h.link[9] == 0
     h.owner[0] = 1
     check_invariants(d, h)
     with pytest.raises(InvariantViolation, match="vertex 3 advanced into a "
@@ -225,8 +212,7 @@ def test_sweep_refuses_a_host_that_a_match_would_mend():
     parent is 1.  Played, 1 beats 3 on id and ends above it, and the final
     host passes every check; the sweep refuses the host before any match."""
     d = root_at(parse_edge_list("0 1\n0 2\n1 3\n3 4"), 0)
-    h = HostTree(5, 0, [NONE, 5, 1, 5, 3, 0], [5, 2, NONE, 4, NONE, 1],
-                 [NONE] * 5 + [3], [0])
+    h = HostTree(5, 0, [NONE, 10, 2, 11, 6, 0], [0])
     with pytest.raises(InvariantViolation, match="vertex 3 sits in the "
                        "bracket of 0, not of its parent") as err:
         run_tournament(h, d, tiebreak="id", debug=True)
@@ -243,9 +229,8 @@ def test_sweep_refuses_a_match_that_fires_before_its_children():
     owner = run_bracket_builder(d).owner
 
     def swapped():
-        return HostTree(5, 0, [NONE, 5, 5, 7, 7, 6, 0, 6],
-                        [6, NONE, NONE, NONE, NONE, 1, 5, 3],
-                        [NONE] * 5 + [2, 7, 4], owner.copy())
+        return HostTree(5, 0, [NONE, 10, 11, 14, 15, 12, 0, 13],
+                        owner.copy())
 
     check_invariants(d, swapped())
     assert (serialize(run_tournament(swapped(), d).host)
@@ -256,18 +241,16 @@ def test_sweep_refuses_a_match_that_fires_before_its_children():
 
 
 def test_replay_refuses_steiner_parents_it_cannot_order():
-    """The replay orders the matches by the steiner nodes' parents: a
-    steiner child whose parent is a vertex would play after its parent's
-    match, and steiner nodes on a parent cycle have no depth."""
+    """The replay orders the matches by the steiner nodes' depths below
+    their vertices, and steiner nodes on a parent cycle have none.  Here
+    the bracket root hangs below the last steiner node, in the place of a
+    vertex that hangs below the root vertex instead: every link is
+    distinct, and every steiner node keeps two children."""
     d = gen("star", 9)
     h = run_bracket_builder(d)
-    root = h.left[0]
-    h.parent[h.left[root]] = 0
-    with pytest.raises(TreeHostError,
-                       match=f"match at {root} fired before its children"):
-        run_tournament(h, d)
-    h = run_bracket_builder(d)
-    h.parent[root] = h.left[root]
+    root, low = helpers.host_children(h, 0)[0], h.num_nodes() - 1
+    v = helpers.host_children(h, low)[0]
+    h.link[v], h.link[root] = 0, 2 * low
     with pytest.raises(HostTreeError, match="parent cycle"):
         run_tournament(h, d)
 
@@ -365,9 +348,7 @@ def test_host_with_a_vertex_of_two_children_is_refused(debug):
     paths refuse it, where the replay once returned a broken host."""
     d = gen("caterpillar", 14, seed=0)
     h = run_bracket_builder(d)
-    p = h.parent[13]
-    (h.left if h.left[p] == 13 else h.right)[p] = NONE
-    h.right[0], h.parent[13] = 13, 0
+    h.link[13] = 1
     h.validate()
     with pytest.raises(TreeHostError, match="already played: vertex 0 has "
                        "two children"):
@@ -418,43 +399,37 @@ def test_tiebreak_modes_differ_on_reordered_labels():
     ids = {d.label(v): v for v in range(d.n)}
     h_lex = run_bracket_builder(d)
     run_tournament(h_lex, d, tiebreak="lex")
-    assert h_lex.left[ids["a"]] == ids["b"]
+    assert helpers.host_children(h_lex, ids["a"]) == [ids["b"]]
     h_id = run_bracket_builder(d)
     run_tournament(h_id, d, tiebreak="id")
-    assert h_id.left[ids["a"]] == ids["c"]
+    assert helpers.host_children(h_id, ids["a"]) == [ids["c"]]
 
 
 def _violating_hosts(fig_demand):
     # (i): collapse one steiner match by hand, leaving the steiner in place
     # with a single child (structure stays a valid binary tree)
     h1 = run_bracket_builder(fig_demand)
-    s = next(s for s in helpers.steiner_nodes(h1)
-             if not h1.is_steiner(h1.left[s]) and not h1.is_steiner(h1.right[s])
-             and h1.left[h1.left[s]] == -1 and h1.left[h1.right[s]] == -1)
-    a, b = h1.left[s], h1.right[s]
-    h1.right[s] = -1
-    h1.left[a] = b
-    h1.parent[b] = a
+    a, b = next(kids for kids in (helpers.host_children(h1, s)
+                                  for s in helpers.steiner_nodes(h1))
+                if max(kids) < fig_demand.n
+                and not helpers.host_children(h1, kids[0])
+                and not helpers.host_children(h1, kids[1]))
+    h1.link[b] = 2 * a
     yield "(i)", h1
 
     # (ii): hoist leaf "5" (demand child of v) above the root bracket,
     # so its demand parent is no longer an ancestor
     h2 = run_bracket_builder(fig_demand)
     v5 = 8
-    h2.left[2] = -1          # detach from v
-    top = h2.left[0]
-    h2.left[0] = v5
-    h2.parent[v5] = 0
-    h2.left[v5] = top
-    h2.parent[top] = v5
+    top = helpers.host_children(h2, 0)[0]
+    h2.link[v5] = 0          # from below v to below the root
+    h2.link[top] = 2 * v5
     yield "(ii)", h2
 
     # (iii): move leaf "5" under x, giving a steiner child two host children
     h3 = run_bracket_builder(fig_demand)
     v_x = 11
-    h3.left[2] = -1
-    h3.right[v_x] = 8
-    h3.parent[8] = v_x
+    h3.link[8] = 2 * v_x + 1
     yield "(iii)", h3
 
 
@@ -468,8 +443,9 @@ def test_checker_names_violated_invariant(fig_demand):
 @st.composite
 def _damaged_arrays(draw):
     """A demand tree and its phase-1, part-played or final host, with up
-    to four entries of its arrays or its root overwritten, nodes re-hung
-    with mirrored links, or a node's children swapped."""
+    to four links, owner entries or its root overwritten, nodes re-hung on
+    a free side or a taken one, or the sides of a node's children
+    swapped."""
     d = gen(draw(st.sampled_from(["random", "star", "path", "caterpillar",
                                   "complete_binary"])),
             draw(st.integers(1, 12)), seed=draw(st.integers(0, 99)))
@@ -482,26 +458,20 @@ def _damaged_arrays(draw):
     node = st.sampled_from(range(size))
     for op in draw(st.lists(st.integers(0, 7), max_size=4)):
         if op < 3:
-            array = getattr(host, draw(st.sampled_from(
-                ["parent", "left", "right", "owner"])))
+            array = getattr(host, draw(st.sampled_from(["link", "link",
+                                                        "owner"])))
             if len(array):
                 at = draw(st.integers(0, len(array) - 1))
-                array[at] = draw(st.integers(-3, size + 1))
+                array[at] = draw(st.integers(-3, 2 * size + 1))
         elif op == 3:
             host.root = draw(st.integers(-1, size))
-        elif op < 7:  # x moves under p, into p's first free slot or right
+        elif op < 7:  # x moves under p, on side 0 if no node holds it
             x, p = draw(node), draw(node)
-            if x == host.root:
-                continue
-            q = host.parent[x]
-            for side in (host.left, host.right):
-                if 0 <= q < size and side[q] == x:
-                    side[q] = NONE
-            host.parent[x] = p
-            (host.left if host.left[p] == NONE else host.right)[p] = x
+            if x != host.root:
+                host.link[x] = 2 * p + (2 * p in host.link.tolist())
         else:
             v = draw(node)
-            host.left[v], host.right[v] = host.right[v], host.left[v]
+            host.link[(host.link >> 1) == v] ^= 1
     return d, host
 
 
@@ -516,12 +486,12 @@ def _outcome(check, *args):
 
 
 def _outside_or_twice(host) -> bool:
-    """Whether a node has a child id outside [-1, size) or lists one child
-    twice: the hosts that the reference checkers crash on or pass."""
-    left, right = host.left, host.right
-    size = len(host.parent)
-    return bool(((left < NONE) | (left >= size) | (right < NONE)
-                 | (right >= size) | ((left != NONE) & (left == right))).any())
+    """Whether a link lies outside [-1, 2 * size) or two nodes share one:
+    the hosts that the reference refuses as not connected."""
+    link = host.link.tolist()
+    up = [k for k in link if k != NONE]
+    return (not all(NONE <= k < 2 * len(link) for k in link)
+            or len(set(up)) < len(up))
 
 
 def _entered_just_after(host, message: str) -> bool:
@@ -533,15 +503,30 @@ def _entered_just_after(host, message: str) -> bool:
     return bool(named) and tin[int(named[2])] == tout[int(named[1])]
 
 
+def _played(host, demand, debug):
+    """The links, losers and charges that ``run_tournament`` leaves on a
+    copy of the host, or None if it raises a ``TreeHostError``."""
+    try:
+        res = run_tournament(helpers.copy_host(host), demand, debug=debug)
+    except TreeHostError:
+        return None
+    return res.host.link.tolist(), res.losers.tolist(), res.charges.tolist()
+
+
 @settings(database=None, derandomize=True, deadline=None, max_examples=2000)
 @given(_damaged_arrays())
 def test_tour_checks_match_the_reference_checkers(case):
     """``validate`` and ``check_invariants`` name the same first fault as
-    the node-by-node checkers, with two kinds of exception.  Where a node
-    links outside the nodes or lists one child twice, they raise a
-    ``HostTreeError`` of their own, and the references crash, pass or name
-    a later fault.  Where a vertex is entered just after its demand
-    parent's subtree, they name it, and the reference does not."""
+    the node-by-node checkers, with two kinds of exception.  Where a link
+    lies out of range or is shared, they name its first node, and the
+    references refuse the host as not connected.  Where a vertex is
+    entered just after its demand parent's subtree, they name it, and the
+    reference does not.
+
+    The library calls on the host raise a ``TreeHostError`` or, where the
+    reference accepts it, agree with the references: ``evaluate`` with the
+    lifting over every edge, ``serialize`` with the stack walk's writer,
+    and the replay with the sweep whenever the sweep returns."""
     d, host = case
     for new, ref, args in (
             (HostTree.validate, helpers.reference_validate, (host,)),
@@ -552,18 +537,84 @@ def test_tour_checks_match_the_reference_checkers(case):
             continue
         if _outside_or_twice(host):
             assert got[0] is HostTreeError
-            assert re.fullmatch(r"child link \d+->-?\d+ not mirrored|"
-                                r"node \d+ lists child \d+ twice", got[1])
+            assert re.fullmatch(r"node \d+ has link -?\d+, outside \[-1, \d+\)|"
+                                r"node \d+ and another are both side [01] "
+                                r"of node \d+", got[1])
         else:
             assert got[0] is InvariantViolation
             assert _entered_just_after(host, got[1])
+    accepted = _outcome(helpers.reference_validate, host) is None
+    for call, ref, args in (
+            (evaluate, helpers.reference_evaluate, (d, host)),
+            (serialize, helpers.reference_serialize, (host,))):
+        try:
+            got = call(*args)
+        except TreeHostError:
+            continue
+        if accepted:
+            assert got == ref(*args)
+    swept = _played(host, d, debug=True)
+    if swept is not None:
+        assert _played(host, d, debug=False) == swept
+    else:
+        _played(host, d, debug=False)
+
+
+_LIBRARY_CALLS = {
+    "evaluate": lambda d, h: evaluate(d, h),
+    "serialize": lambda d, h: serialize(h),
+    "replay": lambda d, h: run_tournament(h, d),
+    "sweep": lambda d, h: run_tournament(h, d, debug=True),
+}
+
+
+@pytest.mark.parametrize("bad", [-7, -2, 10 ** 6])
+@pytest.mark.parametrize("call", sorted(_LIBRARY_CALLS))
+def test_library_calls_refuse_a_link_out_of_range(call, bad):
+    """A link outside [-1, 2 * size) is named before any array is indexed
+    by it: ``evaluate`` and ``serialize``'s tour once raised
+    ``IndexError``, a link of -2 reads as a second root, and the replay
+    once read a child of -7 as the last node's and returned a broken
+    host."""
+    d = gen("random", 12, seed=3)
+    h = run_bracket_builder(d)
+    kid = helpers.host_children(h, h.root)[0]
+    h.link[kid] = bad
+    with pytest.raises(HostTreeError, match=rf"^node {kid} has link {bad}, "
+                       rf"outside \[-1, {2 * h.num_nodes()}\)$"):
+        _LIBRARY_CALLS[call](d, h)
+
+
+@pytest.mark.parametrize("call", sorted(_LIBRARY_CALLS))
+def test_library_calls_refuse_two_nodes_sharing_a_link(call):
+    """Two nodes on one side of a node: ``evaluate`` scores the parents
+    alone and passes it; every call that reads children refuses it."""
+    d = gen("random", 12, seed=3)
+    h = run_bracket_builder(d)
+    first, second = sorted(np.flatnonzero(h.link >= 0)[:2])
+    h.link[second] = h.link[first]
+    if call == "evaluate":
+        assert evaluate(d, h).total == helpers.bfs_cost(d, h)[0]
+        return
+    with pytest.raises(HostTreeError, match=f"^node {first} and another "):
+        _LIBRARY_CALLS[call](d, h)
+
+
+@pytest.mark.parametrize("debug", [False, True])
+def test_tournament_refuses_a_demand_of_another_size(debug):
+    """As ``evaluate`` does; the replay once sized an array by the
+    difference and raised a bare ``ValueError``."""
+    h = run_bracket_builder(gen("random", 12, seed=3))
+    with pytest.raises(UnknownVertexError,
+                       match="^host covers 12 vertices, demand has 20$"):
+        run_tournament(h, gen("random", 20, seed=3), debug=debug)
 
 
 def test_check_invariants_refuses_a_vertex_entered_after_its_parent():
     """Host 0(1, 2) for the path 0-1-2: vertex 2 is entered just after its
     demand parent 1 is left, which an off-by-one interval test accepts."""
     d = root_at(parse_edge_list("0 1\n1 2"), 0)
-    host = HostTree(3, 0, [NONE, 0, 0], [1, NONE, NONE], [2, NONE, NONE], [])
+    host = HostTree(3, 0, [NONE, 0, 1], [])
     with pytest.raises(InvariantViolation, match="demand parent 1 of vertex "
                        "2 is not a host ancestor"):
         check_invariants(d, host)
